@@ -378,7 +378,7 @@ def _merge_duplicates(a: Ucw) -> Ucw:
 # Lasso acceptance
 
 
-def _sccs(num_nodes: int, adj) -> list[list[int]]:
+def sccs(num_nodes: int, adj) -> list[list[int]]:
     """Iterative Tarjan; returns components in reverse topological order."""
     index = [0] * num_nodes
     low = [0] * num_nodes
@@ -462,9 +462,8 @@ def ucw_accepts_lasso(a: Ucw, prefix, loop) -> bool:
                 frontier.append(key)
             adj_list[vid].append(nodes[key])
 
-    comps = _sccs(len(order), lambda v: adj_list[v])
+    comps = sccs(len(order), lambda v: adj_list[v])
     for comp in comps:
-        members = set(comp)
         cyclic = len(comp) > 1 or comp[0] in adj_list[comp[0]]
         if cyclic and any(order[v][0] in a.rejecting for v in comp):
             return False
@@ -499,13 +498,13 @@ def _edge_components(a: Ucw) -> list[list[int]]:
     for (q, q2), g in a.guards.items():
         if guard_satisfiable(g):
             adj[q].append(q2)
-    return _sccs(a.n_states, lambda v: adj[v])
+    return sccs(a.n_states, lambda v: adj[v])
 
 
 def counter_width(a: Ucw, n_states_of_system: int) -> int:
     """Bits needed for ranks up to n*|F| (a run repeats beyond that)."""
     bound = n_states_of_system * len(a.rejecting)
-    return max(1, (bound + 1 - 1).bit_length() if bound else 1)
+    return max(1, bound.bit_length())
 
 
 def analyze_sccs(a: Ucw, n_states_of_system: int) -> SccInfo:

@@ -153,7 +153,8 @@ def make_sides(spec: SynthSpec, cfg: RunConfig) -> list[SideProblem]:
             spec.outputs,
         )
     ]
-    if cfg.counter_strategy == "auto":
+    # the environment side serves only the counter-strategy search
+    if cfg.counter_strategy == "auto" and cfg.mode != "emit-only":
         dual_semantics = MEALY if semantics == MOORE else MOORE
         sides.append(
             SideProblem(
@@ -191,10 +192,9 @@ def _minimized(side: SideProblem, found: int, cfg: RunConfig, want_system: bool)
     return best_bound, best
 
 
-def search_realizability(spec: SynthSpec, cfg: RunConfig) -> SearchOutcome:
-    """Fair alternation over bounds between the system and the environment."""
+def search_realizability(sides: list[SideProblem], cfg: RunConfig) -> SearchOutcome:
+    """Fair alternation over bounds between the sides built by make_sides."""
     want_system = cfg.mode == "synthesis"
-    sides = make_sides(spec, cfg)
     for n in _bounds(cfg):
         for side in sides:
             won = _attempt(side, n, cfg, want_system)
@@ -304,25 +304,22 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        outcome = search_realizability(spec, cfg)
+        outcome = search_realizability(sides, cfg)
     except ExpansionLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
 
+    if outcome.status == "undetermined":
+        print("UNKNOWN")
+        return 0
     if outcome.status == "realizable":
         print(f"REALIZABLE (bound {outcome.bound})")
-        if cfg.mode == "synthesis" and outcome.system is not None:
-            text = to_aiger(outcome.system) if cfg.fmt == "aag" else to_dot(outcome.system)
-            _write(cfg.output, text)
-        return 10
-    if outcome.status == "unrealizable":
+    else:
         print(f"UNREALIZABLE (environment bound {outcome.bound})")
-        if cfg.mode == "synthesis" and outcome.system is not None:
-            text = to_aiger(outcome.system) if cfg.fmt == "aag" else to_dot(outcome.system)
-            _write(cfg.output, text)
-        return 20
-    print("UNKNOWN")
-    return 0
+    if cfg.mode == "synthesis" and outcome.system is not None:
+        text = to_aiger(outcome.system) if cfg.fmt == "aag" else to_dot(outcome.system)
+        _write(cfg.output, text)
+    return 10 if outcome.status == "realizable" else 20
 
 
 def cli():

@@ -7,12 +7,23 @@ encoding roles back to variable numbers for extraction.
 Shared structure: reachability flags per (system state, automaton state),
 rank counters compared along automaton edges (strictly into rejecting
 states), a transition relation with at least one successor everywhere, and
-output variables feeding the specialized edge guards.  The variants differ
-in what stays explicit: the basic encoding enumerates inputs and states,
-the input-symbolic one quantifies over inputs, the state-symbolic one also
-treats system states as universally quantified bit vectors (with
-Ackermann-style consistency ties between the two state occurrences), and
-the fully symbolic one additionally runs over a binary-coded automaton.
+output variables feeding the edge guards.  The variants differ along one
+axis, what stays explicit, and come in two pairs with one skeleton each:
+
+  explicit system states (`_encode_explicit`): the basic encoding
+      enumerates the input valuations, binds each guard's inputs to
+      constants and keeps one copy of trans (and of Mealy outputs) per
+      valuation; the input-symbolic one binds them to universal variables,
+      so a single copy serves every valuation.
+  symbolic system states (`_SymbolicFrame`): system states become
+      universally quantified bit vectors, t and its successor t2, with
+      Ackermann-style consistency ties between the two occurrences.  The
+      state-symbolic encoding keeps one reach/rank pair per automaton
+      state; the fully symbolic one also runs over a binary-coded
+      automaton, whose state bits are universal as well.
+
+Variable allocation order and the order in which formula nodes are built
+fix the emitted DIMACS numbering, so both are part of each encoding.
 """
 
 from __future__ import annotations
@@ -111,23 +122,6 @@ def guard_to_node(store: Store, guard: LtlFormula, atom_map: dict[str, int]) -> 
     raise ValueError(f"guard contains temporal operator {k}")
 
 
-def specialize_guard(
-    store: Store,
-    a: Ucw,
-    q: int,
-    q2: int,
-    i: frozenset[str],
-    outvars: dict[str, int],
-) -> int:
-    """Edge guard with inputs fixed to the valuation and outputs to nodes."""
-    guard = a.guards.get((q, q2))
-    if guard is None:
-        return FALSE
-    atom_map = {name: (TRUE if name in i else FALSE) for name in a.inputs}
-    atom_map.update(outvars)
-    return guard_to_node(store, guard, atom_map)
-
-
 def _rank_vec(store: Store, directory_rank: dict, key, b: int, prefix: str) -> BitVec:
     ids = [store.new_var(f"{prefix}_b{j}") for j in range(b)]
     directory_rank[key] = tuple(ids)
@@ -144,17 +138,35 @@ def _compare(store, scc: SccInfo, a: Ucw, rank_nodes, q, t_key, q2, t2_key) -> i
 
 
 # ---------------------------------------------------------------------------
-# Basic (purely propositional)
+# Explicit system states: basic (SAT) and input-symbolic (QBF)
 
 
-def encode_basic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[QuantifiedProblem, VarDirectory]:
+def _copy_tag(s: tuple) -> str:
+    return "".join(f"_i{ii}" for ii in s)
+
+
+def _encode_explicit(
+    kind: str, a: Ucw, n: int, sem: str, scc: SccInfo
+) -> tuple[QuantifiedProblem, VarDirectory]:
+    """One obligation builder for the basic and input-symbolic encodings.
+
+    A copy of trans, and of the Mealy outputs, is keyed by a suffix: the
+    valuation index (basic) or nothing (input-symbolic).  Input-symbolic
+    Moore outputs do not depend on the inputs and join the outer block.
+    The basic prefix has an empty universal block, so it stays a SAT
+    fragment and emits as one existential block.
+    """
     if n < 1:
         raise ValueError("bound must be positive")
     store = Store()
     m = a.n_states
     b = scc.counter_bits
+    symbolic = kind == INPUT_SYMBOLIC
     vals = input_valuations(a.inputs)
-    d = VarDirectory(BASIC, sem, n, b)
+    # key suffixes of the trans/out copies: one per valuation, or a single ()
+    copies = [()] if symbolic else [(ii,) for ii in range(len(vals))]
+    out_copies = [()] if sem == MOORE else copies
+    d = VarDirectory(kind, sem, n, b)
 
     for t in range(n):
         for q in range(m):
@@ -163,122 +175,65 @@ def encode_basic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[QuantifiedProb
     for t in range(n):
         for q in sorted(scc.counted):
             rank_nodes[(t, q)] = _rank_vec(store, d.rank, (t, q), b, f"rank_t{t}_q{q}")
-    for t in range(n):
-        for ii in range(len(vals)):
-            for t2 in range(n):
-                d.trans[(t, ii, t2)] = store.new_var(f"trans_t{t}_i{ii}_t{t2}")
-    for name in a.outputs:
-        for t in range(n):
-            if sem == MOORE:
-                d.out[(name, t)] = store.new_var(f"out_{name}_t{t}")
-            else:
-                for ii in range(len(vals)):
-                    d.out[(name, t, ii)] = store.new_var(f"out_{name}_t{t}_i{ii}")
 
-    def outvars(t: int, ii: int) -> dict[str, int]:
-        if sem == MOORE:
-            return {name: store.var(d.out[(name, t)]) for name in a.outputs}
-        return {name: store.var(d.out[(name, t, ii)]) for name in a.outputs}
+    def allocate_outputs():
+        for name in a.outputs:
+            for t in range(n):
+                for s in out_copies:
+                    d.out[(name, t, *s)] = store.new_var(f"out_{name}_t{t}{_copy_tag(s)}")
+
+    outer_outputs = symbolic and sem == MOORE
+    if outer_outputs:
+        allocate_outputs()
+    outer = list(range(1, store.num_vars + 1))
+    if symbolic:
+        d.univ_inputs = {name: store.new_var(f"in_{name}") for name in a.inputs}
+    universals = list(d.univ_inputs.values())
+    for t in range(n):
+        for s in copies:
+            for t2 in range(n):
+                d.trans[(t, *s, t2)] = store.new_var(f"trans_t{t}{_copy_tag(s)}_t{t2}")
+    if not outer_outputs:
+        allocate_outputs()
+    inner = list(range(len(outer) + len(universals) + 1, store.num_vars + 1))
+
+    # how a guard sees the inputs: universal variables, or constants per valuation
+    if symbolic:
+        input_maps = [{name: store.var(v) for name, v in d.univ_inputs.items()}]
+    else:
+        input_maps = [{name: (TRUE if name in i else FALSE) for name in a.inputs} for i in vals]
+    atom_maps = {}
+    for t in range(n):
+        for s, input_map in zip(copies, input_maps):
+            s_out = () if sem == MOORE else s
+            atom_maps[(t, s)] = dict(input_map)
+            atom_maps[(t, s)].update(
+                {name: store.var(d.out[(name, t, *s_out)]) for name in a.outputs}
+            )
 
     conjuncts = [store.var(d.reach[(0, a.initial)])]
     for t in range(n):
-        for ii in range(len(vals)):
-            conjuncts.append(store.or_([store.var(d.trans[(t, ii, t2)]) for t2 in range(n)]))
+        for s in copies:
+            conjuncts.append(store.or_([store.var(d.trans[(t, *s, t2)]) for t2 in range(n)]))
 
     for q in range(m):
         for t in range(n):
             parts = []
             for q2 in a.successors(q):
-                for ii, i in enumerate(vals):
-                    delta = specialize_guard(store, a, q, q2, i, outvars(t, ii))
+                for s in copies:
+                    delta = guard_to_node(store, a.guards[(q, q2)], atom_maps[(t, s)])
                     if delta == FALSE:
                         continue
-                    inner = []
+                    inner_parts = []
                     for t2 in range(n):
                         body = [store.var(d.reach[(t2, q2)])]
                         cmp = _compare(store, scc, a, rank_nodes, q, t, q2, t2)
                         if cmp is not None:
                             body.append(cmp)
-                        inner.append(
-                            store.implies(store.var(d.trans[(t, ii, t2)]), store.and_(body))
+                        inner_parts.append(
+                            store.implies(store.var(d.trans[(t, *s, t2)]), store.and_(body))
                         )
-                    parts.append(store.implies(delta, store.and_(inner)))
-            if parts:
-                conjuncts.append(store.implies(store.var(d.reach[(t, q)]), store.and_(parts)))
-
-    matrix = store.and_(conjuncts)
-    problem = QuantifiedProblem(store, matrix, [("e", list(range(1, store.num_vars + 1)))])
-    return problem, d
-
-
-# ---------------------------------------------------------------------------
-# Input-symbolic (QBF)
-
-
-def encode_input_symbolic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[QuantifiedProblem, VarDirectory]:
-    if n < 1:
-        raise ValueError("bound must be positive")
-    store = Store()
-    m = a.n_states
-    b = scc.counter_bits
-    d = VarDirectory(INPUT_SYMBOLIC, sem, n, b)
-
-    outer: list[int] = []
-    inner: list[int] = []
-    for t in range(n):
-        for q in range(m):
-            d.reach[(t, q)] = store.new_var(f"reach_t{t}_q{q}")
-            outer.append(d.reach[(t, q)])
-    rank_nodes: dict = {}
-    for t in range(n):
-        for q in sorted(scc.counted):
-            rank_nodes[(t, q)] = _rank_vec(store, d.rank, (t, q), b, f"rank_t{t}_q{q}")
-            outer.extend(d.rank[(t, q)])
-    if sem == MOORE:
-        for name in a.outputs:
-            for t in range(n):
-                d.out[(name, t)] = store.new_var(f"out_{name}_t{t}")
-                outer.append(d.out[(name, t)])
-
-    universals = [store.new_var(f"in_{name}") for name in a.inputs]
-    d.univ_inputs = dict(zip(a.inputs, universals))
-
-    for t in range(n):
-        for t2 in range(n):
-            d.trans[(t, t2)] = store.new_var(f"trans_t{t}_t{t2}")
-            inner.append(d.trans[(t, t2)])
-    if sem == MEALY:
-        for name in a.outputs:
-            for t in range(n):
-                d.out[(name, t)] = store.new_var(f"out_{name}_t{t}")
-                inner.append(d.out[(name, t)])
-
-    def atom_map(t: int) -> dict[str, int]:
-        mapping = {name: store.var(v) for name, v in d.univ_inputs.items()}
-        mapping.update({name: store.var(d.out[(name, t)]) for name in a.outputs})
-        return mapping
-
-    conjuncts = [store.var(d.reach[(0, a.initial)])]
-    for t in range(n):
-        conjuncts.append(store.or_([store.var(d.trans[(t, t2)]) for t2 in range(n)]))
-
-    for q in range(m):
-        for t in range(n):
-            parts = []
-            for q2 in a.successors(q):
-                delta = guard_to_node(store, a.guards[(q, q2)], atom_map(t))
-                if delta == FALSE:
-                    continue
-                inner_parts = []
-                for t2 in range(n):
-                    body = [store.var(d.reach[(t2, q2)])]
-                    cmp = _compare(store, scc, a, rank_nodes, q, t, q2, t2)
-                    if cmp is not None:
-                        body.append(cmp)
-                    inner_parts.append(
-                        store.implies(store.var(d.trans[(t, t2)]), store.and_(body))
-                    )
-                parts.append(store.implies(delta, store.and_(inner_parts)))
+                    parts.append(store.implies(delta, store.and_(inner_parts)))
             if parts:
                 conjuncts.append(store.implies(store.var(d.reach[(t, q)]), store.and_(parts)))
 
@@ -289,206 +244,171 @@ def encode_input_symbolic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[Quant
     return problem, d
 
 
+def encode_basic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[QuantifiedProblem, VarDirectory]:
+    return _encode_explicit(BASIC, a, n, sem, scc)
+
+
+def encode_input_symbolic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[QuantifiedProblem, VarDirectory]:
+    return _encode_explicit(INPUT_SYMBOLIC, a, n, sem, scc)
+
+
 # ---------------------------------------------------------------------------
-# State-symbolic (DQBF over explicit automaton states)
+# Symbolic system states: state-symbolic and fully symbolic (DQBF)
+
+
+def _location_name(loc) -> str:
+    return "" if loc == () else f"_q{loc}"
+
+
+class _SymbolicFrame:
+    """Variables and constraints shared by the two DQBF encodings.
+
+    Universals: inputs, the state codes t and t2, then the automaton-state
+    codes (fully symbolic only).  Existentials: reach/rank over t (and
+    the automaton code) for each location, their copies reach2/rank2 over
+    t2, the transition bits over t and the inputs, and the outputs over t
+    (and the inputs, for Mealy).  `locations` and `counted` key the
+    reach and rank variables: automaton states, or the single key ().
+    """
+
+    def __init__(self, kind, a, n, sem, b, locations, counted, aut_atoms=(), aut_atoms2=()):
+        if n < 1:
+            raise ValueError("bound must be positive")
+        self.store = store = Store()
+        self.n = n
+        self.k = k = (n - 1).bit_length()
+        self.d = d = VarDirectory(kind, sem, n, b)
+
+        d.univ_inputs = {name: store.new_var(f"in_{name}") for name in a.inputs}
+        d.univ_state = [store.new_var(f"st_{j}") for j in range(k)]
+        d.univ_state2 = [store.new_var(f"st2_{j}") for j in range(k)]
+        d.univ_aut = [store.new_var(f"aq_{j}") for j in range(len(aut_atoms))]
+        d.univ_aut2 = [store.new_var(f"aq2_{j}") for j in range(len(aut_atoms2))]
+        self.universals = list(range(1, store.num_vars + 1))
+
+        t_set = frozenset(d.univ_state)
+        ti_set = t_set | frozenset(d.univ_inputs.values())
+        self.deps: dict[int, frozenset[int]] = {}
+        self.existentials: list[int] = []
+        for tag, reach, rank, dep in (
+            ("", d.reach, d.rank, t_set | frozenset(d.univ_aut)),
+            ("2", d.reach2, d.rank2, frozenset(d.univ_state2) | frozenset(d.univ_aut2)),
+        ):
+            for loc in locations:
+                reach[loc] = self._allocate(f"reach{tag}{_location_name(loc)}", dep)
+            for loc in counted:
+                rank[loc] = tuple(
+                    self._allocate(f"rank{tag}{_location_name(loc)}_b{j}", dep) for j in range(b)
+                )
+        for j in range(k):
+            d.trans[j] = self._allocate(f"trans_b{j}", ti_set)
+        for name in a.outputs:
+            d.out[name] = self._allocate(f"out_{name}", ti_set if sem == MEALY else t_set)
+
+        self.t_vec = self.vec(d.univ_state)
+        self.t2_vec = self.vec(d.univ_state2)
+        self.trans_vec = self.vec(d.trans[j] for j in range(k))
+        self.atom_map = {name: store.var(v) for name, v in d.univ_inputs.items()}
+        self.atom_map.update({name: store.var(d.out[name]) for name in a.outputs})
+        self.atom_map.update(zip(aut_atoms, map(store.var, d.univ_aut)))
+        self.atom_map.update(zip(aut_atoms2, map(store.var, d.univ_aut2)))
+
+    def _allocate(self, name: str, dep: frozenset[int]) -> int:
+        v = self.store.new_var(name)
+        self.deps[v] = dep
+        self.existentials.append(v)
+        return v
+
+    def vec(self, ids) -> BitVec:
+        return BitVec(tuple(self.store.var(v) for v in ids))
+
+    def t_zero(self) -> int:
+        return self.store.and_([self.store.not_(bit) for bit in self.t_vec.bits])
+
+    def match(self) -> int:
+        """The transition bits name t2."""
+        return self.store.and_(
+            [self.store.iff(x, y) for x, y in zip(self.trans_vec.bits, self.t2_vec.bits)]
+        )
+
+    def assemble(self, init: int, main: int) -> tuple[QuantifiedProblem, VarDirectory]:
+        """Add the dead-code guard and the consistency ties; build the problem."""
+        store, d, n = self.store, self.d, self.n
+        conjuncts = [init]
+        if (1 << self.k) > n:
+            # dead state codes carry no obligations, and tau may not produce one
+            t_valid = bv_less_const(store, self.t_vec, n)
+            valid = store.and_([t_valid, bv_less_const(store, self.t2_vec, n)])
+            conjuncts.append(store.implies(valid, main))
+            conjuncts.append(store.implies(t_valid, bv_less_const(store, self.trans_vec, n)))
+        else:
+            conjuncts.append(main)
+
+        # Ackermann consistency: equal codes force equal function values
+        same = bv_equal(store, self.t_vec, self.t2_vec)
+        if d.univ_aut:
+            same = store.and_([same, bv_equal(store, self.vec(d.univ_aut), self.vec(d.univ_aut2))])
+        for loc, reach in d.reach.items():
+            ties = [store.iff(store.var(reach), store.var(d.reach2[loc]))]
+            if loc in d.rank:
+                ties.append(bv_equal(store, self.vec(d.rank[loc]), self.vec(d.rank2[loc])))
+            conjuncts.append(store.implies(same, store.and_(ties)))
+
+        matrix = store.and_(conjuncts)
+        problem = QuantifiedProblem(
+            store,
+            matrix,
+            [("a", self.universals), ("e", self.existentials)],
+            deps=self.deps,
+        )
+        return problem, d
 
 
 def encode_state_symbolic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[QuantifiedProblem, VarDirectory]:
-    if n < 1:
-        raise ValueError("bound must be positive")
-    store = Store()
-    m = a.n_states
-    b = scc.counter_bits
-    k = (n - 1).bit_length()
-    d = VarDirectory(STATE_SYMBOLIC, sem, n, b)
-
-    d.univ_inputs = {name: store.new_var(f"in_{name}") for name in a.inputs}
-    d.univ_state = [store.new_var(f"st_{j}") for j in range(k)]
-    d.univ_state2 = [store.new_var(f"st2_{j}") for j in range(k)]
-    universals = list(d.univ_inputs.values()) + d.univ_state + d.univ_state2
-
-    t_set = frozenset(d.univ_state)
-    t2_set = frozenset(d.univ_state2)
-    ti_set = t_set | frozenset(d.univ_inputs.values())
-    out_deps = ti_set if sem == MEALY else t_set
-
-    deps: dict[int, frozenset[int]] = {}
-    existentials: list[int] = []
-
-    def allocate(name: str, dep: frozenset[int]) -> int:
-        v = store.new_var(name)
-        deps[v] = dep
-        existentials.append(v)
-        return v
-
-    rank_nodes: dict = {}
-    rank2_nodes: dict = {}
-    for q in range(m):
-        d.reach[q] = allocate(f"reach_q{q}", t_set)
-    for q in sorted(scc.counted):
-        ids = [allocate(f"rank_q{q}_b{j}", t_set) for j in range(b)]
-        d.rank[q] = tuple(ids)
-        rank_nodes[(0, q)] = BitVec(tuple(store.var(v) for v in ids))
-    for q in range(m):
-        d.reach2[q] = allocate(f"reach2_q{q}", t2_set)
-    for q in sorted(scc.counted):
-        ids = [allocate(f"rank2_q{q}_b{j}", t2_set) for j in range(b)]
-        d.rank2[q] = tuple(ids)
-        rank2_nodes[(1, q)] = BitVec(tuple(store.var(v) for v in ids))
-    for j in range(k):
-        d.trans[j] = allocate(f"trans_b{j}", ti_set)
-    for name in a.outputs:
-        d.out[name] = allocate(f"out_{name}", out_deps)
-
-    t_vec = BitVec(tuple(store.var(v) for v in d.univ_state))
-    t2_vec = BitVec(tuple(store.var(v) for v in d.univ_state2))
-    trans_vec = BitVec(tuple(store.var(d.trans[j]) for j in range(k)))
-
-    atom_map = {name: store.var(v) for name, v in d.univ_inputs.items()}
-    atom_map.update({name: store.var(d.out[name]) for name in a.outputs})
-
-    t_zero = store.and_([store.not_(bit) for bit in t_vec.bits])
-    conjuncts = [store.implies(t_zero, store.var(d.reach[a.initial]))]
-
-    match = store.and_(
-        [store.iff(trans_vec.bits[j], t2_vec.bits[j]) for j in range(k)]
+    """Explicit automaton states: one obligation per edge, guarded by match."""
+    f = _SymbolicFrame(
+        STATE_SYMBOLIC, a, n, sem, scc.counter_bits, range(a.n_states), sorted(scc.counted)
     )
+    store, d = f.store, f.d
+    init = store.implies(f.t_zero(), store.var(d.reach[a.initial]))
+    match = f.match()
 
     main_parts = []
-    for q in range(m):
+    for q in range(a.n_states):
         parts = []
         for q2 in a.successors(q):
-            delta = guard_to_node(store, a.guards[(q, q2)], atom_map)
+            delta = guard_to_node(store, a.guards[(q, q2)], f.atom_map)
             if delta == FALSE:
                 continue
             body = [store.var(d.reach2[q2])]
             if scc.needs_compare(q, q2):
-                body.append(
-                    bv_greater(
-                        store,
-                        rank2_nodes[(1, q2)],
-                        rank_nodes[(0, q)],
-                        strict=q2 in a.rejecting,
-                    )
-                )
+                rank, rank2 = f.vec(d.rank[q]), f.vec(d.rank2[q2])
+                body.append(bv_greater(store, rank2, rank, strict=q2 in a.rejecting))
             parts.append(store.implies(store.and_([delta, match]), store.and_(body)))
         if parts:
             main_parts.append(store.implies(store.var(d.reach[q]), store.and_(parts)))
-
-    main = store.and_(main_parts)
-    if (1 << k) > n:
-        # dead state codes carry no obligations, and tau may not produce one
-        valid = store.and_([bv_less_const(store, t_vec, n), bv_less_const(store, t2_vec, n)])
-        conjuncts.append(store.implies(valid, main))
-        conjuncts.append(
-            store.implies(bv_less_const(store, t_vec, n), bv_less_const(store, trans_vec, n))
-        )
-    else:
-        conjuncts.append(main)
-
-    # Ackermann consistency: equal state codes force equal function values
-    same = bv_equal(store, t_vec, t2_vec)
-    for q in range(m):
-        ties = [store.iff(store.var(d.reach[q]), store.var(d.reach2[q]))]
-        if q in scc.counted:
-            ties.append(
-                store.and_(
-                    [
-                        store.iff(x, y)
-                        for x, y in zip(rank_nodes[(0, q)].bits, rank2_nodes[(1, q)].bits)
-                    ]
-                )
-            )
-        conjuncts.append(store.implies(same, store.and_(ties)))
-
-    matrix = store.and_(conjuncts)
-    problem = QuantifiedProblem(
-        store,
-        matrix,
-        [("a", universals), ("e", existentials)],
-        deps=deps,
-    )
-    return problem, d
-
-
-# ---------------------------------------------------------------------------
-# Fully symbolic (DQBF over a binary-coded automaton)
+    return f.assemble(init, store.and_(main_parts))
 
 
 def encode_fully_symbolic(
     sa: SymbolicUcw, n: int, sem: str, scc_bits: int
 ) -> tuple[QuantifiedProblem, VarDirectory]:
-    if n < 1:
-        raise ValueError("bound must be positive")
-    store = Store()
-    b = scc_bits
-    k = (n - 1).bit_length()
-    d = VarDirectory(FULLY_SYMBOLIC, sem, n, b)
-
-    d.univ_inputs = {name: store.new_var(f"in_{name}") for name in sa.inputs}
-    d.univ_state = [store.new_var(f"st_{j}") for j in range(k)]
-    d.univ_state2 = [store.new_var(f"st2_{j}") for j in range(k)]
-    d.univ_aut = [store.new_var(f"aq_{j}") for j in range(len(sa.state_vars))]
-    d.univ_aut2 = [store.new_var(f"aq2_{j}") for j in range(len(sa.state_vars))]
-    universals = (
-        list(d.univ_inputs.values())
-        + d.univ_state
-        + d.univ_state2
-        + d.univ_aut
-        + d.univ_aut2
+    """Binary-coded automaton: one obligation over the symbolic delta."""
+    f = _SymbolicFrame(
+        FULLY_SYMBOLIC, sa, n, sem, scc_bits, [()], [()], sa.state_vars, sa.state_vars_primed
     )
+    store, d = f.store, f.d
+    rank_vec = f.vec(d.rank[()])
+    rank2_vec = f.vec(d.rank2[()])
 
-    t_set = frozenset(d.univ_state)
-    t2_set = frozenset(d.univ_state2)
-    tq_set = t_set | frozenset(d.univ_aut)
-    tq2_set = t2_set | frozenset(d.univ_aut2)
-    ti_set = t_set | frozenset(d.univ_inputs.values())
-    out_deps = ti_set if sem == MEALY else t_set
+    q_init = guard_to_node(store, sa.init_formula, f.atom_map)
+    q_reject2 = guard_to_node(store, sa.reject_formula, f.atom_map)
+    delta = guard_to_node(store, sa.delta_formula, f.atom_map)
 
-    deps: dict[int, frozenset[int]] = {}
-    existentials: list[int] = []
-
-    def allocate(name: str, dep: frozenset[int]) -> int:
-        v = store.new_var(name)
-        deps[v] = dep
-        existentials.append(v)
-        return v
-
-    d.reach[()] = allocate("reach", tq_set)
-    d.rank[()] = tuple(allocate(f"rank_b{j}", tq_set) for j in range(b))
-    d.reach2[()] = allocate("reach2", tq2_set)
-    d.rank2[()] = tuple(allocate(f"rank2_b{j}", tq2_set) for j in range(b))
-    for j in range(k):
-        d.trans[j] = allocate(f"trans_b{j}", ti_set)
-    for name in sa.outputs:
-        d.out[name] = allocate(f"out_{name}", out_deps)
-
-    t_vec = BitVec(tuple(store.var(v) for v in d.univ_state))
-    t2_vec = BitVec(tuple(store.var(v) for v in d.univ_state2))
-    trans_vec = BitVec(tuple(store.var(d.trans[j]) for j in range(k)))
-    rank_vec = BitVec(tuple(store.var(v) for v in d.rank[()]))
-    rank2_vec = BitVec(tuple(store.var(v) for v in d.rank2[()]))
-
-    atom_map = {name: store.var(v) for name, v in d.univ_inputs.items()}
-    atom_map.update({name: store.var(d.out[name]) for name in sa.outputs})
-    for j, name in enumerate(sa.state_vars):
-        atom_map[name] = store.var(d.univ_aut[j])
-    for j, name in enumerate(sa.state_vars_primed):
-        atom_map[name] = store.var(d.univ_aut2[j])
-
-    q_init = guard_to_node(store, sa.init_formula, atom_map)
-    q_reject2 = guard_to_node(store, sa.reject_formula, atom_map)
-    delta = guard_to_node(store, sa.delta_formula, atom_map)
-
-    t_zero = store.and_([store.not_(bit) for bit in t_vec.bits])
     reach = store.var(d.reach[()])
     reach2 = store.var(d.reach2[()])
-
-    conjuncts = [store.implies(store.and_([t_zero, q_init]), reach)]
-
-    match = store.and_(
-        [store.iff(trans_vec.bits[j], t2_vec.bits[j]) for j in range(k)]
-    )
+    init = store.implies(store.and_([f.t_zero(), q_init]), reach)
+    match = f.match()
     compare = store.and_(
         [
             store.implies(q_reject2, bv_greater(store, rank2_vec, rank_vec, True)),
@@ -499,38 +419,7 @@ def encode_fully_symbolic(
         reach,
         store.implies(store.and_([delta, match]), store.and_([reach2, compare])),
     )
-    if (1 << k) > n:
-        valid = store.and_([bv_less_const(store, t_vec, n), bv_less_const(store, t2_vec, n)])
-        conjuncts.append(store.implies(valid, main))
-        conjuncts.append(
-            store.implies(bv_less_const(store, t_vec, n), bv_less_const(store, trans_vec, n))
-        )
-    else:
-        conjuncts.append(main)
-
-    same = store.and_(
-        [
-            bv_equal(store, t_vec, t2_vec),
-            store.and_(
-                [
-                    store.iff(store.var(a1), store.var(a2))
-                    for a1, a2 in zip(d.univ_aut, d.univ_aut2)
-                ]
-            ),
-        ]
-    )
-    ties = [store.iff(reach, reach2)]
-    ties.append(store.and_([store.iff(x, y) for x, y in zip(rank_vec.bits, rank2_vec.bits)]))
-    conjuncts.append(store.implies(same, store.and_(ties)))
-
-    matrix = store.and_(conjuncts)
-    problem = QuantifiedProblem(
-        store,
-        matrix,
-        [("a", universals), ("e", existentials)],
-        deps=deps,
-    )
-    return problem, d
+    return f.assemble(init, main)
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +431,3 @@ def count_profile(problem: QuantifiedProblem) -> tuple[int, int, int]:
     n_univ = len(problem.universals())
     n_nodes = len(problem.store.reachable(problem.matrix))
     return n_exist, n_univ, n_nodes
-
-
-ENCODERS = {
-    BASIC: encode_basic,
-    INPUT_SYMBOLIC: encode_input_symbolic,
-    STATE_SYMBOLIC: encode_state_symbolic,
-}

@@ -1,8 +1,21 @@
-"""Rebuild transition systems from solver models, per encoding."""
+"""Rebuild transition systems from solver models, for every encoding.
+
+One reader serves all four encodings: each (state, input valuation) pair
+becomes a universal context (input variables, plus the state-code bits of
+the symbolic-state pair) and every trans/out variable is read through
+`Model.value_of` in it.  The basic encoding has no universals, so its
+per-valuation variables read straight off the assignment; the others read
+their Skolem tables.  Automaton bits of the fully symbolic encoding never
+occur in the dependency sets of trans or out, so they need no context.
+
+Successors: the explicit-state pair (basic, input) has one-hot trans
+variables and takes the least true index; the symbolic-state pair (state,
+full) has transition bits and reads them as a binary code.
+"""
 
 from __future__ import annotations
 
-from .encode import BASIC, FULLY_SYMBOLIC, INPUT_SYMBOLIC, STATE_SYMBOLIC, VarDirectory
+from .encode import BASIC, INPUT_SYMBOLIC, VarDirectory
 from .solve import Model
 from .system import MOORE, TransitionSystem, input_valuations
 
@@ -11,91 +24,34 @@ class ExtractionError(RuntimeError):
     """Model inconsistent with the encoding contract; an encoder bug."""
 
 
-def _build(d: VarDirectory, inputs, outputs, trans, label) -> TransitionSystem:
-    return TransitionSystem(d.n, d.semantics, tuple(inputs), tuple(outputs), trans, label)
-
-
-def extract_basic(model: Model, d: VarDirectory, inputs, outputs) -> TransitionSystem:
-    """Least true successor per (state, input); labels straight off the model."""
-    assert d.kind == BASIC
-    vals = input_valuations(inputs)
-    trans = {}
-    label = {}
-    values = model.assignment
-    for t in range(d.n):
-        for ii, i in enumerate(vals):
-            successor = next(
-                (t2 for t2 in range(d.n) if values.get(d.trans[(t, ii, t2)], False)),
-                None,
-            )
-            if successor is None:
-                raise ExtractionError(f"no successor chosen at state {t}, input {set(i)}")
-            trans[(t, i)] = successor
-            if d.semantics == MOORE:
-                label[(t, i)] = frozenset(
-                    name for name in outputs if values.get(d.out[(name, t)], False)
-                )
-            else:
-                label[(t, i)] = frozenset(
-                    name for name in outputs if values.get(d.out[(name, t, ii)], False)
-                )
-    return _build(d, inputs, outputs, trans, label)
-
-
-def extract_input_symbolic(model: Model, d: VarDirectory, inputs, outputs) -> TransitionSystem:
-    """Skolem tables over the inputs give transitions and Mealy labels."""
-    assert d.kind == INPUT_SYMBOLIC
-    vals = input_valuations(inputs)
+def extract(model: Model, d: VarDirectory, inputs, outputs) -> TransitionSystem:
+    explicit = d.kind in (BASIC, INPUT_SYMBOLIC)
     trans = {}
     label = {}
     for t in range(d.n):
-        for i in vals:
-            env = {v: (name in i) for name, v in d.univ_inputs.items()}
-            successor = next(
-                (t2 for t2 in range(d.n) if model.value_of(d.trans[(t, t2)], env)),
-                None,
-            )
-            if successor is None:
-                raise ExtractionError(f"no successor chosen at state {t}, input {set(i)}")
-            trans[(t, i)] = successor
-            label[(t, i)] = frozenset(
-                name for name in outputs if model.value_of(d.out[(name, t)], env)
-            )
-    return _build(d, inputs, outputs, trans, label)
-
-
-def extract_state_symbolic(model: Model, d: VarDirectory, inputs, outputs) -> TransitionSystem:
-    """Assemble successor codes from the transition-bit Skolem tables.
-
-    Also serves the fully symbolic encoding: automaton bits are universal
-    there but never occur in the dependency sets of transitions or outputs.
-    """
-    assert d.kind in (STATE_SYMBOLIC, FULLY_SYMBOLIC)
-    vals = input_valuations(inputs)
-    bits = sorted(d.trans)
-    trans = {}
-    label = {}
-    for t in range(d.n):
-        for i in vals:
+        for ii, i in enumerate(input_valuations(inputs)):
             env = {v: (name in i) for name, v in d.univ_inputs.items()}
             for j, v in enumerate(d.univ_state):
                 env[v] = bool(t >> j & 1)
-            code = 0
-            for j in bits:
-                if model.value_of(d.trans[j], env):
-                    code |= 1 << j
-            if code >= d.n:
-                raise ExtractionError(f"successor code {code} out of range at state {t}")
-            trans[(t, i)] = code
+            if explicit:
+                copy = (ii,) if d.kind == BASIC else ()
+                successor = next(
+                    (t2 for t2 in range(d.n) if model.value_of(d.trans[(t, *copy, t2)], env)),
+                    None,
+                )
+                if successor is None:
+                    raise ExtractionError(f"no successor chosen at state {t}, input {set(i)}")
+                out = {
+                    name: d.out[(name, t) if d.semantics == MOORE else (name, t, *copy)]
+                    for name in outputs
+                }
+            else:
+                successor = sum(1 << j for j, v in d.trans.items() if model.value_of(v, env))
+                if successor >= d.n:
+                    raise ExtractionError(f"successor code {successor} out of range at state {t}")
+                out = d.out
+            trans[(t, i)] = successor
             label[(t, i)] = frozenset(
-                name for name in outputs if model.value_of(d.out[name], env)
+                name for name in outputs if model.value_of(out[name], env)
             )
-    return _build(d, inputs, outputs, trans, label)
-
-
-def extract(model: Model, d: VarDirectory, inputs, outputs) -> TransitionSystem:
-    if d.kind == BASIC:
-        return extract_basic(model, d, inputs, outputs)
-    if d.kind == INPUT_SYMBOLIC:
-        return extract_input_symbolic(model, d, inputs, outputs)
-    return extract_state_symbolic(model, d, inputs, outputs)
+    return TransitionSystem(d.n, d.semantics, tuple(inputs), tuple(outputs), trans, label)

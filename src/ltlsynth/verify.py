@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automaton import Ucw, _sccs, eval_guard, ucw_accepts_lasso
+from .automaton import Ucw, eval_guard, sccs, ucw_accepts_lasso
 from .system import TransitionSystem, input_valuations, run
 
 Vertex = tuple[int, int]  # (system state, automaton state)
@@ -93,6 +93,23 @@ def check_annotation(g: RunGraph, lam: dict[Vertex, int | None]) -> Violation | 
     return None
 
 
+def _condense(g: RunGraph):
+    """One Tarjan pass over the run graph.
+
+    Returns the adjacency by vertex index, the components in reverse
+    topological order, and the first component with a cycle through a
+    rejecting vertex (None when there is none).
+    """
+    idx = {v: j for j, v in enumerate(g.vertices)}
+    adj = [[idx[v2] for v2 in g.edges.get(v, ())] for v in g.vertices]
+    comps = sccs(len(g.vertices), lambda v: adj[v])
+    for comp in comps:
+        cyclic = len(comp) > 1 or comp[0] in adj[comp[0]]
+        if cyclic and any(g.vertices[v] in g.rejecting for v in comp):
+            return adj, comps, comp
+    return adj, comps, None
+
+
 def infer_annotation(g: RunGraph) -> dict[Vertex, int] | None:
     """Least valid annotation, or None when a rejecting cycle is reachable.
 
@@ -100,19 +117,14 @@ def infer_annotation(g: RunGraph) -> dict[Vertex, int] | None:
     validity; otherwise the rank of a vertex is the largest number of
     rejecting vertices on any path reaching it.
     """
-    idx = {v: j for j, v in enumerate(g.vertices)}
-    adj = [[idx[v2] for v2 in g.edges.get(v, ())] for v in g.vertices]
-    comps = _sccs(len(g.vertices), lambda v: adj[v])  # reverse topological
+    adj, comps, bad = _condense(g)
+    if bad is not None:
+        return None
 
     comp_of = {}
     for cid, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = cid
-
-    for comp in comps:
-        cyclic = len(comp) > 1 or comp[0] in adj[comp[0]]
-        if cyclic and any(g.vertices[v] in g.rejecting for v in comp):
-            return None
 
     # propagate over edges in topological order (reverse of Tarjan's output):
     # value[target comp] >= value[source comp] + 1 when the target vertex rejects
@@ -148,21 +160,12 @@ def model_check(ts: TransitionSystem, a: Ucw) -> CounterexampleLasso | None:
     reachable cycle through a rejecting vertex.
     """
     g = build_run_graph(ts, a)
-    if infer_annotation(g) is not None:
+    adj, _, bad_comp = _condense(g)
+    if bad_comp is None:
         return None
-
-    idx = {v: j for j, v in enumerate(g.vertices)}
-    adj = [[idx[v2] for v2 in g.edges.get(v, ())] for v in g.vertices]
-    comps = _sccs(len(g.vertices), lambda v: adj[v])
-    bad_comp = None
-    for comp in comps:
-        cyclic = len(comp) > 1 or comp[0] in adj[comp[0]]
-        if cyclic and any(g.vertices[v] in g.rejecting for v in comp):
-            bad_comp = comp
-            break
-    assert bad_comp is not None
     members = set(bad_comp)
     target = next(v for v in bad_comp if g.vertices[v] in g.rejecting)
+    origin = g.vertices.index(g.initial)
 
     def bfs(start: int, goal: int, restrict: set[int] | None, skip_trivial: bool):
         """Shortest edge path start->goal; may be empty unless skip_trivial."""
@@ -190,7 +193,7 @@ def model_check(ts: TransitionSystem, a: Ucw) -> CounterexampleLasso | None:
                     queue.append(w)
         return None
 
-    into = bfs(idx[g.initial], target, None, skip_trivial=idx[g.initial] != target)
+    into = bfs(origin, target, None, skip_trivial=origin != target)
     around = bfs(target, target, members, skip_trivial=True)
     assert into is not None and around is not None
 

@@ -8,6 +8,7 @@ unrealizable, Mealy and Moore, |I|,|O| <= 2.
 
 from dataclasses import dataclass
 
+from ltlsynth.driver import RunConfig, SideProblem, build_problem, make_sides, search_realizability
 from ltlsynth.ltl import SynthSpec, parse_ltl
 
 
@@ -76,3 +77,14 @@ SUITE = [
 
 def by_name(name: str) -> Bench:
     return next(b for b in SUITE if b.name == name)
+
+
+def encode(kind, a, n, sem, reduction=True):
+    """Encode an automaton through the driver's dispatch, as the CLI does."""
+    side = SideProblem("system", a, sem, a.inputs, a.outputs)
+    return build_problem(side, n, RunConfig(encoding=kind, scc_reduction=reduction))
+
+
+def search(spec: SynthSpec, cfg: RunConfig):
+    """Build both sides once and search them, as the CLI does."""
+    return search_realizability(make_sides(spec, cfg), cfg)

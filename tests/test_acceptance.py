@@ -26,23 +26,12 @@ from ltlsynth.solve import dqbf_solve_expand, external_solve, qbf_solve_expand, 
 from ltlsynth.system import TransitionSystem, input_valuations, moore_system, run, to_aiger
 from ltlsynth.verify import RunGraph, check_annotation, model_check
 from oracles import eval_ltl_lasso, eval_qbf_naive, simulate_aag
-from suite import SUITE, by_name
+from suite import SUITE, by_name, encode, search
 
 STUB = f"{sys.executable} {os.path.join(os.path.dirname(__file__), 'external_stub.py')} {{file}}"
 EXTERNAL_SAT = os.environ.get("LTLSYNTH_SAT_CMD", STUB)
 
 ENCODERS = ("basic", "input", "state", "full")
-
-
-def encode_any(kind, a, n, sem, reduction=True):
-    scc = analyze_sccs(a, n) if reduction else full_counters(a, n)
-    if kind == "basic":
-        return encode_basic(a, n, sem, scc)
-    if kind == "input":
-        return encode_input_symbolic(a, n, sem, scc)
-    if kind == "state":
-        return encode_state_symbolic(a, n, sem, scc)
-    return encode_fully_symbolic(encode_symbolic(a), n, sem, scc.counter_bits)
 
 
 def test_criterion_1_arbiter_reproduction():
@@ -53,8 +42,8 @@ def test_criterion_1_arbiter_reproduction():
     timings = {}
     for kind in ENCODERS:
         t0 = time.monotonic()
-        unsat = solve_internal(encode_any(kind, a, 1, "moore")[0])
-        sat = solve_internal(encode_any(kind, a, 2, "moore")[0])
+        unsat = solve_internal(encode(kind, a, 1, "moore")[0])
+        sat = solve_internal(encode(kind, a, 2, "moore")[0])
         timings[kind] = time.monotonic() - t0
         assert unsat.status == "unsat", f"{kind} must be UNSAT at bound 1"
         assert sat.status == "sat", f"{kind} must be SAT at bound 2"
@@ -76,7 +65,7 @@ def test_criterion_1_arbiter_reproduction():
         assert refuted, f"1-state labeling {set(out)} not refuted"
 
     # synthesized artifact: two states, alternating grants in simulation
-    outcome = search_realizability(spec, RunConfig(mode="synthesis", minimize=True))
+    outcome = search(spec, RunConfig(mode="synthesis", minimize=True))
     assert outcome.status == "realizable" and outcome.bound == 2
     aag = to_aiger(outcome.system)
     outs = simulate_aag(aag, [{"r1": True, "r2": True}] * 6)
@@ -116,7 +105,7 @@ def test_criterion_3_cross_encoding_agreement():
             verdicts = {}
             for kind in ENCODERS:
                 for reduction in (True, False):
-                    problem, _ = encode_any(kind, a, n, spec.semantics, reduction)
+                    problem, _ = encode(kind, a, n, spec.semantics, reduction)
                     verdicts[(kind, reduction)] = solve_internal(problem).status
             if len(set(verdicts.values())) != 1:
                 disagreements.append((bench.name, n, verdicts))
@@ -139,8 +128,9 @@ def test_criterion_4_end_to_end_soundness():
     checked = 0
     for bench in SUITE:
         cfg = RunConfig(mode="synthesis", max_bound=4)
-        sides = {s.role: s for s in make_sides(bench.spec, cfg)}
-        outcome = search_realizability(bench.spec, cfg)
+        built = make_sides(bench.spec, cfg)
+        sides = {s.role: s for s in built}
+        outcome = search_realizability(built, cfg)
         assert outcome.status in ("realizable", "unrealizable"), bench.name
         assert outcome.system is not None
         side = sides["system" if outcome.status == "realizable" else "environment"]
@@ -211,10 +201,10 @@ def test_criterion_5_semantics_separation():
     assert any(_realizes(ts, phi) for ts in _all_mealy_one_state())
 
     doc = by_name("copy_moore")
-    moore = search_realizability(doc.spec, RunConfig(max_bound=3))
+    moore = search(doc.spec, RunConfig(max_bound=3))
     assert moore.status == "unrealizable"
     mealy = by_name("copy_mealy")
-    out = search_realizability(mealy.spec, RunConfig())
+    out = search(mealy.spec, RunConfig())
     assert out.status == "realizable" and out.bound == 1
     print("ACCEPTANCE 5 (Moore unrealizable / Mealy realizable at 1): PASS")
 

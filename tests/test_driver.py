@@ -8,13 +8,12 @@ from ltlsynth.driver import (
     RunConfig,
     main,
     make_sides,
-    search_realizability,
 )
 from ltlsynth.ltl import load_spec
 from ltlsynth.logic import read_dimacs
 from ltlsynth.verify import model_check
 from oracles import simulate_aag
-from suite import by_name
+from suite import by_name, search
 
 STUB = f"{sys.executable} {os.path.join(os.path.dirname(__file__), 'external_stub.py')} {{file}}"
 
@@ -34,7 +33,7 @@ def write_spec(tmp_path, doc, name="spec.json"):
 
 def test_search_arbiter_realizable_at_two():
     spec = by_name("arbiter").spec
-    outcome = search_realizability(spec, RunConfig(mode="synthesis", minimize=True))
+    outcome = search(spec, RunConfig(mode="synthesis", minimize=True))
     assert outcome.status == "realizable"
     assert outcome.bound == 2
     assert outcome.system is not None
@@ -44,7 +43,7 @@ def test_search_arbiter_realizable_at_two():
 
 def test_search_copy_moore_unrealizable_with_one_state_environment():
     spec = by_name("copy_moore").spec
-    outcome = search_realizability(spec, RunConfig(mode="synthesis"))
+    outcome = search(spec, RunConfig(mode="synthesis"))
     assert outcome.status == "unrealizable"
     assert outcome.bound == 1
     counter = outcome.system
@@ -60,7 +59,7 @@ def test_search_trivial_spec_bound_one():
     spec = load_spec(
         '{"semantics": "moore", "inputs": [], "outputs": ["o"], "guarantees": ["true"]}'
     )
-    outcome = search_realizability(spec, RunConfig())
+    outcome = search(spec, RunConfig())
     assert outcome.status == "realizable"
     assert outcome.bound == 1
 
@@ -68,7 +67,7 @@ def test_search_trivial_spec_bound_one():
 def test_search_counter_strategy_off_gives_undetermined():
     spec = by_name("copy_moore").spec
     cfg = RunConfig(counter_strategy="off", max_bound=2)
-    assert search_realizability(spec, cfg).status == "undetermined"
+    assert search(spec, cfg).status == "undetermined"
 
 
 def test_minimize_finds_least_bound_after_exponential_overshoot():
@@ -82,15 +81,15 @@ def test_minimize_finds_least_bound_after_exponential_overshoot():
             }
         )
     )
-    plain = search_realizability(spec, RunConfig(counter_strategy="off"))
+    plain = search(spec, RunConfig(counter_strategy="off"))
     assert plain.status == "realizable"
     assert plain.bound == 4  # exponential search jumps over 3
-    minimized = search_realizability(
+    minimized = search(
         spec, RunConfig(counter_strategy="off", minimize=True)
     )
     assert minimized.status == "realizable"
     assert minimized.bound == 3
-    linear = search_realizability(
+    linear = search(
         spec, RunConfig(counter_strategy="off", search="linear")
     )
     assert linear.bound == 3
@@ -101,7 +100,7 @@ def test_verdicts_independent_of_encoding(encoding):
     for name in ("copy_mealy", "copy_moore", "blinker"):
         bench = by_name(name)
         cfg = RunConfig(encoding=encoding, max_bound=4)
-        outcome = search_realizability(bench.spec, cfg)
+        outcome = search(bench.spec, cfg)
         expected = "realizable" if bench.realizable else "unrealizable"
         assert outcome.status == expected, (name, encoding)
 
@@ -123,8 +122,8 @@ def test_determinacy_system_and_environment_never_both_win():
 def test_external_solver_verdicts_match_internal():
     for name in ("copy_mealy", "copy_moore"):
         bench = by_name(name)
-        internal = search_realizability(bench.spec, RunConfig(encoding="basic"))
-        external = search_realizability(
+        internal = search(bench.spec, RunConfig(encoding="basic"))
+        external = search(
             bench.spec, RunConfig(encoding="basic", solver_cmd=STUB)
         )
         assert internal.status == external.status

@@ -14,14 +14,14 @@ from ltlsynth.encode import (
     encode_fully_symbolic,
     encode_input_symbolic,
     encode_state_symbolic,
-    specialize_guard,
+    guard_to_node,
 )
 from ltlsynth.extract import extract
-from ltlsynth.logic import FALSE, Store
+from ltlsynth.logic import FALSE, TRUE, Store
 from ltlsynth.ltl import parse_ltl
 from ltlsynth.solve import solve_internal
 from ltlsynth.verify import build_run_graph, check_annotation, model_check
-from suite import ARBITER_GUARANTEES, by_name
+from suite import ARBITER_GUARANTEES, by_name, encode
 
 
 def ucw_for(text, inputs, outputs):
@@ -33,22 +33,18 @@ def arbiter_ucw():
     return ltl_to_ucw(f, ["r1", "r2"], ["g1", "g2"])
 
 
-def encode_any(kind, a, n, sem, reduction=True):
-    scc = analyze_sccs(a, n) if reduction else full_counters(a, n)
-    if kind == "basic":
-        return encode_basic(a, n, sem, scc)
-    if kind == "input":
-        return encode_input_symbolic(a, n, sem, scc)
-    if kind == "state":
-        return encode_state_symbolic(a, n, sem, scc)
-    return encode_fully_symbolic(encode_symbolic(a), n, sem, scc.counter_bits)
-
-
 ALL_KINDS = ["basic", "input", "state", "full"]
 
 
 # ---------------------------------------------------------------------------
-# specialize_guard
+# guards specialized to one input valuation, as in the basic encoding
+
+
+def specialize(store, a, q, q2, i, outvars):
+    """Edge guard with inputs bound to constants and outputs to nodes."""
+    atom_map = {name: (TRUE if name in i else FALSE) for name in a.inputs}
+    atom_map.update(outvars)
+    return guard_to_node(store, a.guards.get((q, q2), ltl.LFALSE), atom_map)
 
 
 def test_specialize_guard_substitution():
@@ -62,11 +58,12 @@ def test_specialize_guard_substitution():
     )
     store = Store()
     ov = {"g1": store.var(store.new_var("o_g1"))}
-    node = specialize_guard(store, a, 0, 1, frozenset(["r1"]), ov)
+    node = specialize(store, a, 0, 1, frozenset(["r1"]), ov)
     assert node == ov["g1"]
-    assert specialize_guard(store, a, 0, 1, frozenset(), ov) == FALSE
-    # absent edge
-    assert specialize_guard(store, a, 1, 0, frozenset(["r1"]), ov) == FALSE
+    assert specialize(store, a, 0, 1, frozenset(), ov) == FALSE
+    # absent edge: no guard, and the encoders never visit it
+    assert specialize(store, a, 1, 0, frozenset(["r1"]), ov) == FALSE
+    assert a.successors(1) == []
 
 
 def test_specialize_guard_mutex():
@@ -80,7 +77,7 @@ def test_specialize_guard_mutex():
     )
     store = Store()
     ov = {"g1": store.var(store.new_var("o1")), "g2": store.var(store.new_var("o2"))}
-    node = specialize_guard(store, a, 0, 0, frozenset(), ov)
+    node = specialize(store, a, 0, 0, frozenset(), ov)
     assert node == store.not_(store.and_([ov["g1"], ov["g2"]]))
 
 
@@ -174,7 +171,7 @@ def test_encodings_agree(bench_name, n):
     a = ltl_to_ucw(spec.formula(), spec.inputs, spec.outputs)
     verdicts = {}
     for kind in ALL_KINDS:
-        problem, _ = encode_any(kind, a, n, spec.semantics)
+        problem, _ = encode(kind, a, n, spec.semantics)
         verdicts[kind] = solve_internal(problem).status
     assert len(set(verdicts.values())) == 1, verdicts
     expected = "sat" if bench.least_bound is not None and n >= bench.least_bound else "unsat"
@@ -187,8 +184,8 @@ def test_reduction_agrees_with_full_counters():
         a = ltl_to_ucw(spec.formula(), spec.inputs, spec.outputs)
         for n in (1, 2):
             for kind in ("basic", "input", "state"):
-                reduced = solve_internal(encode_any(kind, a, n, spec.semantics, True)[0])
-                full = solve_internal(encode_any(kind, a, n, spec.semantics, False)[0])
+                reduced = solve_internal(encode(kind, a, n, spec.semantics, True)[0])
+                full = solve_internal(encode(kind, a, n, spec.semantics, False)[0])
                 assert reduced.status == full.status, (name, n, kind)
 
 
@@ -200,9 +197,9 @@ def test_monotone_in_bound():
         nb = bench.least_bound
         assert nb is not None
         for kind in ALL_KINDS:
-            assert solve_internal(encode_any(kind, a, nb, spec.semantics)[0]).status == "sat"
+            assert solve_internal(encode(kind, a, nb, spec.semantics)[0]).status == "sat"
             assert (
-                solve_internal(encode_any(kind, a, nb + 1, spec.semantics)[0]).status
+                solve_internal(encode(kind, a, nb + 1, spec.semantics)[0]).status
                 == "sat"
             )
 
@@ -234,7 +231,7 @@ def test_basic_model_projects_to_valid_annotation():
 def test_directory_injective_and_covering():
     a = arbiter_ucw()
     for kind in ALL_KINDS:
-        problem, d = encode_any(kind, a, 2, "moore")
+        problem, d = encode(kind, a, 2, "moore")
         ids = d.all_vars()
         assert len(ids) == len(set(ids))
         assert sorted(ids) == list(range(1, problem.store.num_vars + 1))

@@ -1,18 +1,13 @@
 import pytest
 
-from ltlsynth.automaton import analyze_sccs, encode_symbolic, ltl_to_ucw
-from ltlsynth.encode import (
-    encode_basic,
-    encode_fully_symbolic,
-    encode_input_symbolic,
-    encode_state_symbolic,
-)
-from ltlsynth.extract import ExtractionError, extract, extract_basic
+from ltlsynth.automaton import analyze_sccs, ltl_to_ucw
+from ltlsynth.encode import encode_basic, encode_input_symbolic, encode_state_symbolic
+from ltlsynth.extract import ExtractionError, extract
 from ltlsynth.ltl import parse_ltl
 from ltlsynth.solve import Model, solve_internal
 from ltlsynth.system import input_valuations
 from ltlsynth.verify import model_check
-from suite import ARBITER_GUARANTEES
+from suite import ARBITER_GUARANTEES, encode
 
 
 def arbiter_ucw():
@@ -27,7 +22,7 @@ def test_extract_basic_least_index_tie_break():
     assignment = {v: False for v in range(1, problem.store.num_vars + 1)}
     for key, var in d.trans.items():
         assignment[var] = True
-    ts = extract_basic(Model(assignment), d, a.inputs, a.outputs)
+    ts = extract(Model(assignment), d, a.inputs, a.outputs)
     for i in input_valuations(a.inputs):
         assert ts.trans[(0, i)] == 0
         assert ts.trans[(1, i)] == 0
@@ -39,7 +34,7 @@ def test_extract_basic_missing_successor_is_encoder_bug():
     problem, d = encode_basic(a, 1, "moore", analyze_sccs(a, 1))
     assignment = {v: False for v in range(1, problem.store.num_vars + 1)}
     with pytest.raises(ExtractionError):
-        extract_basic(Model(assignment), d, a.inputs, a.outputs)
+        extract(Model(assignment), d, a.inputs, a.outputs)
 
 
 def test_extract_state_symbolic_out_of_range_guard():
@@ -66,15 +61,9 @@ def test_extract_state_symbolic_out_of_range_guard():
 )
 def test_extraction_all_pipelines_verified(text, inputs, outputs, sem, n):
     a = ltl_to_ucw(parse_ltl(text), inputs, outputs)
-    scc = analyze_sccs(a, n)
-    problems = {
-        "basic": encode_basic(a, n, sem, scc),
-        "input": encode_input_symbolic(a, n, sem, scc),
-        "state": encode_state_symbolic(a, n, sem, scc),
-        "full": encode_fully_symbolic(encode_symbolic(a), n, sem, scc.counter_bits),
-    }
     verdicts = {}
-    for kind, (problem, d) in problems.items():
+    for kind in ("basic", "input", "state", "full"):
+        problem, d = encode(kind, a, n, sem)
         result = solve_internal(problem)
         verdicts[kind] = result.status
         if result.status == "sat":
