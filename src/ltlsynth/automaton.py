@@ -9,20 +9,24 @@ rejecting).  Top-level disjuncts of the negation are translated separately
 and joined under a fresh initial state, which keeps the degeneralization
 counters local to each disjunct.
 
-Edge guards are propositional LtlFormula values over the alphabet atoms.
+Edge guards are letter sets, as in Spot (Duret-Lutz et al., "Spot 2.0",
+ATVA 2016): an int bitmask over the 2^|AP| letters of the alphabet
+inputs + outputs, where bit j of a letter's index is true when alphabet[j]
+is.  Evaluation is a bit test, merging is |, and equal sets compare equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import ltl
-from .ltl import LtlFormula, atoms_of, is_propositional
+from .ltl import LtlFormula, atoms_of
 
 
 @dataclass
 class Ucw:
-    """Universal co-Buchi automaton with formula-labelled edges.
+    """Universal co-Buchi automaton with letter-set edge guards.
 
     Missing (q, q') pairs mean no edge; a run that cannot continue simply
     dies, which is accepting under the universal reading.
@@ -32,17 +36,16 @@ class Ucw:
     outputs: tuple[str, ...]
     n_states: int
     initial: int
-    guards: dict[tuple[int, int], LtlFormula]
+    guards: dict[tuple[int, int], int]
     rejecting: frozenset[int]
 
     def __post_init__(self):
         assert 0 <= self.initial < self.n_states
         assert all(0 <= q < self.n_states for q in self.rejecting)
-        alphabet = set(self.inputs) | set(self.outputs)
+        n_letters = 1 << len(self.alphabet)
         for (q, q2), g in self.guards.items():
             assert 0 <= q < self.n_states and 0 <= q2 < self.n_states
-            assert is_propositional(g), "guards must be propositional"
-            assert atoms_of(g) <= alphabet, "guard mentions atoms outside the alphabet"
+            assert 0 <= g < 1 << n_letters, "guard is not a letter set over the alphabet"
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -51,39 +54,69 @@ class Ucw:
     def successors(self, q: int) -> list[int]:
         return sorted(q2 for (q1, q2) in self.guards if q1 == q)
 
-
-def eval_guard(guard: LtlFormula, letter: frozenset[str]) -> bool:
-    """Evaluate a propositional guard under a letter (set of true atoms)."""
-    k = guard.kind
-    if k == ltl.ATOM:
-        return guard.name in letter
-    if k == ltl.TRUE:
-        return True
-    if k == ltl.FALSE:
-        return False
-    if k == ltl.NOT:
-        return not eval_guard(guard.children[0], letter)
-    if k == ltl.AND:
-        return all(eval_guard(c, letter) for c in guard.children)
-    if k == ltl.OR:
-        return any(eval_guard(c, letter) for c in guard.children)
-    if k == ltl.IMPLIES:
-        a, b = guard.children
-        return (not eval_guard(a, letter)) or eval_guard(b, letter)
-    if k == ltl.IFF:
-        a, b = guard.children
-        return eval_guard(a, letter) == eval_guard(b, letter)
-    raise ValueError(f"guard contains temporal operator {k}")
+    def rows(self) -> list[list[tuple[int, int]]]:
+        """Outgoing (target, guard) pairs of every state, in edge order."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n_states)]
+        for (q, q2), g in self.guards.items():
+            out[q].append((q2, g))
+        return out
 
 
-def guard_satisfiable(guard: LtlFormula) -> bool:
-    """Brute-force satisfiability over the guard's own atoms."""
-    names = sorted(atoms_of(guard))
-    for mask in range(1 << len(names)):
-        letter = frozenset(n for j, n in enumerate(names) if mask >> j & 1)
-        if eval_guard(guard, letter):
-            return True
-    return False
+def letter_index(alphabet, letter) -> int:
+    """Index of a letter (set of true atoms) among the alphabet's letters."""
+    return sum(1 << j for j, name in enumerate(alphabet) if name in letter)
+
+
+@lru_cache(maxsize=None)
+def _atom_masks(n_atoms: int) -> tuple[int, ...]:
+    """Per atom j, the set of letters in which alphabet[j] is true."""
+    return tuple(
+        sum(1 << l for l in range(1 << n_atoms) if l >> j & 1) for j in range(n_atoms)
+    )
+
+
+def cube_mask(alphabet, literals: dict[str, bool]) -> int:
+    """The letters agreeing with every literal (name -> polarity)."""
+    atoms = _atom_masks(len(alphabet))
+    out = full = (1 << (1 << len(alphabet))) - 1
+    for j, name in enumerate(alphabet):
+        if name in literals:
+            out &= atoms[j] if literals[name] else full ^ atoms[j]
+    return out
+
+
+@lru_cache(maxsize=4096)
+def prime_cover(alphabet: tuple[str, ...], mask: int) -> tuple[tuple[tuple[str, bool], ...], ...]:
+    """Greedy cover of a letter set by cubes of (name, polarity) literals.
+
+    Takes the lowest uncovered letter and widens its minterm by dropping
+    the literals of alphabet[0], alphabet[1], ... while the cube stays
+    inside the mask.  Each cube lists its literals by name; cubes come in
+    the order found.  The empty set has no cube, the full set one empty cube.
+    """
+    cubes = []
+    left = mask
+    while left:
+        letter = (left & -left).bit_length() - 1
+        care = {name: bool(letter >> j & 1) for j, name in enumerate(alphabet)}
+        for name in alphabet:
+            wider = {k: v for k, v in care.items() if k != name}
+            if cube_mask(alphabet, wider) & ~mask == 0:
+                care = wider
+        left &= ~cube_mask(alphabet, care)
+        cubes.append(tuple(sorted(care.items())))
+    return tuple(cubes)
+
+
+def format_guard(alphabet: tuple[str, ...], mask: int) -> str:
+    """The prime cover as text, e.g. '!g1 && r1 || g2'."""
+    cubes = prime_cover(alphabet, mask)
+    if not cubes:
+        return "false"
+    return " || ".join(
+        " && ".join(("" if pos else "!") + name for name, pos in cube) or "true"
+        for cube in cubes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +137,21 @@ def _is_literal(f: LtlFormula) -> bool:
     return f.kind == ltl.ATOM or (f.kind == ltl.NOT and f.children[0].kind == ltl.ATOM)
 
 
-def _expand(new: set, old: set, nxt: set, incoming: set[int], closed: list[_TabNode], work: list):
+def _expand(new: dict, old: set, nxt: dict, incoming: set[int], index: dict, closed: list, work: list):
+    """Expand one node; `new` and `nxt` are insertion-ordered and `new` pops
+    last-in first-out, so the result does not depend on formula hashes."""
     while True:
         if not new:
-            old_f, nxt_f = frozenset(old), frozenset(nxt)
-            for nd in closed:
-                if nd.old == old_f and nd.nxt == nxt_f:
-                    nd.incoming |= incoming
-                    return
-            closed.append(_TabNode(old_f, nxt_f, set(incoming)))
-            work.append((nxt_f, len(closed) - 1))
+            key = (frozenset(old), frozenset(nxt))
+            found = index.get(key)
+            if found is not None:
+                closed[found].incoming |= incoming
+                return
+            index[key] = len(closed)
+            closed.append(_TabNode(*key, set(incoming)))
+            work.append((tuple(nxt), len(closed) - 1))
             return
-        f = new.pop()
+        f, _ = new.popitem()
         if f in old:
             continue
         k = f.kind
@@ -130,31 +166,31 @@ def _expand(new: set, old: set, nxt: set, incoming: set[int], closed: list[_TabN
             old.add(f)
             continue
         if k == ltl.AND:
-            new.update(set(f.children) - old)
+            new.update((c, None) for c in f.children if c not in old)
             old.add(f)
             continue
         if k == ltl.NEXT:
-            nxt.add(f.children[0])
+            nxt[f.children[0]] = None
             old.add(f)
             continue
         if k == ltl.OR:
             a, b = f.children
-            _expand(new | {a}, old | {f}, set(nxt), set(incoming), closed, work)
-            new.add(b)
+            _expand({**new, a: None}, old | {f}, dict(nxt), set(incoming), index, closed, work)
+            new[b] = None
             old.add(f)
             continue
         if k == ltl.UNTIL:
             a, b = f.children
             # a U b  =  b or (a and X(a U b))
-            _expand(new | {a}, old | {f}, nxt | {f}, set(incoming), closed, work)
-            new.add(b)
+            _expand({**new, a: None}, old | {f}, {**nxt, f: None}, set(incoming), index, closed, work)
+            new[b] = None
             old.add(f)
             continue
         if k == ltl.RELEASE:
             a, b = f.children
             # a R b  =  b and (a or X(a R b))
-            _expand(new | {b}, old | {f}, nxt | {f}, set(incoming), closed, work)
-            new.update({a, b} - old)
+            _expand({**new, b: None}, old | {f}, {**nxt, f: None}, set(incoming), index, closed, work)
+            new.update((c, None) for c in (a, b) if c not in old)
             old.add(f)
             continue
         raise ValueError(f"tableau input must be in negation normal form, got {k}")
@@ -167,11 +203,12 @@ def _tableau(phi: LtlFormula):
     often visit a node where the Until is absent or already fulfilled.
     """
     closed: list[_TabNode] = []
-    work: list[tuple[frozenset, int]] = []
-    _expand({phi}, set(), set(), {_INIT}, closed, work)
+    index: dict[tuple[frozenset, frozenset], int] = {}
+    work: list[tuple[tuple, int]] = []
+    _expand({phi: None}, set(), {}, {_INIT}, index, closed, work)
     while work:
-        nxt_f, src = work.pop()
-        _expand(set(nxt_f), set(), set(), {src}, closed, work)
+        nxt, src = work.pop()
+        _expand(dict.fromkeys(nxt), set(), {}, {src}, index, closed, work)
 
     untils = []
     seen = set()
@@ -257,19 +294,6 @@ def _degeneralize(succ, initial, acc_sets, labels):
     return out_succ, start, accepting, out_labels
 
 
-def _label_guard(label: dict) -> LtlFormula:
-    parts = []
-    for name in sorted(label):
-        a = ltl.atom(name)
-        parts.append(a if label[name] else ltl.lnot(a))
-    if not parts:
-        return ltl.LTRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = ltl.land(out, p)
-    return out
-
-
 def _top_disjuncts(f: LtlFormula) -> list[LtlFormula]:
     if f.kind == ltl.OR:
         return _top_disjuncts(f.children[0]) + _top_disjuncts(f.children[1])
@@ -280,15 +304,15 @@ def ltl_to_ucw(f: LtlFormula, inputs, outputs) -> Ucw:
     """Universal co-Buchi automaton accepting exactly the models of f."""
     inputs = tuple(inputs)
     outputs = tuple(outputs)
-    alphabet = set(inputs) | set(outputs)
-    stray = atoms_of(f) - alphabet
+    alphabet = inputs + outputs
+    stray = atoms_of(f) - set(alphabet)
     if stray:
         raise ValueError(f"formula atoms {sorted(stray)} outside the alphabet")
 
     # NBW for the negation; its accepting states become rejecting here.
     negated = ltl.negate(f)
 
-    guards: dict[tuple[int, int], LtlFormula] = {}
+    guards: dict[tuple[int, int], int] = {}
     rejecting: set[int] = set()
     n_states = 1  # state 0 is the fresh initial state
     for part in _top_disjuncts(negated):
@@ -299,10 +323,10 @@ def ltl_to_ucw(f: LtlFormula, inputs, outputs) -> Ucw:
         n_states += len(succ)
         rejecting.update(base + s for s in accepting)
         for s in initial:
-            guards[(0, base + s)] = _label_guard(labels[s])
+            guards[(0, base + s)] = cube_mask(alphabet, labels[s])
         for s, targets in enumerate(succ):
             for s2 in set(targets):
-                guards[(base + s, base + s2)] = _label_guard(labels[s2])
+                guards[(base + s, base + s2)] = cube_mask(alphabet, labels[s2])
 
     a = Ucw(inputs, outputs, n_states, 0, guards, frozenset(rejecting))
     a = _prune_unreachable(a)
@@ -313,14 +337,11 @@ def ltl_to_ucw(f: LtlFormula, inputs, outputs) -> Ucw:
 def _prune_unreachable(a: Ucw) -> Ucw:
     reach = {a.initial}
     frontier = [a.initial]
-    adj: dict[int, list[int]] = {}
-    for (q, q2), g in a.guards.items():
-        if guard_satisfiable(g):
-            adj.setdefault(q, []).append(q2)
+    rows = a.rows()
     while frontier:
         q = frontier.pop()
-        for q2 in adj.get(q, ()):
-            if q2 not in reach:
+        for q2, g in rows[q]:
+            if g and q2 not in reach:
                 reach.add(q2)
                 frontier.append(q2)
     if len(reach) == a.n_states:
@@ -341,15 +362,12 @@ def _prune_unreachable(a: Ucw) -> Ucw:
 
 
 def _merge_duplicates(a: Ucw) -> Ucw:
-    """Collapse states with identical rejecting flag and outgoing rows."""
+    """Collapse states with identical rejecting flag and outgoing letter sets."""
     while True:
         signature: dict[tuple, int] = {}
         alias: dict[int, int] = {}
-        for q in range(a.n_states):
-            row = tuple(sorted(
-                ((q2, ltl.format_ltl(g)) for (q1, q2), g in a.guards.items() if q1 == q)
-            ))
-            sig = (q in a.rejecting, q == a.initial, row)
+        for q, row in enumerate(a.rows()):
+            sig = (q in a.rejecting, q == a.initial, tuple(sorted(row)))
             if sig in signature:
                 alias[q] = signature[sig]
             else:
@@ -360,10 +378,10 @@ def _merge_duplicates(a: Ucw) -> Ucw:
         remap = {q: j for j, q in enumerate(kept)}
         for q, rep in alias.items():
             remap[q] = remap[rep]
-        guards: dict[tuple[int, int], LtlFormula] = {}
-        for (q, q2), g in sorted(a.guards.items(), key=lambda kv: kv[0]):
+        guards: dict[tuple[int, int], int] = {}
+        for (q, q2) in sorted(a.guards):
             key = (remap[q], remap[q2])
-            guards[key] = ltl.lor(guards[key], g) if key in guards else g
+            guards[key] = guards.get(key, 0) | a.guards[(q, q2)]
         a = Ucw(
             a.inputs,
             a.outputs,
@@ -434,7 +452,7 @@ def ucw_accepts_lasso(a: Ucw, prefix, loop) -> bool:
     only finitely often, checked on the product with the word positions."""
     if not loop:
         raise ValueError("loop must be nonempty")
-    letters = [frozenset(l) for l in list(prefix) + list(loop)]
+    letters = [letter_index(a.alphabet, l) for l in list(prefix) + list(loop)]
     total = len(letters)
     loop_start = len(prefix)
 
@@ -447,12 +465,13 @@ def ucw_accepts_lasso(a: Ucw, prefix, loop) -> bool:
     order = [start]
     adj_list: list[list[int]] = [[]]
     frontier = [start]
+    rows = a.rows()
     while frontier:
         q, p = frontier.pop()
         vid = nodes[(q, p)]
         p2 = succ_pos(p)
-        for (q1, q2), g in a.guards.items():
-            if q1 != q or not eval_guard(g, letters[p]):
+        for q2, g in rows[q]:
+            if not g >> letters[p] & 1:
                 continue
             key = (q2, p2)
             if key not in nodes:
@@ -494,10 +513,7 @@ class SccInfo:
 
 
 def _edge_components(a: Ucw) -> list[list[int]]:
-    adj: dict[int, list[int]] = {q: [] for q in range(a.n_states)}
-    for (q, q2), g in a.guards.items():
-        if guard_satisfiable(g):
-            adj[q].append(q2)
+    adj = [[q2 for q2, g in row if g] for row in a.rows()]
     return sccs(a.n_states, lambda v: adj[v])
 
 
@@ -539,30 +555,17 @@ def full_counters(a: Ucw, n_states_of_system: int) -> SccInfo:
 
 @dataclass
 class SymbolicUcw:
-    """Binary-coded automaton: formulas over fresh state-bit atoms.
+    """An automaton whose states are binary-coded by fresh bit atoms.
 
-    delta_formula is satisfied by (code, letter, primed code) exactly for
-    the explicit edges; codes outside 0..n_states-1 satisfy neither
-    init_formula nor any source occurrence in delta_formula.
+    state_vars code the source state of an edge, state_vars_primed its
+    target, bit j of a code being the atom with index j.  The encoder
+    builds the init, reject and delta constraints from these codes and the
+    letter-set guards (`encode.symbolic_nodes`).
     """
 
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    n_states: int
+    automaton: Ucw
     state_vars: tuple[str, ...]
     state_vars_primed: tuple[str, ...]
-    init_formula: LtlFormula
-    reject_formula: LtlFormula
-    delta_formula: LtlFormula
-
-
-def _code_formula(names, value: int) -> LtlFormula:
-    out = None
-    for j, name in enumerate(names):
-        a = ltl.atom(name)
-        bit = a if value >> j & 1 else ltl.lnot(a)
-        out = bit if out is None else ltl.land(out, bit)
-    return out if out is not None else ltl.LTRUE
 
 
 def encode_symbolic(a: Ucw) -> SymbolicUcw:
@@ -574,29 +577,7 @@ def encode_symbolic(a: Ucw) -> SymbolicUcw:
         base += "_"
     names = tuple(f"{base}{j}" for j in range(bits))
     primed = tuple(f"{base}{j}_p" for j in range(bits))
-
-    init = _code_formula(names, a.initial)
-
-    reject = None
-    for q in sorted(a.rejecting):
-        term = _code_formula(primed, q)
-        reject = term if reject is None else ltl.lor(reject, term)
-    if reject is None:
-        reject = ltl.LFALSE
-
-    delta = None
-    for (q, q2) in sorted(a.guards):
-        term = ltl.land(
-            ltl.land(_code_formula(names, q), a.guards[(q, q2)]),
-            _code_formula(primed, q2),
-        )
-        delta = term if delta is None else ltl.lor(delta, term)
-    if delta is None:
-        delta = ltl.LFALSE
-
-    return SymbolicUcw(
-        a.inputs, a.outputs, a.n_states, names, primed, init, reject, delta
-    )
+    return SymbolicUcw(a, names, primed)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +592,7 @@ def ucw_to_dot(a: Ucw) -> str:
         lines.append(f'  q{q} [shape={shape}, label="q{q}"];')
     lines.append(f"  init -> q{a.initial};")
     for (q, q2) in sorted(a.guards):
-        text = ltl.format_ltl(a.guards[(q, q2)])
+        text = format_guard(a.alphabet, a.guards[(q, q2)])
         lines.append(f'  q{q} -> q{q2} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import ltl
-from .automaton import SccInfo, SymbolicUcw, Ucw
+from .automaton import SccInfo, SymbolicUcw, Ucw, prime_cover
 from .logic import (
     FALSE,
     TRUE,
@@ -42,7 +41,6 @@ from .logic import (
     bv_greater,
     bv_less_const,
 )
-from .ltl import LtlFormula
 from .system import MEALY, MOORE, input_valuations
 
 BASIC = "basic"
@@ -94,32 +92,51 @@ class VarDirectory:
         return out
 
 
-def guard_to_node(store: Store, guard: LtlFormula, atom_map: dict[str, int]) -> int:
-    """Compile a propositional guard, substituting nodes for atoms."""
-    k = guard.kind
-    if k == ltl.ATOM:
-        return atom_map[guard.name]
-    if k == ltl.TRUE:
-        return TRUE
-    if k == ltl.FALSE:
-        return FALSE
-    if k == ltl.NOT:
-        return store.not_(guard_to_node(store, guard.children[0], atom_map))
-    if k == ltl.AND:
-        return store.and_([guard_to_node(store, c, atom_map) for c in guard.children])
-    if k == ltl.OR:
-        return store.or_([guard_to_node(store, c, atom_map) for c in guard.children])
-    if k == ltl.IMPLIES:
-        a, b = guard.children
-        return store.implies(
-            guard_to_node(store, a, atom_map), guard_to_node(store, b, atom_map)
-        )
-    if k == ltl.IFF:
-        a, b = guard.children
-        return store.iff(
-            guard_to_node(store, a, atom_map), guard_to_node(store, b, atom_map)
-        )
-    raise ValueError(f"guard contains temporal operator {k}")
+def _chain(gate, nodes, empty: int) -> int:
+    """gate(gate(n0, n1), n2)...: a left-nested chain, built in order."""
+    out = empty
+    for j, node in enumerate(nodes):
+        out = gate([out, node]) if j else node
+    return out
+
+
+def compile_guard(store: Store, alphabet: tuple[str, ...], mask: int, atom_map: dict[str, int]) -> int:
+    """Store node for a letter-set guard: the chain of its prime cover's
+    cubes, each the chain of its literals, atoms taken from atom_map."""
+    def lit(name, positive):
+        return atom_map[name] if positive else store.not_(atom_map[name])
+
+    cubes = prime_cover(alphabet, mask)
+    return _chain(store.or_, (_chain(store.and_, (lit(*l) for l in c), TRUE) for c in cubes), FALSE)
+
+
+def _code_node(store: Store, bits: list[int], value: int) -> int:
+    """The bit nodes spell value, lowest bit first."""
+    lits = (bit if value >> j & 1 else store.not_(bit) for j, bit in enumerate(bits))
+    return _chain(store.and_, lits, TRUE)
+
+
+def symbolic_nodes(store: Store, sa: SymbolicUcw, atom_map: dict[str, int]) -> tuple[int, int, int]:
+    """(init, reject, delta) of a binary-coded automaton as Store nodes.
+
+    atom_map gives a node for every alphabet atom and state bit.  init is
+    the initial code, reject the chain of primed rejecting codes, and delta
+    the chain over the sorted edges of code(q) & guard & code'(q2), so codes
+    of no state satisfy init or a source position of delta.
+    """
+    a = sa.automaton
+    code = [atom_map[name] for name in sa.state_vars]
+    code2 = [atom_map[name] for name in sa.state_vars_primed]
+    init = _code_node(store, code, a.initial)
+    reject = _chain(store.or_, (_code_node(store, code2, q) for q in sorted(a.rejecting)), FALSE)
+    edges = (
+        store.and_([
+            store.and_([_code_node(store, code, q), compile_guard(store, a.alphabet, g, atom_map)]),
+            _code_node(store, code2, q2),
+        ])
+        for (q, q2), g in sorted(a.guards.items())
+    )
+    return init, reject, _chain(store.or_, edges, FALSE)
 
 
 def _rank_vec(store: Store, directory_rank: dict, key, b: int, prefix: str) -> BitVec:
@@ -220,18 +237,21 @@ def _encode_explicit(
         for t in range(n):
             parts = []
             for q2 in a.successors(q):
+                bodies: dict[int, int] = {}  # t2 -> obligation, shared by the copies
                 for s in copies:
-                    delta = guard_to_node(store, a.guards[(q, q2)], atom_maps[(t, s)])
+                    delta = compile_guard(store, a.alphabet, a.guards[(q, q2)], atom_maps[(t, s)])
                     if delta == FALSE:
                         continue
                     inner_parts = []
                     for t2 in range(n):
-                        body = [store.var(d.reach[(t2, q2)])]
-                        cmp = _compare(store, scc, a, rank_nodes, q, t, q2, t2)
-                        if cmp is not None:
-                            body.append(cmp)
+                        if t2 not in bodies:
+                            body = [store.var(d.reach[(t2, q2)])]
+                            cmp = _compare(store, scc, a, rank_nodes, q, t, q2, t2)
+                            if cmp is not None:
+                                body.append(cmp)
+                            bodies[t2] = store.and_(body)
                         inner_parts.append(
-                            store.implies(store.var(d.trans[(t, *s, t2)]), store.and_(body))
+                            store.implies(store.var(d.trans[(t, *s, t2)]), bodies[t2])
                         )
                     parts.append(store.implies(delta, store.and_(inner_parts)))
             if parts:
@@ -377,7 +397,7 @@ def encode_state_symbolic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[Quant
     for q in range(a.n_states):
         parts = []
         for q2 in a.successors(q):
-            delta = guard_to_node(store, a.guards[(q, q2)], f.atom_map)
+            delta = compile_guard(store, a.alphabet, a.guards[(q, q2)], f.atom_map)
             if delta == FALSE:
                 continue
             body = [store.var(d.reach2[q2])]
@@ -395,15 +415,13 @@ def encode_fully_symbolic(
 ) -> tuple[QuantifiedProblem, VarDirectory]:
     """Binary-coded automaton: one obligation over the symbolic delta."""
     f = _SymbolicFrame(
-        FULLY_SYMBOLIC, sa, n, sem, scc_bits, [()], [()], sa.state_vars, sa.state_vars_primed
+        FULLY_SYMBOLIC, sa.automaton, n, sem, scc_bits, [()], [()], sa.state_vars, sa.state_vars_primed
     )
     store, d = f.store, f.d
     rank_vec = f.vec(d.rank[()])
     rank2_vec = f.vec(d.rank2[()])
 
-    q_init = guard_to_node(store, sa.init_formula, f.atom_map)
-    q_reject2 = guard_to_node(store, sa.reject_formula, f.atom_map)
-    delta = guard_to_node(store, sa.delta_formula, f.atom_map)
+    q_init, q_reject2, delta = symbolic_nodes(store, sa, f.atom_map)
 
     reach = store.var(d.reach[()])
     reach2 = store.var(d.reach2[()])

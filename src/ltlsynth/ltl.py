@@ -65,6 +65,11 @@ class LtlFormula:
                 raise ValueError(f"invalid atom name {self.name!r}")
         elif self.name is not None:
             raise ValueError(f"{self.kind} node cannot carry a name")
+        # cached, and free of hash(None), which is an address on Python < 3.12
+        object.__setattr__(self, "_hash", hash((self.kind, self.children, self.name or "")))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"LtlFormula({format_ltl(self)!r})"
@@ -128,17 +133,6 @@ def atoms_of(f: LtlFormula) -> set[str]:
             out.add(g.name)
         stack.extend(g.children)
     return out
-
-
-def is_propositional(f: LtlFormula) -> bool:
-    """True when f contains no temporal operators (usable as an edge guard)."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g.kind in (NEXT, UNTIL, RELEASE, FINALLY, GLOBALLY):
-            return False
-        stack.extend(g.children)
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automaton import Ucw, eval_guard, sccs, ucw_accepts_lasso
+from .automaton import Ucw, letter_index, sccs, ucw_accepts_lasso
 from .system import TransitionSystem, input_valuations, run
 
 Vertex = tuple[int, int]  # (system state, automaton state)
@@ -46,14 +46,15 @@ def build_run_graph(ts: TransitionSystem, a: Ucw) -> RunGraph:
     edges: dict[Vertex, list[Vertex]] = {}
     witness: dict[tuple[Vertex, Vertex], frozenset[str]] = {}
     frontier = [start]
+    rows = a.rows()
     while frontier:
         t, q = frontier.pop()
         out: list[Vertex] = []
         for i in vals:
             t2 = ts.trans[(t, i)]
-            letter = i | ts.label[(t, i)]
-            for (q1, q2), g in a.guards.items():
-                if q1 != q or not eval_guard(g, letter):
+            letter = letter_index(a.alphabet, i | ts.label[(t, i)])
+            for q2, g in rows[q]:
+                if not g >> letter & 1:
                     continue
                 v2 = (t2, q2)
                 if v2 not in seen:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from ltlsynth.driver import RunConfig, SideProblem, build_problem, make_sides, search_realizability
 from ltlsynth.ltl import SynthSpec, parse_ltl
+from oracles import all_letters, eval_ltl_lasso
 
 
 @dataclass
@@ -88,3 +89,15 @@ def encode(kind, a, n, sem, reduction=True):
 def search(spec: SynthSpec, cfg: RunConfig):
     """Build both sides once and search them, as the CLI does."""
     return search_realizability(make_sides(spec, cfg), cfg)
+
+
+def guard(text: str, alphabet) -> int:
+    """Letter-set guard of a propositional formula over alphabet, for
+    hand-built automata: bit j of a letter's index is alphabet[j], and the
+    letters are found with the independent lasso oracle."""
+    f = parse_ltl(text)
+    mask = 0
+    for letter in all_letters(list(alphabet)):
+        if eval_ltl_lasso(f, [], [letter]):
+            mask |= 1 << sum(1 << j for j, name in enumerate(alphabet) if name in letter)
+    return mask

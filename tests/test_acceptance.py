@@ -210,13 +210,13 @@ def test_criterion_5_semantics_separation():
 
 
 def test_criterion_6_size_formula_audit():
-    from ltlsynth import ltl as ltl_mod
     from ltlsynth.automaton import Ucw
+    from suite import guard
 
     audited = 0
 
     # hand-built m=1 instance: the documented example value 18
-    a1 = Ucw(("i",), ("o",), 1, 0, {(0, 0): ltl_mod.LTRUE}, frozenset([0]))
+    a1 = Ucw(("i",), ("o",), 1, 0, {(0, 0): guard("true", ("i", "o"))}, frozenset([0]))
     scc = full_counters(a1, 2)
     e, u, _ = count_profile(encode_basic(a1, 2, "mealy", scc)[0])
     assert (e, u) == (18, 0)

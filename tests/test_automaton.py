@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
@@ -7,16 +10,19 @@ from ltlsynth import ltl
 from ltlsynth.automaton import (
     Ucw,
     analyze_sccs,
+    cube_mask,
     encode_symbolic,
-    eval_guard,
     full_counters,
-    guard_satisfiable,
+    letter_index,
     ltl_to_ucw,
     ucw_accepts_lasso,
     ucw_to_dot,
 )
+from ltlsynth.encode import symbolic_nodes
+from ltlsynth.logic import Store
 from ltlsynth.ltl import parse_ltl
 from oracles import all_lassos, all_letters, eval_ltl_lasso, random_formula
+from suite import SUITE, guard
 
 ARBITER = "G (r1 -> X F g1) && G (r2 -> X F g2) && G ! (g1 && g2)"
 
@@ -26,11 +32,13 @@ def ucw(text, inputs, outputs):
 
 
 def test_guard_eval():
-    g = parse_ltl("r1 && ! g1")
-    assert eval_guard(g, frozenset(["r1"]))
-    assert not eval_guard(g, frozenset(["r1", "g1"]))
-    assert guard_satisfiable(g)
-    assert not guard_satisfiable(parse_ltl("a && ! a"))
+    alphabet = ("r1", "g1")
+    g = guard("r1 && ! g1", alphabet)
+    assert g >> letter_index(alphabet, frozenset(["r1"])) & 1
+    assert not g >> letter_index(alphabet, frozenset(["r1", "g1"])) & 1
+    assert g == cube_mask(alphabet, {"r1": True, "g1": False})
+    assert g != 0
+    assert guard("a && ! a", ("a",)) == 0
 
 
 def test_ucw_globally_accepts_expected_lassos():
@@ -95,12 +103,37 @@ def test_language_against_trace_oracle_four_atoms():
             ), ltl.format_ltl(f)
 
 
+_DUMP_SUITE_AUTOMATA = """
+import suite
+from ltlsynth.driver import RunConfig, make_sides
+for bench in suite.SUITE:
+    for side in make_sides(bench.spec, RunConfig()):
+        a = side.automaton
+        print(bench.name, side.role, a.n_states, a.initial, sorted(a.rejecting), sorted(a.guards.items()))
+"""
+
+
+def test_automata_independent_of_hash_seed():
+    """Both sides of every suite spec, built in two processes with
+    different string hashing, are the same automaton."""
+    paths = [os.path.dirname(os.path.dirname(ltl.__file__)), os.path.dirname(__file__)]
+    dumps = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(paths))
+        dumps.append(subprocess.run(
+            [sys.executable, "-c", _DUMP_SUITE_AUTOMATA],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout)
+    assert dumps[0].count("\n") == 2 * len(SUITE)
+    assert dumps[0] == dumps[1]
+
+
 # ---------------------------------------------------------------------------
 # SCC analysis
 
 
 def test_analyze_sccs_non_rejecting_loop():
-    a = Ucw((), ("a",), 1, 0, {(0, 0): ltl.LTRUE}, frozenset())
+    a = Ucw((), ("a",), 1, 0, {(0, 0): guard("true", ("a",))}, frozenset())
     info = analyze_sccs(a, 3)
     assert info.counted == frozenset()
     assert info.counter_bits == 1
@@ -130,8 +163,8 @@ def test_analyze_sccs_matches_networkx():
         info = analyze_sccs(a, 2)
         g = nx.DiGraph()
         g.add_nodes_from(range(a.n_states))
-        for (q, q2), guard in a.guards.items():
-            if guard_satisfiable(guard):
+        for (q, q2), letters in a.guards.items():
+            if letters != 0:
                 g.add_edge(q, q2)
         expected = set()
         for comp in nx.strongly_connected_components(g):
@@ -167,10 +200,27 @@ def test_full_counters():
 # Symbolic encoding
 
 
+class _Coded:
+    """The encoder's init/reject/delta nodes for sa, in a store with one
+    variable per alphabet atom and state bit; `holds(node, env)` evaluates
+    a node with exactly the atoms in env true."""
+
+    def __init__(self, sa):
+        self.store = Store()
+        names = sa.automaton.alphabet + sa.state_vars + sa.state_vars_primed
+        self.var = {name: self.store.new_var(name) for name in names}
+        atom_map = {name: self.store.var(v) for name, v in self.var.items()}
+        self.init, self.reject, self.delta = symbolic_nodes(self.store, sa, atom_map)
+
+    def holds(self, node, env) -> bool:
+        return self.store.evaluate(node, {v: name in env for name, v in self.var.items()})
+
+
 def _delta_models(sa):
     """Decode delta's satisfying assignments into (q, letter, q') triples."""
+    coded = _Coded(sa)
     triples = set()
-    alphabet = list(sa.inputs + sa.outputs)
+    alphabet = list(sa.automaton.alphabet)
     width = len(sa.state_vars)
     for q in range(1 << width):
         for q2 in range(1 << width):
@@ -178,13 +228,13 @@ def _delta_models(sa):
                 env = set(letter)
                 env |= {sa.state_vars[j] for j in range(width) if q >> j & 1}
                 env |= {sa.state_vars_primed[j] for j in range(width) if q2 >> j & 1}
-                if eval_guard(sa.delta_formula, frozenset(env)):
+                if coded.holds(coded.delta, env):
                     triples.add((q, frozenset(letter), q2))
     return triples
 
 
 def test_encode_symbolic_single_state():
-    a = Ucw((), ("a",), 1, 0, {(0, 0): ltl.LTRUE}, frozenset())
+    a = Ucw((), ("a",), 1, 0, {(0, 0): guard("true", ("a",))}, frozenset())
     sa = encode_symbolic(a)
     assert len(sa.state_vars) == 1
     # delta is satisfied exactly by code 0 -> code 0
@@ -192,32 +242,35 @@ def test_encode_symbolic_single_state():
         (0, frozenset(), 0),
         (0, frozenset(["a"]), 0),
     }
-    assert eval_guard(sa.init_formula, frozenset())
-    assert not eval_guard(sa.init_formula, frozenset(sa.state_vars))
+    coded = _Coded(sa)
+    assert coded.holds(coded.init, frozenset())
+    assert not coded.holds(coded.init, frozenset(sa.state_vars))
 
 
 def test_encode_symbolic_three_states_excludes_dead_code():
-    guards = {(0, 1): ltl.LTRUE, (1, 2): ltl.LTRUE, (2, 0): ltl.LTRUE}
+    true = guard("true", ("a",))
+    guards = {(0, 1): true, (1, 2): true, (2, 0): true}
     a = Ucw((), ("a",), 3, 0, guards, frozenset([2]))
     sa = encode_symbolic(a)
     assert len(sa.state_vars) == 2
     models = _delta_models(sa)
     assert all(q != 3 and q2 != 3 for q, _, q2 in models)
+    coded = _Coded(sa)
     # init excludes code 3
     env3 = frozenset(sa.state_vars)
-    assert not eval_guard(sa.init_formula, env3)
-    # reject formula is the primed code of state 2
-    assert eval_guard(sa.reject_formula, frozenset([sa.state_vars_primed[1]]))
-    assert not eval_guard(sa.reject_formula, frozenset())
+    assert not coded.holds(coded.init, env3)
+    # reject is the primed code of state 2
+    assert coded.holds(coded.reject, frozenset([sa.state_vars_primed[1]]))
+    assert not coded.holds(coded.reject, frozenset())
 
 
 def test_encode_symbolic_roundtrip_arbiter():
     a = ucw(ARBITER, ["r1", "r2"], ["g1", "g2"])
     sa = encode_symbolic(a)
     expected = set()
-    for (q, q2), guard in a.guards.items():
+    for (q, q2), letters in a.guards.items():
         for letter in all_letters(list(a.alphabet)):
-            if eval_guard(guard, letter):
+            if letters >> letter_index(a.alphabet, letter) & 1:
                 expected.add((q, letter, q2))
     assert _delta_models(sa) == expected
 
@@ -227,3 +280,9 @@ def test_ucw_to_dot_smoke():
     text = ucw_to_dot(a)
     assert "doublecircle" in text
     assert text == ucw_to_dot(a)
+
+
+def test_ucw_to_dot_labels_prime_cover():
+    alphabet = ("r1", "g1", "g2")
+    a = Ucw(("r1",), ("g1", "g2"), 1, 0, {(0, 0): guard("(r1 && ! g1) || g2", alphabet)}, frozenset())
+    assert 'q0 -> q0 [label="!g1 && r1 || g2"];' in ucw_to_dot(a)

@@ -17,12 +17,21 @@ from suite import by_name, search
 
 STUB = f"{sys.executable} {os.path.join(os.path.dirname(__file__), 'external_stub.py')} {{file}}"
 
-ARBITER_DOC = {
-    "semantics": "moore",
-    "inputs": ["r1", "r2"],
-    "outputs": ["g1", "g2"],
-    "guarantees": ["G (r1 -> X F g1)", "G (r2 -> X F g2)", "G ! (g1 && g2)"],
-}
+
+def arbiter_doc(k):
+    """Moore k-client arbiter: every request is granted later, grants exclude each other."""
+    clients = range(1, k + 1)
+    guarantees = [f"G (r{i} -> X F g{i})" for i in clients]
+    guarantees += [f"G ! (g{i} && g{j})" for i in clients for j in clients if i < j]
+    return {
+        "semantics": "moore",
+        "inputs": [f"r{i}" for i in clients],
+        "outputs": [f"g{i}" for i in clients],
+        "guarantees": guarantees,
+    }
+
+
+ARBITER_DOC = arbiter_doc(2)
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -229,6 +238,15 @@ def test_main_undetermined_prints_unknown(tmp_path, capsys):
     code = main([spec_path, "--max-bound", "1"])
     assert code == 0
     assert "UNKNOWN" in capsys.readouterr().out
+
+
+def test_main_three_client_arbiter_builds_environment_side(tmp_path, capsys):
+    """Regression: the environment automaton of the 3-client arbiter once
+    carried merged guards nested deeper than the recursion limit."""
+    spec_path = write_spec(tmp_path, arbiter_doc(3))
+    code = main([spec_path, "--max-bound", "1"])
+    assert code == 0
+    assert capsys.readouterr().out == "UNKNOWN\n"
 
 
 def test_main_synthesis_dot_output(tmp_path):

@@ -1,6 +1,5 @@
 import pytest
 
-from ltlsynth import ltl
 from ltlsynth.automaton import (
     Ucw,
     analyze_sccs,
@@ -13,15 +12,15 @@ from ltlsynth.encode import (
     encode_basic,
     encode_fully_symbolic,
     encode_input_symbolic,
+    compile_guard,
     encode_state_symbolic,
-    guard_to_node,
 )
 from ltlsynth.extract import extract
 from ltlsynth.logic import FALSE, TRUE, Store
 from ltlsynth.ltl import parse_ltl
 from ltlsynth.solve import solve_internal
 from ltlsynth.verify import build_run_graph, check_annotation, model_check
-from suite import ARBITER_GUARANTEES, by_name, encode
+from suite import ARBITER_GUARANTEES, by_name, encode, guard
 
 
 def ucw_for(text, inputs, outputs):
@@ -44,7 +43,7 @@ def specialize(store, a, q, q2, i, outvars):
     """Edge guard with inputs bound to constants and outputs to nodes."""
     atom_map = {name: (TRUE if name in i else FALSE) for name in a.inputs}
     atom_map.update(outvars)
-    return guard_to_node(store, a.guards.get((q, q2), ltl.LFALSE), atom_map)
+    return compile_guard(store, a.alphabet, a.guards.get((q, q2), 0), atom_map)
 
 
 def test_specialize_guard_substitution():
@@ -53,7 +52,7 @@ def test_specialize_guard_substitution():
         ("g1",),
         2,
         0,
-        {(0, 1): ltl.land(ltl.atom("r1"), ltl.atom("g1"))},
+        {(0, 1): guard("r1 && g1", ("r1", "g1"))},
         frozenset(),
     )
     store = Store()
@@ -72,13 +71,17 @@ def test_specialize_guard_mutex():
         ("g1", "g2"),
         1,
         0,
-        {(0, 0): ltl.lnot(ltl.land(ltl.atom("g1"), ltl.atom("g2")))},
+        {(0, 0): guard("! (g1 && g2)", ("r1", "g1", "g2"))},
         frozenset(),
     )
     store = Store()
     ov = {"g1": store.var(store.new_var("o1")), "g2": store.var(store.new_var("o2"))}
     node = specialize(store, a, 0, 0, frozenset(), ov)
-    assert node == store.not_(store.and_([ov["g1"], ov["g2"]]))
+    # the prime cover of !(g1 && g2): !g2 first (it holds on letter 0), then !g1
+    assert node == store.or_([store.not_(ov["g2"]), store.not_(ov["g1"])])
+    for v1 in (False, True):
+        for v2 in (False, True):
+            assert store.evaluate(node, {1: v1, 2: v2}) == (not (v1 and v2))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,7 @@ def test_directory_injective_and_covering():
 
 def test_count_profile_basic_example():
     # n=2, m=1, |I|=1, |O|=1, no reduction, b=2 -> 18 existentials
-    a = Ucw(("i",), ("o",), 1, 0, {(0, 0): ltl.LTRUE}, frozenset([0]))
+    a = Ucw(("i",), ("o",), 1, 0, {(0, 0): guard("true", ("i", "o"))}, frozenset([0]))
     scc = full_counters(a, 2)
     assert scc.counter_bits == 2
     problem, d = encode_basic(a, 2, "mealy", scc)

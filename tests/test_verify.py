@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from ltlsynth import ltl
 from ltlsynth.automaton import Ucw, ltl_to_ucw, ucw_accepts_lasso
 from ltlsynth.ltl import parse_ltl
 from ltlsynth.system import TransitionSystem, input_valuations, moore_system
@@ -16,6 +15,7 @@ from ltlsynth.verify import (
     infer_annotation,
     model_check,
 )
+from suite import guard
 from test_system import arbiter_system
 
 ARBITER = "G (r1 -> X F g1) && G (r2 -> X F g2) && G ! (g1 && g2)"
@@ -60,17 +60,16 @@ def test_run_graph_arbiter_paper_edges():
     q0 tracks nothing, q2 tracks a pending g2 request; with the alternator
     the product must contain (t0,q0)->(t1,q2) and (t0,q2)->(t1,q2).
     """
-    g2 = ltl.atom("g2")
-    r2 = ltl.atom("r2")
+    alphabet = ("r1", "r2", "g1", "g2")
     hand = Ucw(
         ("r1", "r2"),
         ("g1", "g2"),
         2,
         0,
         {
-            (0, 0): ltl.LTRUE,
-            (0, 1): ltl.land(r2, ltl.lnot(g2)),
-            (1, 1): ltl.lnot(g2),
+            (0, 0): guard("true", alphabet),
+            (0, 1): guard("r2 && ! g2", alphabet),
+            (1, 1): guard("! g2", alphabet),
         },
         frozenset([1]),
     )
