@@ -2,7 +2,12 @@
 
 The SAT core is a conflict-driven solver with two watched literals per
 clause, first-UIP learning, VSIDS-style activities with phase saving, and
-Luby restarts.  Quantified problems are decided by full universal
+Luby restarts.  Values are kept per encoded literal (one bytearray
+entry for v and one for -v), so the watch loop reads a literal's value
+with one index.  The order heap holds each variable's current
+(-activity, var) entry at most once: backtracking re-pushes only the
+variables without one, and entries left behind by bumps are dropped when
+popped.  Quantified problems are decided by full universal
 expansion: every existential is copied once per assignment of exactly its
 dependency set, the universals are substituted through the matrix, and the
 conjunction over all universal assignments goes to the SAT core.  Skolem
@@ -17,7 +22,7 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 
 from .logic import (
     FALSE,
@@ -63,6 +68,7 @@ class SolveResult:
     status: str  # 'sat' | 'unsat' | 'unknown'
     model: Model | None = None
     detail: str = ""
+    stats: dict[str, int] = field(default_factory=dict)  # CDCL counters, see sat_solve
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +76,15 @@ class SolveResult:
 
 
 def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = None) -> SolveResult:
-    """Complete CDCL decision; the returned model covers every variable."""
+    """Complete CDCL decision; the returned model covers every variable.
+
+    The result's `stats` counts conflicts, decisions, propagations (trail
+    literals whose watches were visited), restarts and learnt clauses.
+    """
     nv = num_vars or max((abs(l) for c in clauses for l in c), default=0)
 
-    # encoded literals: 2v for v, 2v+1 for -v
-    def enc(lit: int) -> int:
-        return 2 * lit if lit > 0 else -2 * lit + 1
-
-    value = bytearray(nv + 1)  # 0 unknown, 1 true, 2 false
+    # encoded literals: 2v for v, 2v+1 for -v; val[el]: 0 unknown, 1 true, 2 false
+    val = bytearray(2 * nv + 2)
     level = [0] * (nv + 1)
     reason = [-1] * (nv + 1)
     trail: list[int] = []
@@ -87,23 +94,26 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
     watches: list[list[int]] = [[] for _ in range(2 * nv + 2)]
     activity = [0.0] * (nv + 1)
     var_inc = 1.0
+    # Order heap of (-activity, var).  in_heap[v] is set while v's entry with
+    # its current activity is on the heap.  A bump pushes a new entry and
+    # leaves the old one behind; activities only grow between rescales
+    # (which rebuild the heap), so v's current entry is its least and pops
+    # first, and older ones pop when v has none.
     heap = [(0.0, v) for v in range(1, nv + 1)]
-    saved_phase = bytearray(nv + 1)  # 0 -> decide false first
+    in_heap = bytearray(b"\x01") * (nv + 1)
+    saved_phase = bytearray(b"\x01") * (nv + 1)  # sign bit of the last value; 1 decides false
+    seen = bytearray(nv + 1)  # analyze's marks, cleared before it returns
+    conflicts = decisions = propagations = restarts = learnts = 0
 
-    def lit_state(el: int) -> int:
-        """1 satisfied, -1 falsified, 0 unknown."""
-        v = value[el >> 1]
-        if v == 0:
-            return 0
-        truth = v == 1
-        if el & 1:
-            truth = not truth
-        return 1 if truth else -1
+    def result(status: str, model: Model | None = None, detail: str = "") -> SolveResult:
+        stats = {"conflicts": conflicts, "decisions": decisions, "propagations": propagations,
+                 "restarts": restarts, "learnt": learnts}
+        return SolveResult(status, model, detail, stats)
 
     def assign(el: int, why: int):
-        nonlocal qhead
+        val[el] = 1
+        val[el ^ 1] = 2
         var = el >> 1
-        value[var] = 2 if el & 1 else 1
         level[var] = len(trail_lim)
         reason[var] = why
         trail.append(el)
@@ -111,11 +121,11 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
     # load clauses
     units: list[int] = []
     for raw in clauses:
-        cls = sorted({enc(l) for l in raw})
-        if any((el ^ 1) in cls for el in cls):
-            continue  # tautology
+        cls = sorted({2 * l if l > 0 else 1 - 2 * l for l in raw})
+        if any(a ^ 1 == b for a, b in zip(cls, islice(cls, 1, None))):
+            continue  # tautology: v and -v are neighbours once sorted
         if not cls:
-            return SolveResult("unsat")
+            return result("unsat")
         if len(cls) == 1:
             units.append(cls[0])
             continue
@@ -123,92 +133,113 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
         watches[cls[0]].append(len(db) - 1)
         watches[cls[1]].append(len(db) - 1)
     for el in units:
-        st = lit_state(el)
-        if st == -1:
-            return SolveResult("unsat")
-        if st == 0:
+        if val[el] == 2:
+            return result("unsat")
+        if val[el] == 0:
             assign(el, -1)
 
     def propagate() -> int:
-        nonlocal qhead
-        while qhead < len(trail):
-            el = trail[qhead]
-            qhead += 1
-            fl = el ^ 1
+        """Index of a falsified clause, or -1 once the trail is propagated."""
+        nonlocal qhead, propagations
+        head = qhead
+        lvl = len(trail_lim)
+        confl = -1
+        while head < len(trail):
+            fl = trail[head] ^ 1
+            head += 1
             ws = watches[fl]
             kept: list[int] = []
-            k = 0
-            total = len(ws)
-            while k < total:
-                ci = ws[k]
+            k = 0  # watches of fl visited
+            for ci in ws:
                 k += 1
                 cls = db[ci]
-                if cls[0] == fl:
-                    cls[0] = cls[1]
-                    cls[1] = fl
                 first = cls[0]
-                fs = lit_state(first)
-                if fs == 1:
+                if first == fl:
+                    first = cls[1]
+                    cls[0] = first
+                    cls[1] = fl
+                fv = val[first]
+                if fv == 1:
                     kept.append(ci)
                     continue
-                moved = False
-                for j in range(2, len(cls)):
-                    if lit_state(cls[j]) != -1:
-                        cls[1] = cls[j]
+                j = 2
+                n = len(cls)
+                while j < n:
+                    lit = cls[j]
+                    if val[lit] != 2:
+                        cls[1] = lit
                         cls[j] = fl
-                        watches[cls[1]].append(ci)
-                        moved = True
+                        watches[lit].append(ci)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if fs == -1:
-                    kept.extend(ws[k:])
-                    watches[fl] = kept
-                    return ci
-                assign(first, ci)
+                    j += 1
+                else:
+                    kept.append(ci)
+                    if fv == 2:
+                        kept.extend(ws[k:])
+                        confl = ci
+                        break
+                    val[first] = 1
+                    val[first ^ 1] = 2
+                    var = first >> 1
+                    level[var] = lvl
+                    reason[var] = ci
+                    trail.append(first)
             watches[fl] = kept
-        return -1
+            if confl >= 0:
+                break
+        propagations += head - qhead
+        qhead = head
+        return confl
 
-    def bump(var: int):
+    def rescale():
+        """Scale activities down; re-key the heap on the unassigned variables."""
         nonlocal var_inc
-        activity[var] += var_inc
-        if activity[var] > 1e100:
-            for v in range(1, nv + 1):
-                activity[v] *= 1e-100
-            var_inc *= 1e-100
-        heapq.heappush(heap, (-activity[var], var))
+        for v in range(1, nv + 1):
+            activity[v] *= 1e-100
+        var_inc *= 1e-100
+        heap[:] = [(-activity[v], v) for v in range(1, nv + 1) if not val[2 * v]]
+        heapq.heapify(heap)
+        for v in range(1, nv + 1):
+            in_heap[v] = not val[2 * v]
 
     def analyze(confl: int) -> tuple[list[int], int]:
-        learnt: list[int] = []
-        seen = bytearray(nv + 1)
+        learnt = [0]  # slot 0 takes the asserting literal
         counter = 0
         idx = len(trail) - 1
         cur = len(trail_lim)
-        p = -1
+        pvar = 0
         ci = confl
         while True:
-            cls = db[ci]
-            for q in (cls if p == -1 else cls[1:]):
+            # pvar stays marked while its reason is read, so the reason's
+            # first literal (pvar's own) is skipped
+            for q in db[ci]:
                 var = q >> 1
                 if not seen[var] and level[var] > 0:
                     seen[var] = 1
-                    bump(var)
+                    act = activity[var] + var_inc
+                    activity[var] = act
+                    if act > 1e100:
+                        rescale()
+                        act = activity[var]
+                    heapq.heappush(heap, (-act, var))
+                    in_heap[var] = 1
                     if level[var] == cur:
                         counter += 1
                     else:
                         learnt.append(q)
+            seen[pvar] = 0
             while not seen[trail[idx] >> 1]:
                 idx -= 1
             p = trail[idx]
-            var = p >> 1
+            pvar = p >> 1
             idx -= 1
-            seen[var] = 0
             counter -= 1
             if counter == 0:
                 break
-            ci = reason[var]
-        learnt.insert(0, p ^ 1)
+            ci = reason[pvar]
+        learnt[0] = p ^ 1
+        for q in learnt:
+            seen[q >> 1] = 0
         if len(learnt) == 1:
             return learnt, 0
         # watch the highest remaining level; backjump there
@@ -221,11 +252,14 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
         if len(trail_lim) <= target:
             return
         limit = trail_lim[target]
-        for el in reversed(trail[limit:]):
+        for el in islice(trail, limit, None):
             var = el >> 1
-            saved_phase[var] = 0 if el & 1 else 1
-            value[var] = 0
-            heapq.heappush(heap, (-activity[var], var))
+            saved_phase[var] = el & 1
+            val[el] = 0
+            val[el ^ 1] = 0
+            if not in_heap[var]:
+                in_heap[var] = 1
+                heapq.heappush(heap, (-activity[var], var))
         del trail[limit:]
         del trail_lim[target:]
         qhead = len(trail)
@@ -243,8 +277,6 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
             x %= size
         return 1 << seq
 
-    conflicts = 0
-    restart_count = 0
     restart_budget = 128 * luby(1)
 
     while True:
@@ -252,10 +284,11 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
         if confl >= 0:
             conflicts += 1
             if max_conflicts is not None and conflicts > max_conflicts:
-                return SolveResult("unknown", detail="conflict budget exhausted")
+                return result("unknown", detail="conflict budget exhausted")
             if not trail_lim:
-                return SolveResult("unsat")
+                return result("unsat")
             learnt, back = analyze(confl)
+            learnts += 1
             cancel_until(back)
             if len(learnt) == 1:
                 assign(learnt[0], -1)
@@ -267,22 +300,24 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
             var_inc /= 0.95
             restart_budget -= 1
             if restart_budget <= 0:
-                restart_count += 1
-                restart_budget = 128 * luby(restart_count + 1)
+                restarts += 1
+                restart_budget = 128 * luby(restarts + 1)
                 cancel_until(0)
             continue
         if len(trail) == nv:
-            model = {v: value[v] == 1 for v in range(1, nv + 1)}
+            model = {v: val[2 * v] == 1 for v in range(1, nv + 1)}
             if __debug__:
                 ok = all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses if c)
                 assert ok, "SAT model fails a clause"
-            return SolveResult("sat", Model(model))
+            return result("sat", Model(model))
         while True:
             _, var = heapq.heappop(heap)
-            if value[var] == 0:
+            in_heap[var] = 0  # var's current entry is its least, so none is left
+            if not val[2 * var]:
                 break
+        decisions += 1
         trail_lim.append(len(trail))
-        assign(2 * var + (0 if saved_phase[var] else 1), -1)
+        assign(2 * var | saved_phase[var], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +388,7 @@ def _expand_and_solve(problem: QuantifiedProblem, cap: int) -> SolveResult:
     values = outcome.model.assignment
     model = Model({e: values.get(e, False) for e in dep_map if not dep_map[e]})
     _fill_tables(model, dep_map, copy_var, values)
-    return SolveResult("sat", model)
+    return SolveResult("sat", model, stats=outcome.stats)
 
 
 def _fill_tables(model: Model, dep_map, copy_var, values: dict[int, bool]):
@@ -394,7 +429,8 @@ def solve_internal(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP)
             return outcome
         values = outcome.model.assignment
         return SolveResult(
-            "sat", Model({e: values.get(e, False) for e in problem.existentials()})
+            "sat", Model({e: values.get(e, False) for e in problem.existentials()}),
+            stats=outcome.stats,
         )
     return qbf_solve_expand(problem, cap)
 

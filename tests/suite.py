@@ -80,6 +80,19 @@ def by_name(name: str) -> Bench:
     return next(b for b in SUITE if b.name == name)
 
 
+def arbiter_doc(k):
+    """Moore k-client arbiter: every request is granted later, grants exclude each other."""
+    clients = range(1, k + 1)
+    guarantees = [f"G (r{i} -> X F g{i})" for i in clients]
+    guarantees += [f"G ! (g{i} && g{j})" for i in clients for j in clients if i < j]
+    return {
+        "semantics": "moore",
+        "inputs": [f"r{i}" for i in clients],
+        "outputs": [f"g{i}" for i in clients],
+        "guarantees": guarantees,
+    }
+
+
 def encode(kind, a, n, sem, reduction=True):
     """Encode an automaton through the driver's dispatch, as the CLI does."""
     side = SideProblem("system", a, sem, a.inputs, a.outputs)

@@ -13,22 +13,9 @@ from ltlsynth.ltl import load_spec
 from ltlsynth.logic import read_dimacs
 from ltlsynth.verify import model_check
 from oracles import simulate_aag
-from suite import by_name, search
+from suite import arbiter_doc, by_name, search
 
 STUB = f"{sys.executable} {os.path.join(os.path.dirname(__file__), 'external_stub.py')} {{file}}"
-
-
-def arbiter_doc(k):
-    """Moore k-client arbiter: every request is granted later, grants exclude each other."""
-    clients = range(1, k + 1)
-    guarantees = [f"G (r{i} -> X F g{i})" for i in clients]
-    guarantees += [f"G ! (g{i} && g{j})" for i in clients for j in clients if i < j]
-    return {
-        "semantics": "moore",
-        "inputs": [f"r{i}" for i in clients],
-        "outputs": [f"g{i}" for i in clients],
-        "guarantees": guarantees,
-    }
 
 
 ARBITER_DOC = arbiter_doc(2)

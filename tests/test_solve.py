@@ -1,10 +1,13 @@
+import json
 import os
 import random
 import sys
 
 import pytest
 
+from ltlsynth.driver import RunConfig, build_problem, make_sides
 from ltlsynth.logic import FALSE, TRUE, QuantifiedProblem, Store, tseitin
+from ltlsynth.ltl import load_spec
 from ltlsynth.solve import (
     ExpansionLimitError,
     dqbf_solve_expand,
@@ -14,6 +17,7 @@ from ltlsynth.solve import (
     solve_internal,
 )
 from oracles import dpll, eval_qbf_naive
+from suite import arbiter_doc
 
 STUB = f"{sys.executable} {os.path.join(os.path.dirname(__file__), 'external_stub.py')} {{file}}"
 
@@ -61,29 +65,109 @@ def test_sat_agrees_with_dpll_oracle():
             assert all(any(model[abs(l)] == (l > 0) for l in c) for c in cnf)
 
 
+def _php(pigeons, holes, first_var=1):
+    """Pigeonhole clauses; pigeon p in hole h is variable first_var + p*holes + h."""
+    def var(p, h):
+        return first_var + p * holes + h
+
+    cnf = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                cnf.append([-var(p1, h), -var(p2, h)])
+    return cnf
+
+
 def test_sat_hard_instance_php():
     """Pigeonhole: 5 pigeons, 4 holes; exercises learning and restarts."""
-    def var(p, h):
-        return p * 4 + h + 1
-
-    cnf = [[var(p, h) for h in range(4)] for p in range(5)]
-    for h in range(4):
-        for p1 in range(5):
-            for p2 in range(p1 + 1, 5):
-                cnf.append([-var(p1, h), -var(p2, h)])
-    assert sat_solve(cnf).status == "unsat"
+    assert sat_solve(_php(5, 4)).status == "unsat"
 
 
 def test_sat_conflict_budget():
-    def var(p, h):
-        return p * 5 + h + 1
+    assert sat_solve(_php(6, 5), max_conflicts=5).status == "unknown"
 
-    cnf = [[var(p, h) for h in range(5)] for p in range(6)]
-    for h in range(5):
-        for p1 in range(6):
-            for p2 in range(p1 + 1, 6):
-                cnf.append([-var(p1, h), -var(p2, h)])
-    assert sat_solve(cnf, max_conflicts=5).status == "unknown"
+
+def test_sat_activity_rescale_php():
+    """PHP(8,7) runs past conflict 4,491, where var_inc = 0.95^-(c-1) first
+    exceeds 1e100 and every activity is rescaled along with the heap."""
+    result = sat_solve(_php(8, 7))
+    assert result.status == "unsat"
+    assert result.stats["conflicts"] >= 4491
+
+
+def _php_behind_selectors(parts):
+    """For each (pigeons, holes), a fresh selector s added to every clause of
+    a pigeonhole instance over fresh variables numbered after s."""
+    cnf, selectors = [], []
+    s = 1
+    for pigeons, holes in parts:
+        selectors.append(s)
+        cnf += [c + [s] for c in _php(pigeons, holes, first_var=s + 1)]
+        s += 1 + pigeons * holes
+    return cnf, selectors, s - 1
+
+
+def test_sat_model_total_after_rescale():
+    """Six selected PHP(7,6) copies take over 4,491 conflicts before the
+    model: a variable left without a heap entry by the rescale would never
+    be decided."""
+    cnf, selectors, nv = _php_behind_selectors([(7, 6)] * 6)
+    result = sat_solve(cnf)
+    assert result.status == "sat"
+    assert result.stats["conflicts"] >= 4491
+    model = result.model.assignment
+    assert set(model) == set(range(1, nv + 1))
+    assert all(any(model[abs(l)] == (l > 0) for l in c) for c in cnf)
+
+
+def test_sat_restarts_and_refills_heap():
+    """Every clause of PHP(7,6) also holds the selector s.  The solver decides
+    s false first, refutes the pigeonholes under it across restarts, then
+    sets s."""
+    cnf, [s], nv = _php_behind_selectors([(7, 6)])
+    result = sat_solve(cnf)
+    assert result.status == "sat"
+    assert result.stats["restarts"] >= 1
+    model = result.model.assignment
+    assert model[s] is True
+    assert set(model) == set(range(1, nv + 1))
+    assert all(any(model[abs(l)] == (l > 0) for l in c) for c in cnf)
+
+
+def test_sat_trajectory_pin_arbiter3():
+    """The exact search on the Moore 3-client arbiter, basic encoding, n=3.
+
+    A change that alters decisions, propagation order or learning moves
+    these counters; update them only on purpose."""
+    spec = load_spec(json.dumps(arbiter_doc(3)))
+    side = make_sides(spec, RunConfig(counter_strategy="off"))[0]
+    problem, _ = build_problem(side, 3, RunConfig(encoding="basic"))
+    clauses, _, nv = tseitin(problem.store, problem.matrix)
+    result = sat_solve(clauses, nv)
+    assert result.status == "sat"
+    assert result.stats == {
+        "conflicts": 243,
+        "decisions": 2623,
+        "propagations": 54824,
+        "restarts": 1,
+        "learnt": 243,
+    }
+
+
+def test_solve_internal_keeps_cdcl_stats():
+    s = Store()
+    x, y = s.new_var("x"), s.new_var("y")
+    matrix = s.and_([s.or_([s.var(x), s.var(y)]), s.or_([s.not_(s.var(x)), s.var(y)])])
+    p = QuantifiedProblem(s, matrix, [("e", [x, y])])
+    clauses, _, nv = tseitin(s, matrix)
+    direct = sat_solve(clauses, nv)
+    assert direct.stats["decisions"] >= 1
+    assert solve_internal(p).stats == direct.stats
+
+    _, _, _, q = _qbf_identity()
+    expanded = solve_internal(q)
+    assert expanded.status == "sat"
+    assert set(expanded.stats) == {"conflicts", "decisions", "propagations", "restarts", "learnt"}
 
 
 # ---------------------------------------------------------------------------
