@@ -4,7 +4,7 @@ Realizability searches the system side and (unless disabled) the
 environment side in fair alternation, one bound step per side per round.
 The environment plays the negated specification with inputs and outputs
 swapped and the semantics dualized, so a win on either side settles the
-verdict.  Exit codes: 10 realizable, 20 unrealizable, 0 emit-only success
+verdict.  Exit codes: 10 realizable, 20 unrealizable, 0 `--emit` success
 or undetermined, 1 usage/input errors, 2 resource exhaustion.
 """
 
@@ -52,7 +52,7 @@ ENCODING_NAMES = (BASIC, INPUT_SYMBOLIC, STATE_SYMBOLIC, FULLY_SYMBOLIC)
 @dataclass
 class RunConfig:
     encoding: str = INPUT_SYMBOLIC
-    mode: str = "realizability"  # 'realizability' | 'synthesis' | 'emit-only'
+    mode: str = "realizability"  # 'realizability' | 'synthesis'
     semantics: str | None = None
     search: str = "exponential"  # 'exponential' | 'linear'
     max_bound: int = 8
@@ -69,7 +69,7 @@ class RunConfig:
     def validate(self):
         if self.encoding not in ENCODING_NAMES:
             raise ValueError(f"unknown encoding {self.encoding!r}")
-        if self.mode not in ("realizability", "synthesis", "emit-only"):
+        if self.mode not in ("realizability", "synthesis"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_bound < 1:
             raise ValueError("max bound must be positive")
@@ -154,7 +154,7 @@ def make_sides(spec: SynthSpec, cfg: RunConfig) -> list[SideProblem]:
         )
     ]
     # the environment side serves only the counter-strategy search
-    if cfg.counter_strategy == "auto" and cfg.mode != "emit-only":
+    if cfg.counter_strategy == "auto" and cfg.emit is None:
         dual_semantics = MEALY if semantics == MOORE else MOORE
         sides.append(
             SideProblem(
@@ -222,11 +222,7 @@ def _arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("spec", help="JSON specification file")
     parser.add_argument("--encoding", choices=ENCODING_NAMES, default=INPUT_SYMBOLIC)
-    parser.add_argument(
-        "--mode",
-        choices=("realizability", "synthesis", "emit-only"),
-        default="realizability",
-    )
+    parser.add_argument("--mode", choices=("realizability", "synthesis"), default="realizability")
     parser.add_argument("--semantics", choices=(MEALY, MOORE), default=None,
                         help="override the semantics given in the spec file")
     parser.add_argument("--search", choices=("exponential", "linear"), default="exponential")
@@ -267,7 +263,7 @@ def main(argv=None) -> int:
 
     cfg = RunConfig(
         encoding=args.encoding,
-        mode="emit-only" if args.emit else args.mode,
+        mode=args.mode,
         semantics=args.semantics,
         search=args.search,
         max_bound=args.max_bound,
@@ -292,7 +288,7 @@ def main(argv=None) -> int:
     if cfg.dump_ucw:
         _write(cfg.dump_ucw, ucw_to_dot(sides[0].automaton))
 
-    if cfg.mode == "emit-only":
+    if cfg.emit is not None:
         problem, _ = build_problem(sides[0], cfg.max_bound, cfg)
         emitter = _EMITTERS[cfg.emit]
         try:

@@ -21,7 +21,6 @@ _NOT = "n"
 _AND = "a"
 _OR = "o"
 _XOR = "x"
-_ITE = "i"
 
 
 class Store:
@@ -115,23 +114,6 @@ class Store:
             a, b = b, a
         return self._mk((_XOR, a, b))
 
-    def ite(self, c: int, t: int, e: int) -> int:
-        if c == TRUE:
-            return t
-        if c == FALSE:
-            return e
-        if t == e:
-            return t
-        if t == TRUE:
-            return self.or_([c, e])
-        if t == FALSE:
-            return self.and_([self.not_(c), e])
-        if e == TRUE:
-            return self.or_([self.not_(c), t])
-        if e == FALSE:
-            return self.and_([c, t])
-        return self._mk((_ITE, c, t, e))
-
     def implies(self, a: int, b: int) -> int:
         return self.or_([self.not_(a), b])
 
@@ -160,10 +142,8 @@ class Store:
                 v = all(go(c) for c in node[1])
             elif tag == _OR:
                 v = any(go(c) for c in node[1])
-            elif tag == _XOR:
-                v = go(node[1]) != go(node[2])
             else:
-                v = go(node[2]) if go(node[1]) else go(node[3])
+                v = go(node[1]) != go(node[2])
             memo[n] = v
             return v
 
@@ -175,6 +155,8 @@ class Store:
         Unmapped variables stay themselves.  Constant folding happens on the
         way up, with early exits through and/or gates.
         """
+        if not mapping:
+            return root
         memo: dict[int, int] = {}
 
         def go(n: int) -> int:
@@ -211,16 +193,8 @@ class Store:
                     parts.append(m)
                 if r is None:
                     r = self.or_(parts)
-            elif tag == _XOR:
-                r = self.xor2(go(node[1]), go(node[2]))
             else:
-                c = go(node[1])
-                if c == TRUE:
-                    r = go(node[2])
-                elif c == FALSE:
-                    r = go(node[3])
-                else:
-                    r = self.ite(c, go(node[2]), go(node[3]))
+                r = self.xor2(go(node[1]), go(node[2]))
             memo[n] = r
             return r
 
@@ -250,10 +224,6 @@ class Store:
             elif tag == _XOR:
                 stack.append((node[1], False))
                 stack.append((node[2], False))
-            elif tag == _ITE:
-                stack.append((node[1], False))
-                stack.append((node[2], False))
-                stack.append((node[3], False))
         return order
 
     def variables_in(self, root: int) -> set[int]:
@@ -340,6 +310,8 @@ class QuantifiedProblem:
         if free:
             raise ValueError(f"unbound matrix variables: {sorted(free)}")
         if self.deps is not None:
+            if set(self.deps) != set(self.existentials()):
+                raise ValueError("dependency sets must name exactly the existentials")
             universals = self.universals()
             for v, ds in self.deps.items():
                 if not ds <= set(universals):
@@ -354,11 +326,24 @@ class QuantifiedProblem:
     def is_sat_fragment(self) -> bool:
         return self.deps is None and not self.universals()
 
-    def is_qbf_fragment(self) -> bool:
-        return self.deps is None
+    def dependencies(self) -> dict[int, tuple[int, ...]]:
+        """Each existential's universals, ascending.
 
-    def is_dqbf_fragment(self) -> bool:
-        return self.deps is not None
+        They are its `deps` entry when deps is given, and otherwise the
+        universals quantified before it in the prefix.
+        """
+        if self.deps is not None:
+            return {e: tuple(sorted(ds)) for e, ds in self.deps.items()}
+        out: dict[int, tuple[int, ...]] = {}
+        scope: list[int] = []
+        for quant, vs in self.prefix:
+            if quant == "a":
+                scope.extend(vs)
+            else:
+                frozen = tuple(sorted(scope))
+                for e in vs:
+                    out[e] = frozen
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +354,7 @@ def tseitin(store: Store, root: int) -> tuple[list[list[int]], dict[int, int], i
     """Equisatisfiable CNF with full biconditional definitions.
 
     Returns (clauses, node->literal map, total variable count).  Original
-    variables keep their numbers; each internal and/or/xor/ite node gets a
+    variables keep their numbers; each internal and/or/xor node gets a
     fresh definition variable above them.  Not nodes become negated
     literals.  A constant root yields the trivial or the empty clause.
     """
@@ -406,18 +391,12 @@ def tseitin(store: Store, root: int) -> tuple[list[list[int]], dict[int, int], i
             for k in kids:
                 clauses.append([t, -k])
             clauses.append([-t] + kids)
-        elif tag == _XOR:
+        else:  # xor
             a, b = lit[node[1]], lit[node[2]]
             clauses.append([-t, a, b])
             clauses.append([-t, -a, -b])
             clauses.append([t, a, -b])
             clauses.append([t, -a, b])
-        else:  # ite
-            c, a, b = lit[node[1]], lit[node[2]], lit[node[3]]
-            clauses.append([-t, -c, a])
-            clauses.append([-t, c, b])
-            clauses.append([t, -c, -a])
-            clauses.append([t, c, -b])
 
     clauses.append([lit[root]])
     return clauses, lit, next_var
@@ -443,11 +422,9 @@ def _tseitin_var_deps(
             for c in node[1]:
                 acc |= cone[c]
             cone[n] = acc
-        elif tag == _XOR:
-            cone[n] = cone[node[1]] | cone[node[2]]
         else:
-            cone[n] = cone[node[1]] | cone[node[2]] | cone[node[3]]
-        if tag in (_AND, _OR, _XOR, _ITE):
+            cone[n] = cone[node[1]] | cone[node[2]]
+        if tag in (_AND, _OR, _XOR):
             out[lit[n]] = cone[n]
     return out
 
@@ -470,7 +447,7 @@ def emit_dimacs(problem: QuantifiedProblem) -> str:
 
 def emit_qdimacs(problem: QuantifiedProblem) -> str:
     """Prenex QBF text; Tseitin variables join the innermost existentials."""
-    if not problem.is_qbf_fragment():
+    if problem.deps is not None:
         raise ValueError("problem has dependency annotations; use emit_dqdimacs")
     clauses, _, num_vars = tseitin(problem.store, problem.matrix)
 
@@ -498,7 +475,7 @@ def emit_qdimacs(problem: QuantifiedProblem) -> str:
 
 def emit_dqdimacs(problem: QuantifiedProblem) -> str:
     """QDIMACS extended with explicit `d` dependency lines per existential."""
-    if not problem.is_dqbf_fragment():
+    if problem.deps is None:
         raise ValueError("problem has no dependency annotations; use emit_qdimacs")
     clauses, lit, num_vars = tseitin(problem.store, problem.matrix)
 

@@ -1,4 +1,4 @@
-"""Decision procedures: CDCL SAT, QBF/DQBF by universal expansion, externals.
+"""Decision procedures: CDCL SAT, one universal expansion path, externals.
 
 The SAT core is a conflict-driven solver with two watched literals per
 clause, first-UIP learning, VSIDS-style activities with phase saving, and
@@ -7,11 +7,12 @@ entry for v and one for -v), so the watch loop reads a literal's value
 with one index.  The order heap holds each variable's current
 (-activity, var) entry at most once: backtracking re-pushes only the
 variables without one, and entries left behind by bumps are dropped when
-popped.  Quantified problems are decided by full universal
+popped.  `solve_internal` decides every fragment by full universal
 expansion: every existential is copied once per assignment of exactly its
 dependency set, the universals are substituted through the matrix, and the
-conjunction over all universal assignments goes to the SAT core.  Skolem
-tables fall out of the copies directly.
+conjunction over all universal assignments goes to the SAT core.  A SAT
+problem is the case with no universals: its one copy is the matrix itself.
+Skolem tables fall out of the copies directly.
 """
 
 from __future__ import annotations
@@ -324,115 +325,50 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
 # Universal expansion
 
 
-def _dependency_map(problem: QuantifiedProblem) -> dict[int, tuple[int, ...]]:
-    if problem.deps is not None:
-        return {e: tuple(sorted(ds)) for e, ds in problem.deps.items()}
-    deps: dict[int, tuple[int, ...]] = {}
-    scope: list[int] = []
-    for quant, vs in problem.prefix:
-        if quant == "a":
-            scope.extend(vs)
-        else:
-            frozen = tuple(sorted(scope))
-            for e in vs:
-                deps[e] = frozen
-    return deps
+def solve_internal(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP) -> SolveResult:
+    """Decide a SAT, QBF or DQBF problem by expanding its universals.
 
-
-def _expand_and_solve(problem: QuantifiedProblem, cap: int) -> SolveResult:
+    Raises ExpansionLimitError when the problem has universals and the
+    copies would exceed cap.
+    """
     store = problem.store
     universals = problem.universals()
-    dep_map = _dependency_map(problem)
-    inner = [e for e, ds in dep_map.items() if ds]
-    load = (1 << len(universals)) * max(1, len(inner))
-    if load > cap:
-        raise ExpansionLimitError(
-            f"expansion needs {load} copies, cap is {cap}"
-        )
+    deps = problem.dependencies()
+    dependent = [e for e, ds in deps.items() if ds]
+    load = (1 << len(universals)) * max(1, len(dependent))
+    if universals and load > cap:
+        raise ExpansionLimitError(f"expansion needs {load} copies, cap is {cap}")
 
     upos = {u: j for j, u in enumerate(universals)}
-    dep_positions = {e: [upos[u] for u in ds] for e, ds in dep_map.items()}
-
-    copy_var: dict[tuple[int, tuple[bool, ...]], int] = {}
-
-    def copy_of(e: int, key: tuple[bool, ...]) -> int:
-        if not key:
-            return e
-        found = copy_var.get((e, key))
-        if found is None:
-            found = store.new_var(f"{store.var_name[e]}@{''.join('1' if b else '0' for b in key)}")
-            copy_var[(e, key)] = found
-        return found
-
+    positions = {e: [upos[u] for u in deps[e]] for e in dependent}
+    copies: dict[tuple[int, tuple[bool, ...]], int] = {}
     conjuncts: list[int] = []
     for bits in product((False, True), repeat=len(universals)):
         mapping = {u: (TRUE if bits[j] else FALSE) for u, j in upos.items()}
-        for e, positions in dep_positions.items():
-            key = tuple(bits[p] for p in positions)
-            mapping[e] = store.var(copy_of(e, key))
+        for e, pos in positions.items():
+            key = tuple(bits[p] for p in pos)
+            copy = copies.get((e, key))
+            if copy is None:
+                copy = store.new_var(f"{store.var_name[e]}@{''.join('1' if b else '0' for b in key)}")
+                copies[(e, key)] = copy
+            mapping[e] = store.var(copy)
         conjuncts.append(store.substitute(problem.matrix, mapping))
-    big = store.and_(conjuncts)
+    matrix = store.and_(conjuncts)
 
-    if big == TRUE:
-        # unconstrained: any Skolem choice works
-        result = SolveResult("sat", Model({}))
-        _fill_tables(result.model, dep_map, copy_var, {})
-        return result
-    if big == FALSE:
-        return SolveResult("unsat")
-
-    clauses, _, num_vars = tseitin(store, big)
-    outcome = sat_solve(clauses, num_vars)
-    if outcome.status != "sat":
-        return outcome
-    values = outcome.model.assignment
-    model = Model({e: values.get(e, False) for e in dep_map if not dep_map[e]})
-    _fill_tables(model, dep_map, copy_var, values)
-    return SolveResult("sat", model, stats=outcome.stats)
-
-
-def _fill_tables(model: Model, dep_map, copy_var, values: dict[int, bool]):
-    for e, ds in dep_map.items():
-        if not ds:
-            continue
-        table: dict[tuple[bool, ...], bool] = {}
-        for bits in product((False, True), repeat=len(ds)):
-            cv = copy_var.get((e, bits))
-            table[bits] = values.get(cv, False) if cv is not None else False
-        model.skolem[e] = SkolemTable(tuple(ds), table)
-
-
-def qbf_solve_expand(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP) -> SolveResult:
-    """Decide a prenex QBF by expanding every universal block."""
-    if not problem.is_qbf_fragment():
-        raise ValueError("problem carries dependency annotations; use dqbf_solve_expand")
-    return _expand_and_solve(problem, cap)
-
-
-def dqbf_solve_expand(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP) -> SolveResult:
-    """Decide a DQBF; copies are shared across non-dependencies."""
-    if not problem.is_dqbf_fragment():
-        raise ValueError("problem has no dependency annotations; use qbf_solve_expand")
-    return _expand_and_solve(problem, cap)
-
-
-def solve_internal(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP) -> SolveResult:
-    """Dispatch on the problem fragment."""
-    if problem.is_dqbf_fragment():
-        return dqbf_solve_expand(problem, cap)
-    if problem.is_sat_fragment():
-        clauses, _, num_vars = tseitin(problem.store, problem.matrix)
-        if problem.matrix == TRUE:
-            return SolveResult("sat", Model({v: False for v in problem.existentials()}))
+    values: dict[int, bool] = {}  # a TRUE matrix leaves every value False
+    stats: dict[str, int] = {}
+    if matrix != TRUE:
+        clauses, _, num_vars = tseitin(store, matrix)
         outcome = sat_solve(clauses, num_vars)
         if outcome.status != "sat":
             return outcome
-        values = outcome.model.assignment
-        return SolveResult(
-            "sat", Model({e: values.get(e, False) for e in problem.existentials()}),
-            stats=outcome.stats,
-        )
-    return qbf_solve_expand(problem, cap)
+        values, stats = outcome.model.assignment, outcome.stats
+    model = Model({e: values.get(e, False) for e, ds in deps.items() if not ds})
+    for e in dependent:
+        table = {key: values.get(copies[(e, key)], False)
+                 for key in product((False, True), repeat=len(deps[e]))}
+        model.skolem[e] = SkolemTable(deps[e], table)
+    return SolveResult("sat", model, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +384,7 @@ def external_solve(problem: QuantifiedProblem, cmd: str) -> SolveResult:
     """
     if "{file}" not in cmd:
         raise ValueError("solver command must contain the {file} placeholder")
-    if problem.is_dqbf_fragment():
+    if problem.deps is not None:
         text, suffix = emit_dqdimacs(problem), ".dqdimacs"
     elif problem.is_sat_fragment():
         text, suffix = emit_dimacs(problem), ".cnf"

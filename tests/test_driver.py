@@ -186,6 +186,13 @@ def test_main_emit_fragment_mismatch(tmp_path):
     assert code == 1
 
 
+def test_main_emit_only_mode_is_usage_error(tmp_path, capsys):
+    # emission is selected by --emit alone; --mode has no emit-only value
+    spec_path = write_spec(tmp_path, ARBITER_DOC)
+    assert main([spec_path, "--mode", "emit-only"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_main_synthesis_external_symbolic_rejected(tmp_path):
     spec_path = write_spec(tmp_path, ARBITER_DOC)
     code = main(

@@ -44,7 +44,6 @@ def test_constant_folding():
     assert s.and_([]) == TRUE
     assert s.or_([]) == FALSE
     assert s.xor2(a, a) == FALSE
-    assert s.ite(TRUE, a, FALSE) == a
 
 
 def _rand_formula(s, rng, var_nodes, depth):
@@ -62,11 +61,9 @@ def _rand_formula(s, rng, var_nodes, depth):
             _rand_formula(s, rng, var_nodes, depth - 1),
             _rand_formula(s, rng, var_nodes, depth - 1),
         )
-    return s.ite(
-        _rand_formula(s, rng, var_nodes, depth - 1),
-        _rand_formula(s, rng, var_nodes, depth - 1),
-        _rand_formula(s, rng, var_nodes, depth - 1),
-    )
+    # if-then-else from three draws: (c and t) or (not c and e)
+    c, t, e = (_rand_formula(s, rng, var_nodes, depth - 1) for _ in range(3))
+    return s.or_([s.and_([c, t]), s.and_([s.not_(c), e])])
 
 
 def test_tseitin_equisatisfiable_and_witnessed():
@@ -266,3 +263,36 @@ def test_problem_validates_binding():
         QuantifiedProblem(s, s.and_([s.var(x), s.var(y)]), [("e", [x])])
     with pytest.raises(ValueError):
         QuantifiedProblem(s, s.var(x), [("e", [x]), ("a", [x])])
+
+    # deps must name exactly the existentials
+    u, e1, e2 = s.new_var("u"), s.new_var("e1"), s.new_var("e2")
+    prefix = [("a", [u]), ("e", [e1, e2])]
+    matrix = s.and_([s.var(e2), s.iff(s.var(e1), s.var(u))])
+    with pytest.raises(ValueError):
+        QuantifiedProblem(s, matrix, prefix, deps={e1: frozenset([u])})
+    with pytest.raises(ValueError):
+        QuantifiedProblem(
+            s, matrix, prefix, deps={e1: frozenset([u]), e2: frozenset(), u: frozenset()}
+        )
+
+
+def test_problem_dependencies():
+    s = Store()
+    e1, u1, e2, u2, e3 = (s.new_var(name) for name in ("e1", "u1", "e2", "u2", "e3"))
+    matrix = s.and_([s.var(v) for v in (e1, u1, e2, u2, e3)])
+    prefix = [("e", [e1]), ("a", [u1]), ("e", [e2]), ("a", [u2]), ("e", [e3])]
+    p = QuantifiedProblem(s, matrix, prefix)
+    assert p.dependencies() == {e1: (), e2: (u1,), e3: (u1, u2)}
+
+    deps = {e1: frozenset([u2, u1]), e2: frozenset(), e3: frozenset([u2])}
+    dq = QuantifiedProblem(s, matrix, prefix, deps=deps)
+    assert dq.dependencies() == {e1: (u1, u2), e2: (), e3: (u2,)}
+
+
+def test_substitute_empty_mapping_is_identity():
+    s = Store()
+    a, b = s.new_var("a"), s.new_var("b")
+    root = s.or_([s.var(a), s.not_(s.var(b))])
+    before = len(s.nodes)
+    assert s.substitute(root, {}) == root
+    assert len(s.nodes) == before

@@ -8,14 +8,7 @@ import pytest
 from ltlsynth.driver import RunConfig, build_problem, make_sides
 from ltlsynth.logic import FALSE, TRUE, QuantifiedProblem, Store, tseitin
 from ltlsynth.ltl import load_spec
-from ltlsynth.solve import (
-    ExpansionLimitError,
-    dqbf_solve_expand,
-    external_solve,
-    qbf_solve_expand,
-    sat_solve,
-    solve_internal,
-)
+from ltlsynth.solve import ExpansionLimitError, external_solve, sat_solve, solve_internal
 from oracles import dpll, eval_qbf_naive
 from suite import arbiter_doc
 
@@ -183,7 +176,7 @@ def _qbf_identity():
 
 def test_qbf_skolem_tracks_universal():
     _, u, e, p = _qbf_identity()
-    result = qbf_solve_expand(p)
+    result = solve_internal(p)
     assert result.status == "sat"
     assert result.model.value_of(e, {u: False}) is False
     assert result.model.value_of(e, {u: True}) is True
@@ -194,7 +187,7 @@ def test_qbf_outer_existential_cannot_match():
     x = s.new_var("x")
     u = s.new_var("u")
     p = QuantifiedProblem(s, s.iff(s.var(x), s.var(u)), [("e", [x]), ("a", [u])])
-    assert qbf_solve_expand(p).status == "unsat"
+    assert solve_internal(p).status == "unsat"
 
 
 def _random_qbf(rng):
@@ -225,15 +218,7 @@ def test_qbf_agrees_with_naive_evaluator():
         expected = eval_qbf_naive(
             prefix, lambda env: s.evaluate(p.matrix, env)
         )
-        assert (qbf_solve_expand(p).status == "sat") == expected
-
-
-def test_qbf_rejects_dqbf_input():
-    s = Store()
-    u, e = s.new_var("u"), s.new_var("e")
-    p = QuantifiedProblem(s, s.var(e), [("a", [u]), ("e", [e])], deps={e: frozenset()})
-    with pytest.raises(ValueError):
-        qbf_solve_expand(p)
+        assert (solve_internal(p).status == "sat") == expected
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +240,9 @@ def _dqbf_two_universals(dep_on):
 
 
 def test_dqbf_respects_dependency_sets():
-    assert dqbf_solve_expand(_dqbf_two_universals("u1")).status == "sat"
+    assert solve_internal(_dqbf_two_universals("u1")).status == "sat"
     # e depends only on u1, so it cannot track u2
-    assert dqbf_solve_expand(_dqbf_two_universals("u2")).status == "unsat"
+    assert solve_internal(_dqbf_two_universals("u2")).status == "unsat"
 
 
 def test_dqbf_linear_dependencies_match_qbf():
@@ -273,7 +258,7 @@ def test_dqbf_linear_dependencies_match_qbf():
                 for v in vs:
                     deps[v] = frozenset(scope)
         dq = QuantifiedProblem(s, p.matrix, prefix, deps=deps)
-        assert dqbf_solve_expand(dq).status == qbf_solve_expand(p).status
+        assert solve_internal(dq).status == solve_internal(p).status
 
 
 def test_expansion_cap():
@@ -285,7 +270,11 @@ def test_expansion_cap():
         s, matrix, [("a", universals), ("e", [e])], deps={e: frozenset(universals)}
     )
     with pytest.raises(ExpansionLimitError):
-        dqbf_solve_expand(p, cap=16)
+        solve_internal(p, cap=16)
+
+    # the cap bounds expansion copies only; a SAT problem has none
+    x = s.new_var("x")
+    assert solve_internal(QuantifiedProblem(s, s.var(x), [("e", [x])]), cap=0).status == "sat"
 
 
 def test_solve_internal_dispatch():
