@@ -280,11 +280,16 @@ def main(argv=None) -> int:
     try:
         cfg.validate()
         spec = load_spec_file(args.spec)
+        sides = make_sides(spec, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"error: specification nested too deeply (Python recursion limit {limit})",
+              file=sys.stderr)
+        return 1
 
-    sides = make_sides(spec, cfg)
     if cfg.dump_ucw:
         _write(cfg.dump_ucw, ucw_to_dot(sides[0].automaton))
 

@@ -10,6 +10,7 @@ which doubles as the DIMACS numbering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 FALSE = 0
 TRUE = 1
@@ -149,56 +150,30 @@ class Store:
 
         return go(root)
 
-    def substitute(self, root: int, mapping: dict[int, int]) -> int:
-        """Rebuild root with variables replaced per mapping (var id -> node id).
+    def _rebuild(self, n: int, i: int, mask: list[int], memo: list) -> int:
+        """Node n rebuilt at expansion index i, kept as memo[n][i & mask[n]].
 
-        Unmapped variables stay themselves.  Constant folding happens on the
-        way up, with early exits through and/or gates.
-        """
-        if not mapping:
-            return root
-        memo: dict[int, int] = {}
-
-        def go(n: int) -> int:
-            r = memo.get(n)
-            if r is not None:
-                return r
-            node = self.nodes[n]
-            tag = node[0]
-            if tag == _CONST:
-                r = n
-            elif tag == _VAR:
-                r = mapping.get(node[1], n)
-            elif tag == _NOT:
-                r = self.not_(go(node[1]))
-            elif tag == _AND:
-                parts = []
-                r = None
-                for c in node[1]:
-                    m = go(c)
-                    if m == FALSE:
-                        r = FALSE
-                        break
-                    parts.append(m)
-                if r is None:
-                    r = self.and_(parts)
-            elif tag == _OR:
-                parts = []
-                r = None
-                for c in node[1]:
-                    m = go(c)
-                    if m == TRUE:
-                        r = TRUE
-                        break
-                    parts.append(m)
-                if r is None:
-                    r = self.or_(parts)
+        An and/or stops at its first absorbing child, as a fresh walk would."""
+        node = self.nodes[n]
+        tag = node[0]
+        stop = FALSE if tag == _AND else TRUE if tag == _OR else None
+        parts = []
+        for c in node[1] if stop is not None else node[1:]:
+            r = memo[c].get(i & mask[c])
+            if r is None:
+                r = self._rebuild(c, i, mask, memo)
+            if r == stop:
+                break
+            parts.append(r)
+        else:
+            if tag == _NOT:
+                r = self.not_(parts[0])
+            elif tag == _XOR:
+                r = self.xor2(parts[0], parts[1])
             else:
-                r = self.xor2(go(node[1]), go(node[2]))
-            memo[n] = r
-            return r
-
-        return go(root)
+                r = self._gate(tag, parts)
+        memo[n][i & mask[n]] = r
+        return r
 
     def reachable(self, root: int) -> list[int]:
         """All node ids in root's cone, each once, children before parents."""
@@ -344,6 +319,67 @@ class QuantifiedProblem:
                 for e in vs:
                     out[e] = frozen
         return out
+
+    def expand(self) -> tuple[int, dict[tuple[int, tuple[bool, ...]], int]]:
+        """The matrix conjoined over every assignment of the universals.
+
+        Each dependent existential e is replaced by one fresh variable per
+        assignment `key` of its dependencies, returned as copies[(e, key)].
+        Index i sets universal j to bit m-1-j of i, so i counts in
+        itertools.product order; a copy is made at the first i showing its
+        key.  The rebuild of node n at i depends only on i & mask[n], the
+        bits of the universals in n's cone, so it is made once per such
+        projection.  A repeated rebuild would create no node (hash-consing),
+        so the store ends exactly as if the matrix were rebuilt for every
+        i.  A node's memo is cleared when the bits above its highest
+        universal outside the cone change: its projections never recur.
+        """
+        store, root = self.store, self.matrix
+        universals = self.universals()
+        if not universals:
+            return root, {}
+        m = len(universals)
+        bit = {u: 1 << (m - 1 - j) for j, u in enumerate(universals)}
+        deps = self.dependencies()
+        emask = {e: sum(bit[u] for u in ds) for e, ds in deps.items() if ds}
+        mask = [0] * len(store.nodes)
+        memo: list = [None] * len(store.nodes)
+        # resets[h]: the memos to clear at each i whose lowest set bit is h-1
+        resets: list[list[dict]] = [[] for _ in range(m + 1)]
+        first: dict[int, list] = {}  # index -> the (dependent, key) pairs it shows first
+        for e in emask:
+            memo[store.var(e)] = {}  # filled as copies are made
+            for key in product((False, True), repeat=len(deps[e])):
+                first.setdefault(sum(bit[u] for u, b in zip(deps[e], key) if b), []).append((e, key))
+        for n in store.reachable(root):
+            node = store.nodes[n]
+            if node[0] == _VAR:
+                v = node[1]
+                mask[n] = bit.get(v, emask.get(v, 0))
+                if v not in emask:
+                    memo[n] = {0: n} if v not in bit else {0: FALSE, bit[v]: TRUE}
+            elif node[0] == _CONST:
+                memo[n] = {0: n}
+            else:
+                for c in node[1] if node[0] in (_AND, _OR) else node[1:]:
+                    mask[n] |= mask[c]
+                memo[n] = {}
+                shift = ((1 << m) - 1 & ~mask[n]).bit_length()
+                for h in range(shift + 1, m + 1):
+                    resets[h].append(memo[n])
+
+        copies: dict[tuple[int, tuple[bool, ...]], int] = {}
+        conjuncts: list[int] = []
+        for i in range(1 << m):
+            for table in resets[(i & -i).bit_length()]:
+                table.clear()
+            for e, key in first.get(i, ()):
+                copy = store.new_var(f"{store.var_name[e]}@{''.join('1' if b else '0' for b in key)}")
+                copies[(e, key)] = copy
+                memo[store.var(e)][i] = store.var(copy)
+            r = memo[root].get(i & mask[root])
+            conjuncts.append(store._rebuild(root, i, mask, memo) if r is None else r)
+        return store.and_(conjuncts), copies
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ with one index.  The order heap holds each variable's current
 (-activity, var) entry at most once: backtracking re-pushes only the
 variables without one, and entries left behind by bumps are dropped when
 popped.  `solve_internal` decides every fragment by full universal
-expansion: every existential is copied once per assignment of exactly its
-dependency set, the universals are substituted through the matrix, and the
-conjunction over all universal assignments goes to the SAT core.  A SAT
-problem is the case with no universals: its one copy is the matrix itself.
-Skolem tables fall out of the copies directly.
+expansion (`QuantifiedProblem.expand`): every existential is copied once
+per assignment of exactly its dependency set, and the conjunction of the
+matrix over all universal assignments goes to the SAT core.  Each subterm
+is rebuilt once per assignment of the universals in its own cone, and the
+result is identical, node for node, to substituting every full assignment
+into the matrix.  A SAT problem is the case with no universals: its one
+copy is the matrix itself.  Skolem tables fall out of the copies directly.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 from itertools import islice, product
 
 from .logic import (
-    FALSE,
     TRUE,
     QuantifiedProblem,
     emit_dimacs,
@@ -339,21 +340,7 @@ def solve_internal(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP)
     if universals and load > cap:
         raise ExpansionLimitError(f"expansion needs {load} copies, cap is {cap}")
 
-    upos = {u: j for j, u in enumerate(universals)}
-    positions = {e: [upos[u] for u in deps[e]] for e in dependent}
-    copies: dict[tuple[int, tuple[bool, ...]], int] = {}
-    conjuncts: list[int] = []
-    for bits in product((False, True), repeat=len(universals)):
-        mapping = {u: (TRUE if bits[j] else FALSE) for u, j in upos.items()}
-        for e, pos in positions.items():
-            key = tuple(bits[p] for p in pos)
-            copy = copies.get((e, key))
-            if copy is None:
-                copy = store.new_var(f"{store.var_name[e]}@{''.join('1' if b else '0' for b in key)}")
-                copies[(e, key)] = copy
-            mapping[e] = store.var(copy)
-        conjuncts.append(store.substitute(problem.matrix, mapping))
-    matrix = store.and_(conjuncts)
+    matrix, copies = problem.expand()
 
     values: dict[int, bool] = {}  # a TRUE matrix leaves every value False
     stats: dict[str, int] = {}

@@ -1,4 +1,5 @@
-"""Independent test oracles: LTL lasso semantics, aag simulation, naive QBF.
+"""Independent test oracles: LTL lasso semantics, aag simulation, naive QBF,
+eager universal expansion.
 
 Everything here is deliberately decoupled from the package's own
 algorithms so tests cross-check rather than self-confirm.
@@ -6,9 +7,11 @@ algorithms so tests cross-check rather than self-confirm.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from ltlsynth import ltl
+from ltlsynth.logic import _AND, _CONST, _NOT, _VAR, _XOR, FALSE, TRUE
 from ltlsynth.ltl import LtlFormula
 
 
@@ -284,3 +287,69 @@ def dpll(clauses: list[list[int]]) -> dict[int, bool] | None:
     if solve(clauses):
         return assign
     return None
+
+
+# ---------------------------------------------------------------------------
+# Eager universal expansion: one full rebuild of the matrix per assignment
+
+
+def eager_expand(problem):
+    """(expanded root, copies) by substituting every universal assignment.
+
+    The reference for `QuantifiedProblem.expand`: the same copy
+    allocation order and names, and a memo that lives for one assignment
+    only, so every node is rebuilt once per full assignment.  With no
+    universals the final and_ can intern the matrix's negation, which
+    `expand` skips by returning the matrix itself.
+    """
+    store = problem.store
+    universals = problem.universals()
+    deps = problem.dependencies()
+    upos = {u: j for j, u in enumerate(universals)}
+    positions = {e: [upos[u] for u in ds] for e, ds in deps.items() if ds}
+    copies = {}
+    conjuncts = []
+    for bits in itertools.product((False, True), repeat=len(universals)):
+        mapping = {u: (TRUE if bits[j] else FALSE) for u, j in upos.items()}
+        for e, pos in positions.items():
+            key = tuple(bits[p] for p in pos)
+            copy = copies.get((e, key))
+            if copy is None:
+                name = "".join("1" if b else "0" for b in key)
+                copy = copies[(e, key)] = store.new_var(f"{store.var_name[e]}@{name}")
+            mapping[e] = store.var(copy)
+        conjuncts.append(_substitute(store, problem.matrix, mapping) if mapping else problem.matrix)
+    return store.and_(conjuncts), copies
+
+
+def _substitute(store, root, mapping):
+    """root with variables replaced per mapping; and/or stop at an absorbing child."""
+    memo = {}
+
+    def go(n):
+        if n in memo:
+            return memo[n]
+        node = store.nodes[n]
+        tag = node[0]
+        if tag == _CONST:
+            r = n
+        elif tag == _VAR:
+            r = mapping.get(node[1], n)
+        elif tag == _NOT:
+            r = store.not_(go(node[1]))
+        elif tag == _XOR:
+            r = store.xor2(go(node[1]), go(node[2]))
+        else:
+            r = FALSE if tag == _AND else TRUE  # the absorbing value
+            parts = []
+            for c in node[1]:
+                m = go(c)
+                if m == r:
+                    break
+                parts.append(m)
+            else:
+                r = store.and_(parts) if tag == _AND else store.or_(parts)
+        memo[n] = r
+        return r
+
+    return go(root)

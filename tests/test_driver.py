@@ -249,3 +249,13 @@ def test_main_synthesis_dot_output(tmp_path):
     code = main([spec_path, "--mode", "synthesis", "--format", "dot", "--output", out])
     assert code == 10
     assert "digraph" in open(out).read()
+
+
+@pytest.mark.parametrize("guarantee", ["X " * 1200 + "o", " && ".join(["o"] * 3000)],
+                         ids=["nested_next", "long_conjunction"])
+def test_main_deeply_nested_spec_is_input_error(tmp_path, capsys, guarantee):
+    doc = {"semantics": "moore", "inputs": ["i"], "outputs": ["o"], "guarantees": [guarantee]}
+    assert main([write_spec(tmp_path, doc), "--max-bound", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: specification nested too deeply (")

@@ -289,10 +289,10 @@ def test_problem_dependencies():
     assert dq.dependencies() == {e1: (u1, u2), e2: (), e3: (u2,)}
 
 
-def test_substitute_empty_mapping_is_identity():
+def test_expand_without_universals_is_identity():
     s = Store()
     a, b = s.new_var("a"), s.new_var("b")
     root = s.or_([s.var(a), s.not_(s.var(b))])
     before = len(s.nodes)
-    assert s.substitute(root, {}) == root
+    assert QuantifiedProblem(s, root, [("e", [a, b])]).expand() == (root, {})
     assert len(s.nodes) == before

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import pickle
 import random
 import sys
 
@@ -9,7 +11,7 @@ from ltlsynth.driver import RunConfig, build_problem, make_sides
 from ltlsynth.logic import FALSE, TRUE, QuantifiedProblem, Store, tseitin
 from ltlsynth.ltl import load_spec
 from ltlsynth.solve import ExpansionLimitError, external_solve, sat_solve, solve_internal
-from oracles import dpll, eval_qbf_naive
+from oracles import dpll, eager_expand, eval_qbf_naive
 from suite import arbiter_doc
 
 STUB = f"{sys.executable} {os.path.join(os.path.dirname(__file__), 'external_stub.py')} {{file}}"
@@ -275,6 +277,55 @@ def test_expansion_cap():
     # the cap bounds expansion copies only; a SAT problem has none
     x = s.new_var("x")
     assert solve_internal(QuantifiedProblem(s, s.var(x), [("e", [x])]), cap=0).status == "sat"
+
+
+def _assert_expands_like_eager(problem):
+    blob = pickle.dumps(problem)
+    ours, ref = pickle.loads(blob), pickle.loads(blob)
+    assert ours.expand() == eager_expand(ref)  # expanded root and copy map
+    assert ours.store.nodes == ref.store.nodes
+    assert ours.store.var_name == ref.store.var_name
+
+
+def test_expansion_matches_eager_on_arbiters():
+    for k, encoding, bounds in ((2, "state", (1, 2)), (2, "full", (1, 2)), (3, "state", (1, 2, 3))):
+        spec = load_spec(json.dumps(arbiter_doc(k)))
+        side = make_sides(spec, RunConfig(counter_strategy="off"))[0]
+        for n in bounds:
+            problem, _ = build_problem(side, n, RunConfig(encoding=encoding))
+            assert problem.universals()
+            _assert_expands_like_eager(problem)
+
+
+def test_expansion_matches_eager_on_random_problems():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 20:
+        s, vids, prefix, p = _random_qbf(rng)
+        if not p.universals():
+            continue  # see test_expand_without_universals_is_identity
+        if checked % 2:
+            universals = p.universals()
+            deps = {
+                e: frozenset(u for u in universals if rng.random() < 0.5)
+                for e in p.existentials()
+            }
+            p = QuantifiedProblem(s, p.matrix, prefix, deps=deps)
+        _assert_expands_like_eager(p)
+        checked += 1
+
+
+def test_expansion_leaves_no_cyclic_garbage():
+    _, _, _, qbf = _qbf_identity()
+    problems = [qbf, _dqbf_two_universals("u1")]
+    gc.collect()
+    gc.disable()
+    try:
+        for p in problems:
+            assert solve_internal(p).status == "sat"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_solve_internal_dispatch():
