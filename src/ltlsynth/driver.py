@@ -100,6 +100,9 @@ class SearchOutcome:
     status: str  # 'realizable' | 'unrealizable' | 'undetermined'
     bound: int | None = None
     system: TransitionSystem | None = None
+    # the first unknown attempt's reason: why an undetermined search found
+    # no verdict, or why --minimize stopped above the least bound it could show
+    detail: str = ""
 
 
 def build_problem(
@@ -124,21 +127,19 @@ def _solve(problem: QuantifiedProblem, cfg: RunConfig) -> SolveResult:
 
 def _attempt(
     side: SideProblem, n: int, cfg: RunConfig, want_system: bool
-) -> TransitionSystem | bool | None:
-    """None on unsat/unknown; the extracted system (or True) on sat."""
+) -> tuple[SolveResult, TransitionSystem | None]:
+    """The solver's result and, on sat when want_system, the verified system."""
     problem, directory = build_problem(side, n, cfg)
     result = _solve(problem, cfg)
-    if result.status != "sat":
-        return None
-    if not want_system:
-        return True
+    if result.status != "sat" or not want_system:
+        return result, None
     ts = extract(result.model, directory, side.inputs, side.outputs)
     counterexample = model_check(ts, side.automaton)
     if counterexample is not None:
         raise RuntimeError(
             f"extracted {side.role} system fails verification; encoder bug"
         )
-    return ts
+    return result, ts
 
 
 def make_sides(spec: SynthSpec, cfg: RunConfig) -> list[SideProblem]:
@@ -180,35 +181,46 @@ def _bounds(cfg: RunConfig) -> list[int]:
 
 
 def _minimized(side: SideProblem, found: int, cfg: RunConfig, want_system: bool):
-    """Walk the bound down linearly while the instance stays satisfiable."""
-    best_bound = found
-    best = None
+    """Walk the bound down linearly while the instance stays satisfiable.
+
+    Returns the least satisfiable bound seen, its system (None if only
+    `found` was), and, when the walk stopped at an unknown rather than an
+    unsat attempt, that attempt's reason."""
+    best_bound, best = found, None
     for n in range(found - 1, 0, -1):
-        won = _attempt(side, n, cfg, want_system)
-        if won is None:
+        result, ts = _attempt(side, n, cfg, want_system)
+        if result.status == "unknown":
+            return best_bound, best, f"bound {n}: {result.detail}"
+        if result.status != "sat":
             break
-        best_bound = n
-        best = won
-    return best_bound, best
+        best_bound, best = n, ts
+    return best_bound, best, ""
 
 
 def search_realizability(sides: list[SideProblem], cfg: RunConfig) -> SearchOutcome:
-    """Fair alternation over bounds between the sides built by make_sides."""
+    """Fair alternation over bounds between the sides built by make_sides.
+
+    An unknown attempt does not stop the search; a later attempt may still
+    decide.  The first unknown's reason is kept for an undetermined outcome.
+    """
     want_system = cfg.mode == "synthesis"
+    unknown = ""
     for n in _bounds(cfg):
         for side in sides:
-            won = _attempt(side, n, cfg, want_system)
-            if won is None:
+            result, ts = _attempt(side, n, cfg, want_system)
+            if result.status == "unknown":
+                unknown = unknown or result.detail
                 continue
-            bound = n
+            if result.status != "sat":
+                continue
+            bound, detail = n, ""
             if cfg.minimize:
-                bound, better = _minimized(side, n, cfg, want_system)
+                bound, better, detail = _minimized(side, n, cfg, want_system)
                 if better is not None:
-                    won = better
+                    ts = better
             status = "realizable" if side.role == "system" else "unrealizable"
-            ts = won if isinstance(won, TransitionSystem) else None
-            return SearchOutcome(status, bound, ts)
-    return SearchOutcome("undetermined")
+            return SearchOutcome(status, bound, ts, detail)
+    return SearchOutcome("undetermined", detail=unknown)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +323,15 @@ def main(argv=None) -> int:
         return 2
 
     if outcome.status == "undetermined":
-        print("UNKNOWN")
+        print(f"UNKNOWN ({outcome.detail})" if outcome.detail else "UNKNOWN")
         return 0
     if outcome.status == "realizable":
         print(f"REALIZABLE (bound {outcome.bound})")
     else:
         print(f"UNREALIZABLE (environment bound {outcome.bound})")
+    if outcome.detail:
+        print(f"note: --minimize stopped at an unknown attempt ({outcome.detail}); "
+              f"bound {outcome.bound} may not be least", file=sys.stderr)
     if cfg.mode == "synthesis" and outcome.system is not None:
         text = to_aiger(outcome.system) if cfg.fmt == "aag" else to_dot(outcome.system)
         _write(cfg.output, text)

@@ -72,6 +72,13 @@ class Store:
             return node[1]
         return self._mk((_NOT, f))
 
+    def _complement(self, f: int) -> int | None:
+        """not_(f) if that node exists already, else None; creates nothing."""
+        node = self.nodes[f]
+        if node[0] == _NOT:
+            return node[1]
+        return self._intern.get((_NOT, f))
+
     def _gate(self, tag: str, children) -> int:
         absorbing = FALSE if tag == _AND else TRUE
         neutral = TRUE if tag == _AND else FALSE
@@ -82,7 +89,7 @@ class Store:
                 return absorbing
             if c == neutral or c in seen:
                 continue
-            if self.not_(c) in seen:
+            if self._complement(c) in seen:
                 return absorbing
             seen.add(c)
             kept.append(c)
@@ -386,25 +393,53 @@ class QuantifiedProblem:
 # Tseitin conversion
 
 
-def tseitin(store: Store, root: int) -> tuple[list[list[int]], dict[int, int], int]:
-    """Equisatisfiable CNF with full biconditional definitions.
+def tseitin(
+    store: Store, root: int, one_sided: bool = False
+) -> tuple[list[list[int]], dict[int, int], int]:
+    """Equisatisfiable CNF with full or one-sided definitions.
 
     Returns (clauses, node->literal map, total variable count).  Original
     variables keep their numbers; each internal and/or/xor node gets a
     fresh definition variable above them.  Not nodes become negated
     literals.  A constant root yields the trivial or the empty clause.
+
+    By default each definition is a full biconditional, t <-> node, as the
+    emitted files carry it.  With one_sided, a node gets only the half its
+    polarity in the formula needs (Plaisted and Greenbaum, 1986): t -> node
+    where it occurs positively, node -> t where it occurs negatively, both
+    below a xor.  Variable numbering is the same either way, and a model of
+    the one-sided CNF, restricted to the store's variables, satisfies root.
     """
     if root == TRUE:
         return [], {root: 0}, store.num_vars
     if root == FALSE:
         return [[]], {root: 0}, store.num_vars
 
+    nodes = store.nodes
+    order = store.reachable(root)
+    # polarity bits: 1 where a node occurs positively, 2 negatively
+    pol = None
+    if one_sided:
+        pol = {root: 1}
+        for n in reversed(order):  # parents before children
+            node = nodes[n]
+            tag = node[0]
+            p = pol[n]
+            if tag == _NOT:
+                c = node[1]
+                pol[c] = pol.get(c, 0) | (p & 1) << 1 | p >> 1
+            elif tag == _AND or tag == _OR:
+                for c in node[1]:
+                    pol[c] = pol.get(c, 0) | p
+            elif tag == _XOR:
+                pol[node[1]] = pol[node[2]] = 3
+
     lit: dict[int, int] = {}
     clauses: list[list[int]] = []
     next_var = store.num_vars
 
-    for n in store.reachable(root):
-        node = store.nodes[n]
+    for n in order:
+        node = nodes[n]
         tag = node[0]
         if tag == _CONST:
             raise AssertionError("constants fold away below the root")
@@ -417,22 +452,29 @@ def tseitin(store: Store, root: int) -> tuple[list[list[int]], dict[int, int], i
         next_var += 1
         t = next_var
         lit[n] = t
+        p = 3 if pol is None else pol[n]
         if tag == _AND:
             kids = [lit[c] for c in node[1]]
-            for k in kids:
-                clauses.append([-t, k])
-            clauses.append([t] + [-k for k in kids])
+            if p & 1:
+                for k in kids:
+                    clauses.append([-t, k])
+            if p & 2:
+                clauses.append([t] + [-k for k in kids])
         elif tag == _OR:
             kids = [lit[c] for c in node[1]]
-            for k in kids:
-                clauses.append([t, -k])
-            clauses.append([-t] + kids)
+            if p & 2:
+                for k in kids:
+                    clauses.append([t, -k])
+            if p & 1:
+                clauses.append([-t] + kids)
         else:  # xor
             a, b = lit[node[1]], lit[node[2]]
-            clauses.append([-t, a, b])
-            clauses.append([-t, -a, -b])
-            clauses.append([t, a, -b])
-            clauses.append([t, -a, b])
+            if p & 1:
+                clauses.append([-t, a, b])
+                clauses.append([-t, -a, -b])
+            if p & 2:
+                clauses.append([t, a, -b])
+                clauses.append([t, -a, b])
 
     clauses.append([lit[root]])
     return clauses, lit, next_var

@@ -4,13 +4,20 @@ The SAT core is a conflict-driven solver with two watched literals per
 clause, first-UIP learning, VSIDS-style activities with phase saving, and
 Luby restarts.  Values are kept per encoded literal (one bytearray
 entry for v and one for -v), so the watch loop reads a literal's value
-with one index.  The order heap holds each variable's current
+with one index.  A binary clause, loaded or learnt, lives only in the
+watch lists: each of its two literals lists the other one (as in MiniSat
+2.2 and Glucose), so visiting it reads one value and loads no clause.
+It never moves its watches, and when it is read as a reason or a
+conflict its literals come in the order a stored copy would have then,
+so the search is step for step that of a solver storing every clause.
+The order heap holds each variable's current
 (-activity, var) entry at most once: backtracking re-pushes only the
 variables without one, and entries left behind by bumps are dropped when
 popped.  `solve_internal` decides every fragment by full universal
 expansion (`QuantifiedProblem.expand`): every existential is copied once
 per assignment of exactly its dependency set, and the conjunction of the
-matrix over all universal assignments goes to the SAT core.  Each subterm
+matrix over all universal assignments goes to the SAT core as a CNF with
+one-sided Tseitin definitions.  Each subterm
 is rebuilt once per assignment of the universals in its own cone, and the
 result is identical, node for node, to substituting every full assignment
 into the matrix.  A SAT problem is the case with no universals: its one
@@ -88,11 +95,15 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
     # encoded literals: 2v for v, 2v+1 for -v; val[el]: 0 unknown, 1 true, 2 false
     val = bytearray(2 * nv + 2)
     level = [0] * (nv + 1)
+    # reason[v]: -1 for decisions and units, ci >= 0 for the long clause
+    # db[ci], ~el for the binary clause (v's true literal, el)
     reason = [-1] * (nv + 1)
     trail: list[int] = []
     trail_lim: list[int] = []
     qhead = 0
-    db: list[list[int]] = []
+    db: list[list[int]] = []  # clauses of three or more literals
+    # watches[el]: ci >= 0 for the long clause db[ci], ~other for the
+    # binary clause (el, other); both kinds share one list in watch order
     watches: list[list[int]] = [[] for _ in range(2 * nv + 2)]
     activity = [0.0] * (nv + 1)
     var_inc = 1.0
@@ -131,6 +142,10 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
         if len(cls) == 1:
             units.append(cls[0])
             continue
+        if len(cls) == 2:
+            watches[cls[0]].append(~cls[1])
+            watches[cls[1]].append(~cls[0])
+            continue
         db.append(cls)
         watches[cls[0]].append(len(db) - 1)
         watches[cls[1]].append(len(db) - 1)
@@ -140,12 +155,14 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
         if val[el] == 0:
             assign(el, -1)
 
-    def propagate() -> int:
-        """Index of a falsified clause, or -1 once the trail is propagated."""
+    def propagate() -> list[int] | None:
+        """The literals of a falsified clause, or None once the trail is
+        propagated.  A long clause keeps the literal it is visited through
+        at index 1; a binary clause never moves its watches."""
         nonlocal qhead, propagations
         head = qhead
         lvl = len(trail_lim)
-        confl = -1
+        confl = None
         while head < len(trail):
             fl = trail[head] ^ 1
             head += 1
@@ -154,6 +171,23 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
             k = 0  # watches of fl visited
             for ci in ws:
                 k += 1
+                if ci < 0:  # binary clause (fl, first)
+                    kept.append(ci)
+                    first = ~ci
+                    fv = val[first]
+                    if fv == 1:
+                        continue
+                    if fv == 2:
+                        kept.extend(ws[k:])
+                        confl = [first, fl]
+                        break
+                    val[first] = 1
+                    val[first ^ 1] = 2
+                    var = first >> 1
+                    level[var] = lvl
+                    reason[var] = ~fl
+                    trail.append(first)
+                    continue
                 cls = db[ci]
                 first = cls[0]
                 if first == fl:
@@ -178,7 +212,7 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
                     kept.append(ci)
                     if fv == 2:
                         kept.extend(ws[k:])
-                        confl = ci
+                        confl = cls
                         break
                     val[first] = 1
                     val[first ^ 1] = 2
@@ -187,7 +221,7 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
                     reason[var] = ci
                     trail.append(first)
             watches[fl] = kept
-            if confl >= 0:
+            if confl is not None:
                 break
         propagations += head - qhead
         qhead = head
@@ -204,17 +238,17 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
         for v in range(1, nv + 1):
             in_heap[v] = not val[2 * v]
 
-    def analyze(confl: int) -> tuple[list[int], int]:
+    def analyze(confl: list[int]) -> tuple[list[int], int]:
         learnt = [0]  # slot 0 takes the asserting literal
         counter = 0
         idx = len(trail) - 1
         cur = len(trail_lim)
         pvar = 0
-        ci = confl
+        cls = confl
         while True:
             # pvar stays marked while its reason is read, so the reason's
             # first literal (pvar's own) is skipped
-            for q in db[ci]:
+            for q in cls:
                 var = q >> 1
                 if not seen[var] and level[var] > 0:
                     seen[var] = 1
@@ -239,6 +273,7 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
             if counter == 0:
                 break
             ci = reason[pvar]
+            cls = db[ci] if ci >= 0 else [p, ~ci]
         learnt[0] = p ^ 1
         for q in learnt:
             seen[q >> 1] = 0
@@ -283,7 +318,7 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
 
     while True:
         confl = propagate()
-        if confl >= 0:
+        if confl is not None:
             conflicts += 1
             if max_conflicts is not None and conflicts > max_conflicts:
                 return result("unknown", detail="conflict budget exhausted")
@@ -294,6 +329,10 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
             cancel_until(back)
             if len(learnt) == 1:
                 assign(learnt[0], -1)
+            elif len(learnt) == 2:
+                watches[learnt[0]].append(~learnt[1])
+                watches[learnt[1]].append(~learnt[0])
+                assign(learnt[0], ~learnt[1])
             else:
                 db.append(learnt)
                 watches[learnt[0]].append(len(db) - 1)
@@ -329,15 +368,15 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
 def solve_internal(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP) -> SolveResult:
     """Decide a SAT, QBF or DQBF problem by expanding its universals.
 
-    Raises ExpansionLimitError when the problem has universals and the
-    copies would exceed cap.
+    Raises ExpansionLimitError when the copies of the dependent
+    existentials, one per assignment of each one's dependency set, would
+    exceed cap.  The CNF carries one-sided definitions (see `tseitin`).
     """
     store = problem.store
-    universals = problem.universals()
     deps = problem.dependencies()
     dependent = [e for e, ds in deps.items() if ds]
-    load = (1 << len(universals)) * max(1, len(dependent))
-    if universals and load > cap:
+    load = sum(1 << len(deps[e]) for e in dependent)
+    if load > cap:
         raise ExpansionLimitError(f"expansion needs {load} copies, cap is {cap}")
 
     matrix, copies = problem.expand()
@@ -345,7 +384,7 @@ def solve_internal(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP)
     values: dict[int, bool] = {}  # a TRUE matrix leaves every value False
     stats: dict[str, int] = {}
     if matrix != TRUE:
-        clauses, _, num_vars = tseitin(store, matrix)
+        clauses, _, num_vars = tseitin(store, matrix, one_sided=True)
         outcome = sat_solve(clauses, num_vars)
         if outcome.status != "sat":
             return outcome
@@ -390,10 +429,9 @@ def external_solve(problem: QuantifiedProblem, cmd: str) -> SolveResult:
         if proc.returncode == 20:
             return SolveResult("unsat")
         if proc.returncode != 10:
-            return SolveResult(
-                "unknown",
-                detail=f"exit code {proc.returncode}; stderr: {proc.stderr.strip()}",
-            )
+            stderr = proc.stderr.strip()
+            detail = f"exit code {proc.returncode}" + (f"; stderr: {stderr}" if stderr else "")
+            return SolveResult("unknown", detail=detail)
         assignment: dict[int, bool] = {}
         for line in proc.stdout.splitlines():
             if not line.startswith("v"):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ltlsynth import driver
 from ltlsynth.driver import (
     RunConfig,
     main,
@@ -11,6 +12,7 @@ from ltlsynth.driver import (
 )
 from ltlsynth.ltl import load_spec
 from ltlsynth.logic import read_dimacs
+from ltlsynth.solve import SolveResult
 from ltlsynth.verify import model_check
 from oracles import simulate_aag
 from suite import arbiter_doc, by_name, search
@@ -110,7 +112,7 @@ def test_determinacy_system_and_environment_never_both_win():
         sides = make_sides(bench.spec, cfg)
         for n in (1, 2):
             wins = [
-                _attempt(side, n, cfg, want_system=False) is not None for side in sides
+                _attempt(side, n, cfg, want_system=False)[0].status == "sat" for side in sides
             ]
             assert not all(wins), (bench.name, n)
 
@@ -232,6 +234,64 @@ def test_main_undetermined_prints_unknown(tmp_path, capsys):
     code = main([spec_path, "--max-bound", "1"])
     assert code == 0
     assert "UNKNOWN" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd, reason", [
+    ("false {file}", "exit code 1"),
+    ("/nonexistent/solver {file}", "spawn failed: "),
+], ids=["solver_fails", "solver_missing"])
+def test_main_solver_unknown_prints_reason(tmp_path, capsys, cmd, reason):
+    doc = {"semantics": "moore", "inputs": ["i"], "outputs": ["o"], "guarantees": ["G o"]}
+    code = main([write_spec(tmp_path, doc), "--encoding", "basic", "--solver-cmd", cmd])
+    assert code == 0
+    assert capsys.readouterr().out.startswith(f"UNKNOWN ({reason}")
+
+
+def test_unknown_does_not_end_the_search(monkeypatch):
+    """An unknown attempt is no unsat: the search goes on, and the reason
+    is kept only when nothing decides."""
+    bounds = []
+    monkeypatch.setattr(driver, "build_problem", _recording(driver.build_problem, bounds))
+    real_solve = driver._solve
+
+    def unknown_at(n):
+        def solve(problem, cfg):
+            if bounds[-1] == n:
+                return SolveResult("unknown", detail=f"no verdict at {n}")
+            return real_solve(problem, cfg)
+        return solve
+
+    spec = by_name("blinker").spec  # least bound 2
+    monkeypatch.setattr(driver, "_solve", unknown_at(2))
+    outcome = search(spec, RunConfig(counter_strategy="off", search="linear", max_bound=3))
+    assert (outcome.status, outcome.bound, outcome.detail) == ("realizable", 3, "")
+    outcome = search(spec, RunConfig(counter_strategy="off", search="linear", max_bound=2))
+    assert (outcome.status, outcome.detail) == ("undetermined", "no verdict at 2")
+
+
+def test_minimize_stops_at_unknown(tmp_path, monkeypatch, capsys):
+    """The walk down from bound 4 meets an unknown at 3: bound 4 stands, with
+    the reason on stderr, and bound 2 (unsat) is never tried."""
+    bounds = []
+    monkeypatch.setattr(driver, "build_problem", _recording(driver.build_problem, bounds))
+    real_solve = driver._solve
+    monkeypatch.setattr(driver, "_solve", lambda problem, cfg: (
+        SolveResult("unknown", detail="budget") if bounds[-1] == 3 else real_solve(problem, cfg)))
+    doc = {"semantics": "moore", "inputs": ["i"], "outputs": ["o"],
+           "guarantees": ["G (o -> X (! o && X ! o))", "G F o"]}  # least bound 3
+    code = main([write_spec(tmp_path, doc), "--counter-strategy", "off", "--minimize"])
+    assert code == 10
+    out, err = capsys.readouterr()
+    assert out == "REALIZABLE (bound 4)\n"
+    assert "(bound 3: budget); bound 4 may not be least" in err
+    assert bounds == [1, 2, 4, 3]
+
+
+def _recording(build, bounds):
+    def recorded(side, n, cfg):
+        bounds.append(n)
+        return build(side, n, cfg)
+    return recorded
 
 
 def test_main_three_client_arbiter_builds_environment_side(tmp_path, capsys):

@@ -1,0 +1,62 @@
+"""Byte gate: the emitted DIMACS/QDIMACS/DQDIMACS text of every pinned case.
+
+Each case is encoded through the driver's dispatch and emitted in the format
+its fragment needs; the SHA-256 of the text must match `emit_digests.json`.
+The digests pin the output of full biconditional Tseitin definitions, so a
+change to node construction, encoding or Tseitin that moves a byte fails
+here, naming the case.  Regenerate the file only for an intended change:
+
+    PYTHONPATH=src:tests python tests/test_emit_bytes.py > tests/emit_digests.json
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+from ltlsynth.driver import RunConfig, build_problem, make_sides
+from ltlsynth.ltl import load_spec
+from ltlsynth.logic import emit_dimacs, emit_dqdimacs, emit_qdimacs
+from suite import SUITE, arbiter_doc
+
+DIGESTS = os.path.join(os.path.dirname(__file__), "emit_digests.json")
+EMITTERS = {"basic": emit_dimacs, "input": emit_qdimacs, "state": emit_dqdimacs,
+            "full": emit_dqdimacs}
+
+
+def _cases():
+    """(case name, side, bound) for every suite spec on both sides at n = 1..3,
+    and for arbiter k = 2, 3 with the counter strategy off at n = 2, 3."""
+    for bench in SUITE:
+        for side in make_sides(bench.spec, RunConfig()):
+            for n in (1, 2, 3):
+                yield f"{bench.name}/{side.role}", side, n
+    for k in (2, 3):
+        spec = load_spec(json.dumps(arbiter_doc(k)))
+        [side] = make_sides(spec, RunConfig(counter_strategy="off"))
+        for n in (2, 3):
+            yield f"arbiter{k}/{side.role}", side, n
+
+
+def digests() -> dict[str, str]:
+    out = {}
+    for name, side, n in _cases():
+        for encoding, emitter in EMITTERS.items():
+            problem, _ = build_problem(side, n, RunConfig(encoding=encoding))
+            text = emitter(problem)
+            out[f"{name}/{encoding}/n{n}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_emitted_bytes_match_pinned_digests():
+    with open(DIGESTS, encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    ours = digests()
+    assert ours.keys() == pinned.keys()
+    moved = [case for case in ours if ours[case] != pinned[case]]
+    assert not moved, f"emitted bytes changed for {len(moved)} case(s): {', '.join(moved)}"
+
+
+if __name__ == "__main__":
+    json.dump(digests(), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

@@ -1,8 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from ltlsynth.driver import RunConfig, build_problem, make_sides
+from ltlsynth.ltl import load_spec
 from ltlsynth.logic import (
     FALSE,
     TRUE,
@@ -19,7 +22,9 @@ from ltlsynth.logic import (
     read_dimacs,
     tseitin,
 )
+from ltlsynth.solve import sat_solve
 from oracles import dpll
+from suite import arbiter_doc
 
 
 def test_hash_consing_shares_nodes():
@@ -122,6 +127,73 @@ def test_tseitin_evaluation_agreement_with_witness_extension():
                 full[abs(l)] = s.evaluate(node, assignment) == (l > 0)
             ok = all(any((full[abs(x)]) == (x > 0) for x in c) for c in clauses)
             assert ok == s.evaluate(root, assignment)
+
+
+def test_one_sided_tseitin_equisatisfiable_and_witnessed():
+    rng = random.Random(13)
+    for _ in range(200):
+        s = Store()
+        vids = [s.new_var(f"x{j}") for j in range(rng.randrange(1, 7))]
+        root = _rand_formula(s, rng, [s.var(v) for v in vids], 4)
+        full, full_lit, full_vars = tseitin(s, root)
+        one, lit, num_vars = tseitin(s, root, one_sided=True)
+        # same numbering; each one-sided clause is a definition half
+        assert (lit, num_vars) == (full_lit, full_vars)
+        assert len(one) <= len(full)
+        assert all(c in full for c in one)
+
+        truth = any(
+            s.evaluate(root, dict(zip(vids, bits)))
+            for bits in itertools.product([False, True], repeat=len(vids))
+        )
+        assert (dpll(one) is not None) == (dpll(full) is not None) == truth
+        result = sat_solve(one, num_vars)
+        assert (result.status == "sat") == truth
+        if truth and root != TRUE:
+            model = result.model.assignment
+            assert s.evaluate(root, {v: model[v] for v in vids})
+
+
+def test_one_sided_tseitin_polarity_halves():
+    s = Store()
+    a, b, c = (s.var(s.new_var(name)) for name in "abc")
+    conj = s.and_([a, b])
+    root = s.or_([s.not_(conj), s.xor2(conj, c)])
+    clauses, lit, _ = tseitin(s, root, one_sided=True)
+    t_and, t_xor, t_or = lit[conj], lit[s.xor2(conj, c)], lit[root]
+    # the and occurs both ways (negated, and below the xor): full definition;
+    # the xor and the root occur positively only: t -> node
+    assert {frozenset(c) for c in clauses} == {
+        frozenset(c) for c in (
+            [-t_and, 1], [-t_and, 2], [t_and, -1, -2],
+            [-t_xor, t_and, 3], [-t_xor, -t_and, -3],
+            [-t_or, -t_and, t_xor], [t_or],
+        )
+    }
+
+
+def test_one_sided_tseitin_halves_arbiter_cnf():
+    """Moore 3-client arbiter, basic encoding, n=3: 7,941 clauses with full
+    definitions, 4,169 with one-sided ones."""
+    spec = load_spec(json.dumps(arbiter_doc(3)))
+    [side] = make_sides(spec, RunConfig(counter_strategy="off"))
+    problem, _ = build_problem(side, 3, RunConfig(encoding="basic"))
+    full, _, _ = tseitin(problem.store, problem.matrix)
+    one, _, _ = tseitin(problem.store, problem.matrix, one_sided=True)
+    assert len(one) <= 0.6 * len(full)
+
+
+def test_gate_creates_no_negations():
+    s = Store()
+    xs = [s.var(s.new_var(f"x{j}")) for j in range(4)]
+    before = len(s.nodes)
+    s.and_(xs)
+    s.or_(xs[:3])
+    assert len(s.nodes) == before + 2
+    # complements already built are still found
+    assert s.or_([xs[0], s.not_(xs[0])]) == TRUE
+    nx = s.not_(xs[1])
+    assert s.and_([nx, xs[2], xs[1]]) == FALSE
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])

@@ -4,6 +4,7 @@ import os
 import pickle
 import random
 import sys
+from itertools import product
 
 import pytest
 
@@ -58,6 +59,55 @@ def test_sat_agrees_with_dpll_oracle():
         if ours.status == "sat":
             model = ours.model.assignment
             assert all(any(model[abs(l)] == (l > 0) for l in c) for c in cnf)
+
+
+def _brute_sat(cnf, nv) -> bool:
+    masks = [
+        (sum(1 << l - 1 for l in c if l > 0), sum(1 << -l - 1 for l in c if l < 0))
+        for c in cnf
+    ]
+    full = (1 << nv) - 1
+    return any(all(a & pos or ~a & neg & full for pos, neg in masks) for a in range(1 << nv))
+
+
+def test_sat_binary_heavy_cnfs_match_brute_force():
+    """Mostly binary clauses, stored as bare literals in the watch lists.
+
+    A profile hook sees propagate and analyze return, so the test checks
+    that the draws reach binary conflicts above level 0 and learn binary
+    clauses."""
+    seen = {"binary conflict above level 0": 0, "learnt binary clause": 0}
+
+    def hook(frame, event, arg):
+        if event != "return" or arg is None:
+            return
+        name = frame.f_code.co_name
+        if name == "propagate" and len(arg) == 2 and frame.f_locals["lvl"] > 0:
+            seen["binary conflict above level 0"] += 1
+        elif name == "analyze" and len(arg[0]) == 2:
+            seen["learnt binary clause"] += 1
+
+    rng = random.Random(19)
+    sat = 0
+    for _ in range(240):
+        nv = rng.randrange(3, 13)
+        cnf = [
+            [rng.choice([1, -1]) * v
+             for v in rng.sample(range(1, nv + 1), rng.choices((1, 2, 3), (1, 14, 5))[0])]
+            for _ in range(rng.randrange(nv, 3 * nv))
+        ]
+        sys.setprofile(hook)
+        try:
+            ours = sat_solve(cnf, nv)
+        finally:
+            sys.setprofile(None)
+        assert (ours.status == "sat") == _brute_sat(cnf, nv), cnf
+        if ours.status == "sat":
+            sat += 1
+            model = ours.model.assignment
+            assert all(any(model[abs(l)] == (l > 0) for l in c) for c in cnf)
+    assert 40 <= sat <= 200
+    assert all(seen.values()), seen
 
 
 def _php(pigeons, holes, first_var=1):
@@ -154,7 +204,7 @@ def test_solve_internal_keeps_cdcl_stats():
     x, y = s.new_var("x"), s.new_var("y")
     matrix = s.and_([s.or_([s.var(x), s.var(y)]), s.or_([s.not_(s.var(x)), s.var(y)])])
     p = QuantifiedProblem(s, matrix, [("e", [x, y])])
-    clauses, _, nv = tseitin(s, matrix)
+    clauses, _, nv = tseitin(s, matrix, one_sided=True)
     direct = sat_solve(clauses, nv)
     assert direct.stats["decisions"] >= 1
     assert solve_internal(p).stats == direct.stats
@@ -277,6 +327,26 @@ def test_expansion_cap():
     # the cap bounds expansion copies only; a SAT problem has none
     x = s.new_var("x")
     assert solve_internal(QuantifiedProblem(s, s.var(x), [("e", [x])]), cap=0).status == "sat"
+
+
+def test_expansion_cap_counts_copies():
+    """Six existentials over 12 universals, each depending on two of them:
+    24 copies, where 2^12 x 6 = 24,576 would be counted per universal
+    assignment."""
+    s = Store()
+    universals = [s.new_var(f"u{j}") for j in range(12)]
+    pairs = [universals[j : j + 2] for j in range(0, 12, 2)]
+    es = [s.new_var(f"e{j}") for j in range(6)]
+    matrix = s.and_([s.iff(s.var(e), s.xor2(s.var(u), s.var(w))) for e, (u, w) in zip(es, pairs)])
+    deps = {e: frozenset(pair) for e, pair in zip(es, pairs)}
+    p = QuantifiedProblem(s, matrix, [("a", universals), ("e", es)], deps=deps)
+    with pytest.raises(ExpansionLimitError, match="expansion needs 24 copies, cap is 23"):
+        solve_internal(p, cap=23)
+    result = solve_internal(p, cap=100)
+    assert result.status == "sat"
+    for e, (u, w) in zip(es, pairs):
+        for bu, bw in product((False, True), repeat=2):
+            assert result.model.value_of(e, {u: bu, w: bw}) == (bu != bw)
 
 
 def _assert_expands_like_eager(problem):
