@@ -368,14 +368,17 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
 def solve_internal(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP) -> SolveResult:
     """Decide a SAT, QBF or DQBF problem by expanding its universals.
 
-    Raises ExpansionLimitError when the copies of the dependent
-    existentials, one per assignment of each one's dependency set, would
-    exceed cap.  The CNF carries one-sided definitions (see `tseitin`).
+    Raises ExpansionLimitError when the expansion would exceed cap: the
+    larger of its matrix copies, one per assignment of the universals, and
+    its copies of the dependent existentials, one per assignment of each
+    one's dependency set.  A SAT problem has no universals and so none.
+    The CNF carries one-sided definitions (see `tseitin`).
     """
     store = problem.store
+    universals = problem.universals()
     deps = problem.dependencies()
     dependent = [e for e, ds in deps.items() if ds]
-    load = sum(1 << len(deps[e]) for e in dependent)
+    load = max(1 << len(universals), sum(1 << len(deps[e]) for e in dependent)) if universals else 0
     if load > cap:
         raise ExpansionLimitError(f"expansion needs {load} copies, cap is {cap}")
 

@@ -247,9 +247,9 @@ def test_main_solver_unknown_prints_reason(tmp_path, capsys, cmd, reason):
     assert capsys.readouterr().out.startswith(f"UNKNOWN ({reason}")
 
 
-def test_unknown_does_not_end_the_search(monkeypatch):
-    """An unknown attempt is no unsat: the search goes on, and the reason
-    is kept only when nothing decides."""
+def test_undetermined_keeps_first_unknown_reason(monkeypatch):
+    """The search goes on past an unknown attempt; its reason is kept, and
+    reported only when nothing decides."""
     bounds = []
     monkeypatch.setattr(driver, "build_problem", _recording(driver.build_problem, bounds))
     real_solve = driver._solve

@@ -329,9 +329,22 @@ def test_expansion_cap():
     assert solve_internal(QuantifiedProblem(s, s.var(x), [("e", [x])]), cap=0).status == "sat"
 
 
+def test_expansion_cap_counts_universal_assignments():
+    """A QBF whose existential sits outside every universal has no copies
+    to make, but expansion still walks all 2^24 universal assignments."""
+    s = Store()
+    x = s.new_var("x")
+    universals = [s.new_var(f"u{j}") for j in range(24)]
+    matrix = s.or_([s.var(x)] + [s.var(u) for u in universals])
+    p = QuantifiedProblem(s, matrix, [("e", [x]), ("a", universals)])
+    with pytest.raises(ExpansionLimitError, match=f"expansion needs {1 << 24} copies, cap is {1 << 22}"):
+        solve_internal(p)
+
+
 def test_expansion_cap_counts_copies():
     """Six existentials over 12 universals, each depending on two of them:
-    24 copies, where 2^12 x 6 = 24,576 would be counted per universal
+    the expansion takes 2^12 = 4,096 universal assignments and makes 24
+    copies, where 2^12 x 6 = 24,576 would be counted per universal
     assignment."""
     s = Store()
     universals = [s.new_var(f"u{j}") for j in range(12)]
@@ -340,9 +353,9 @@ def test_expansion_cap_counts_copies():
     matrix = s.and_([s.iff(s.var(e), s.xor2(s.var(u), s.var(w))) for e, (u, w) in zip(es, pairs)])
     deps = {e: frozenset(pair) for e, pair in zip(es, pairs)}
     p = QuantifiedProblem(s, matrix, [("a", universals), ("e", es)], deps=deps)
-    with pytest.raises(ExpansionLimitError, match="expansion needs 24 copies, cap is 23"):
-        solve_internal(p, cap=23)
-    result = solve_internal(p, cap=100)
+    with pytest.raises(ExpansionLimitError, match="expansion needs 4096 copies, cap is 4095"):
+        solve_internal(p, cap=4095)
+    result = solve_internal(p, cap=4096)
     assert result.status == "sat"
     for e, (u, w) in zip(es, pairs):
         for bu, bw in product((False, True), repeat=2):
