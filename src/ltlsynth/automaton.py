@@ -17,7 +17,7 @@ is.  Evaluation is a bit test, merging is |, and equal sets compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import ltl
@@ -123,33 +123,22 @@ def format_guard(alphabet: tuple[str, ...], mask: int) -> str:
 # Tableau construction
 
 
-@dataclass
-class _TabNode:
-    old: frozenset[LtlFormula]
-    nxt: frozenset[LtlFormula]
-    incoming: set[int] = field(default_factory=set)
-
-
-_INIT = -1
-
-
 def _is_literal(f: LtlFormula) -> bool:
     return f.kind == ltl.ATOM or (f.kind == ltl.NOT and f.children[0].kind == ltl.ATOM)
 
 
-def _expand(new: dict, old: set, nxt: dict, incoming: set[int], index: dict, closed: list, work: list):
-    """Expand one node; `new` and `nxt` are insertion-ordered and `new` pops
-    last-in first-out, so the result does not depend on formula hashes."""
+def _expand(new: dict, old: set, nxt: dict, out: set[int], index: dict, work: list):
+    """Expand one node, adding the id of every node it closes to `out`, the
+    successor set of its source; `new` and `nxt` are insertion-ordered and
+    `new` pops last-in first-out, so the result does not depend on formula
+    hashes."""
     while True:
         if not new:
             key = (frozenset(old), frozenset(nxt))
-            found = index.get(key)
-            if found is not None:
-                closed[found].incoming |= incoming
-                return
-            index[key] = len(closed)
-            closed.append(_TabNode(*key, set(incoming)))
-            work.append((tuple(nxt), len(closed) - 1))
+            if key not in index:
+                index[key] = len(index)
+                work.append((index[key], tuple(nxt)))
+            out.add(index[key])
             return
         f, _ = new.popitem()
         if f in old:
@@ -175,21 +164,21 @@ def _expand(new: dict, old: set, nxt: dict, incoming: set[int], index: dict, clo
             continue
         if k == ltl.OR:
             a, b = f.children
-            _expand({**new, a: None}, old | {f}, dict(nxt), set(incoming), index, closed, work)
+            _expand({**new, a: None}, old | {f}, dict(nxt), out, index, work)
             new[b] = None
             old.add(f)
             continue
         if k == ltl.UNTIL:
             a, b = f.children
             # a U b  =  b or (a and X(a U b))
-            _expand({**new, a: None}, old | {f}, {**nxt, f: None}, set(incoming), index, closed, work)
+            _expand({**new, a: None}, old | {f}, {**nxt, f: None}, out, index, work)
             new[b] = None
             old.add(f)
             continue
         if k == ltl.RELEASE:
             a, b = f.children
             # a R b  =  b and (a or X(a R b))
-            _expand({**new, b: None}, old | {f}, {**nxt, f: None}, set(incoming), index, closed, work)
+            _expand({**new, b: None}, old | {f}, {**nxt, f: None}, out, index, work)
             new.update((c, None) for c in (a, b) if c not in old)
             old.add(f)
             continue
@@ -197,18 +186,22 @@ def _expand(new: dict, old: set, nxt: dict, incoming: set[int], index: dict, clo
 
 
 def _tableau(phi: LtlFormula):
-    """GPVW expansion.  Returns (nodes, initial ids, acceptance sets, labels).
+    """GPVW expansion.  Returns (successors, initial ids, acceptance sets,
+    labels), successor and initial ids ascending.
 
     Acceptance sets are per Until subformula of phi: a run must infinitely
     often visit a node where the Until is absent or already fulfilled.
     """
-    closed: list[_TabNode] = []
-    index: dict[tuple[frozenset, frozenset], int] = {}
-    work: list[tuple[tuple, int]] = []
-    _expand({phi: None}, set(), {}, {_INIT}, index, closed, work)
+    index: dict[tuple[frozenset, frozenset], int] = {}  # (old, nxt) -> node id
+    work: list[tuple[int, tuple]] = []
+    initial: set[int] = set()
+    succ: dict[int, set[int]] = {}
+    _expand({phi: None}, set(), {}, initial, index, work)
     while work:
-        nxt, src = work.pop()
-        _expand(dict.fromkeys(nxt), set(), {}, {src}, index, closed, work)
+        src, nxt = work.pop()
+        succ[src] = set()
+        _expand(dict.fromkeys(nxt), set(), {}, succ[src], index, work)
+    nodes = list(index)
 
     untils = []
     seen = set()
@@ -223,34 +216,15 @@ def _tableau(phi: LtlFormula):
         stack.extend(g.children)
     untils.sort(key=ltl.format_ltl)
 
-    acc_sets = []
-    for u in untils:
-        fulfilled = u.children[1]
-        acc_sets.append(
-            frozenset(
-                idx
-                for idx, nd in enumerate(closed)
-                if u not in nd.old or fulfilled in nd.old
-            )
-        )
-
-    labels = []
-    for nd in closed:
-        lab = {}
-        for f in nd.old:
-            if f.kind == ltl.ATOM:
-                lab[f.name] = True
-            elif _is_literal(f):
-                lab[f.children[0].name] = False
-        labels.append(lab)
-
-    initial = [idx for idx, nd in enumerate(closed) if _INIT in nd.incoming]
-    succ = [[] for _ in closed]
-    for idx, nd in enumerate(closed):
-        for src in nd.incoming:
-            if src != _INIT:
-                succ[src].append(idx)
-    return succ, initial, acc_sets, labels
+    acc_sets = [
+        frozenset(idx for idx, (old, _) in enumerate(nodes) if u not in old or u.children[1] in old)
+        for u in untils
+    ]
+    labels = [
+        {f.name or f.children[0].name: f.kind == ltl.ATOM for f in old if _is_literal(f)}
+        for old, _ in nodes
+    ]
+    return [sorted(succ[idx]) for idx in range(len(nodes))], sorted(initial), acc_sets, labels
 
 
 def _degeneralize(succ, initial, acc_sets, labels):
@@ -328,37 +302,7 @@ def ltl_to_ucw(f: LtlFormula, inputs, outputs) -> Ucw:
             for s2 in set(targets):
                 guards[(base + s, base + s2)] = cube_mask(alphabet, labels[s2])
 
-    a = Ucw(inputs, outputs, n_states, 0, guards, frozenset(rejecting))
-    a = _prune_unreachable(a)
-    a = _merge_duplicates(a)
-    return a
-
-
-def _prune_unreachable(a: Ucw) -> Ucw:
-    reach = {a.initial}
-    frontier = [a.initial]
-    rows = a.rows()
-    while frontier:
-        q = frontier.pop()
-        for q2, g in rows[q]:
-            if g and q2 not in reach:
-                reach.add(q2)
-                frontier.append(q2)
-    if len(reach) == a.n_states:
-        return a
-    remap = {q: j for j, q in enumerate(sorted(reach))}
-    return Ucw(
-        a.inputs,
-        a.outputs,
-        len(reach),
-        remap[a.initial],
-        {
-            (remap[q], remap[q2]): g
-            for (q, q2), g in a.guards.items()
-            if q in reach and q2 in reach
-        },
-        frozenset(remap[q] for q in a.rejecting if q in reach),
-    )
+    return _merge_duplicates(Ucw(inputs, outputs, n_states, 0, guards, frozenset(rejecting)))
 
 
 def _merge_duplicates(a: Ucw) -> Ucw:

@@ -134,12 +134,18 @@ def _attempt(
     if result.status != "sat" or not want_system:
         return result, None
     ts = extract(result.model, directory, side.inputs, side.outputs)
-    counterexample = model_check(ts, side.automaton)
-    if counterexample is not None:
+    lasso = model_check(ts, side.automaton)
+    if lasso is not None:
         raise RuntimeError(
-            f"extracted {side.role} system fails verification; encoder bug"
+            f"extracted {side.role} system fails verification on input prefix "
+            f"[{_word(lasso.prefix)}] and loop [{_word(lasso.loop)}]; encoder bug"
         )
     return result, ts
+
+
+def _word(letters) -> str:
+    """Input letters as text, e.g. '{r1,r2} {}'."""
+    return " ".join("{" + ",".join(sorted(letter)) + "}" for letter in letters)
 
 
 def make_sides(spec: SynthSpec, cfg: RunConfig) -> list[SideProblem]:
@@ -233,26 +239,27 @@ def _arg_parser() -> argparse.ArgumentParser:
         description="Bounded synthesis from LTL specifications via SAT/QBF/DQBF.",
     )
     parser.add_argument("spec", help="JSON specification file")
-    parser.add_argument("--encoding", choices=ENCODING_NAMES, default=INPUT_SYMBOLIC)
-    parser.add_argument("--mode", choices=("realizability", "synthesis"), default="realizability")
-    parser.add_argument("--semantics", choices=(MEALY, MOORE), default=None,
+    parser.add_argument("--encoding", choices=ENCODING_NAMES)
+    parser.add_argument("--mode", choices=("realizability", "synthesis"))
+    parser.add_argument("--semantics", choices=(MEALY, MOORE),
                         help="override the semantics given in the spec file")
-    parser.add_argument("--search", choices=("exponential", "linear"), default="exponential")
-    parser.add_argument("--max-bound", type=int, default=8)
+    parser.add_argument("--search", choices=("exponential", "linear"))
+    parser.add_argument("--max-bound", type=int)
     parser.add_argument("--minimize", action="store_true",
                         help="shrink the bound linearly after the first success")
-    parser.add_argument("--solver-cmd", default=None,
+    parser.add_argument("--solver-cmd",
                         help="external solver command with a {file} placeholder")
-    parser.add_argument("--no-scc-reduction", action="store_true",
+    parser.add_argument("--no-scc-reduction", dest="scc_reduction", action="store_false",
                         help="keep rank counters for every automaton state")
-    parser.add_argument("--counter-strategy", choices=("auto", "off"), default="auto")
-    parser.add_argument("--emit", choices=("dimacs", "qdimacs", "dqdimacs"), default=None,
+    parser.add_argument("--counter-strategy", choices=("auto", "off"))
+    parser.add_argument("--emit", choices=("dimacs", "qdimacs", "dqdimacs"),
                         help="write the encoded constraint system and stop")
-    parser.add_argument("--output", default=None, help="artifact or emission path")
-    parser.add_argument("--format", dest="fmt", choices=("aag", "dot"), default="aag")
-    parser.add_argument("--expansion-cap", type=int, default=DEFAULT_EXPANSION_CAP)
-    parser.add_argument("--dump-ucw", default=None,
-                        help="debug: write the specification automaton as dot")
+    parser.add_argument("--output", help="artifact or emission path")
+    parser.add_argument("--format", dest="fmt", choices=("aag", "dot"))
+    parser.add_argument("--expansion-cap", type=int)
+    parser.add_argument("--dump-ucw", help="debug: write the specification automaton as dot")
+    # every option's default is the RunConfig field it sets
+    parser.set_defaults(**vars(RunConfig()))
     return parser
 
 
@@ -273,25 +280,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 
-    cfg = RunConfig(
-        encoding=args.encoding,
-        mode=args.mode,
-        semantics=args.semantics,
-        search=args.search,
-        max_bound=args.max_bound,
-        minimize=args.minimize,
-        solver_cmd=args.solver_cmd,
-        scc_reduction=not args.no_scc_reduction,
-        counter_strategy=args.counter_strategy,
-        emit=args.emit,
-        output=args.output,
-        fmt=args.fmt,
-        expansion_cap=args.expansion_cap,
-        dump_ucw=args.dump_ucw,
-    )
+    options = vars(args)
+    spec_path = options.pop("spec")
+    cfg = RunConfig(**options)
     try:
         cfg.validate()
-        spec = load_spec_file(args.spec)
+        spec = load_spec_file(spec_path)
         sides = make_sides(spec, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,7 +116,7 @@ class Store:
             return self.not_(a)
         if a == b:
             return FALSE
-        if a == self.not_(b):
+        if a == self._complement(b):
             return TRUE
         if a > b:
             a, b = b, a

@@ -299,67 +299,42 @@ def format_ltl(f: LtlFormula) -> str:
 # Negation normal form
 
 
+# Negating a conjunction, disjunction, until or release gives the dual kind
+# over negated children.
+_DUAL = {AND: OR, OR: AND, UNTIL: RELEASE, RELEASE: UNTIL}
+# F p = true U p and G p = false R p.
+_UNFOLD = {FINALLY: (UNTIL, LTRUE), GLOBALLY: (RELEASE, LFALSE)}
+
+
 def _nnf(f: LtlFormula, negated: bool) -> LtlFormula:
+    # One call per formula level, children built inline: a helper, a
+    # comprehension or a rewrite-then-recurse would multiply the stack
+    # depth that a deeply nested spec needs.
     k = f.kind
-    if k == ATOM:
-        return lnot(f) if negated else f
-    if k == TRUE:
-        return LFALSE if negated else LTRUE
-    if k == FALSE:
-        return LTRUE if negated else LFALSE
     if k == NOT:
         return _nnf(f.children[0], not negated)
-    if k == AND:
-        a, b = f.children
-        if negated:
-            return lor(_nnf(a, True), _nnf(b, True))
-        return land(_nnf(a, False), _nnf(b, False))
-    if k == OR:
-        a, b = f.children
-        if negated:
-            return land(_nnf(a, True), _nnf(b, True))
-        return lor(_nnf(a, False), _nnf(b, False))
-    if k == IMPLIES:
-        a, b = f.children
-        if negated:
-            return land(_nnf(a, False), _nnf(b, True))
-        return lor(_nnf(a, True), _nnf(b, False))
-    if k == IFF:
-        a, b = f.children
-        if negated:
-            return lor(
-                land(_nnf(a, False), _nnf(b, True)),
-                land(_nnf(a, True), _nnf(b, False)),
-            )
-        return lor(
-            land(_nnf(a, False), _nnf(b, False)),
-            land(_nnf(a, True), _nnf(b, True)),
-        )
+    if k == ATOM:
+        return lnot(f) if negated else f
+    if k == TRUE or k == FALSE:
+        return LFALSE if (k == TRUE) == negated else LTRUE
     if k == NEXT:
         return lnext(_nnf(f.children[0], negated))
-    if k == UNTIL:
+    if k == IFF:
+        # (a && b) || (!a && !b); negated, (a && !b) || (!a && b)
         a, b = f.children
-        if negated:
-            return lrelease(_nnf(a, True), _nnf(b, True))
-        return luntil(_nnf(a, False), _nnf(b, False))
-    if k == RELEASE:
+        return lor(
+            land(_nnf(a, False), _nnf(b, negated)),
+            land(_nnf(a, True), _nnf(b, not negated)),
+        )
+    if k in _UNFOLD:
+        k, a = _UNFOLD[k]
+        b = f.children[0]
+    else:
         a, b = f.children
-        if negated:
-            return luntil(_nnf(a, True), _nnf(b, True))
-        return lrelease(_nnf(a, False), _nnf(b, False))
-    if k == FINALLY:
-        # F p = true U p, so !F p = false R !p
-        child = f.children[0]
-        if negated:
-            return lrelease(LFALSE, _nnf(child, True))
-        return luntil(LTRUE, _nnf(child, False))
-    if k == GLOBALLY:
-        # G p = false R p, so !G p = true U !p
-        child = f.children[0]
-        if negated:
-            return luntil(LTRUE, _nnf(child, True))
-        return lrelease(LFALSE, _nnf(child, False))
-    raise AssertionError(f.kind)
+    left = negated
+    if k == IMPLIES:  # a -> b = !a || b
+        k, left = OR, not negated
+    return LtlFormula(_DUAL[k] if negated else k, (_nnf(a, left), _nnf(b, negated)))
 
 
 def to_nnf(f: LtlFormula) -> LtlFormula:

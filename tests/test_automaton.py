@@ -103,6 +103,38 @@ def test_language_against_trace_oracle_four_atoms():
             ), ltl.format_ltl(f)
 
 
+def _reachable_with_live_guards(a):
+    """States reachable from the initial state; asserts every guard is nonempty."""
+    rows = a.rows()
+    reach, frontier = {a.initial}, [a.initial]
+    while frontier:
+        for q2, g in rows[frontier.pop()]:
+            assert g, f"empty guard into q{q2}"
+            if q2 not in reach:
+                reach.add(q2)
+                frontier.append(q2)
+    return reach
+
+
+def test_every_state_reachable_and_every_guard_nonempty():
+    """The tableau creates a node only as a successor of an existing one, and
+    each guard is the cube of a consistent literal set; so ltl_to_ucw needs
+    no pruning pass.  Checked on random formulas of both polarities and on
+    both sides of every suite spec."""
+    rng = random.Random(23)
+    automata = []
+    for _ in range(150):
+        f = random_formula(rng, ["a", "b", "c"], depth=rng.randrange(1, 6))
+        for g in (f, ltl.lnot(f)):
+            automata.append(ltl_to_ucw(g, ["a"], ["b", "c"]))
+    for bench in SUITE:
+        f = bench.spec.formula()
+        automata.append(ltl_to_ucw(f, bench.spec.inputs, bench.spec.outputs))
+        automata.append(ltl_to_ucw(ltl.negate(f), bench.spec.outputs, bench.spec.inputs))
+    for a in automata:
+        assert _reachable_with_live_guards(a) == set(range(a.n_states))
+
+
 _DUMP_SUITE_AUTOMATA = """
 import suite
 from ltlsynth.driver import RunConfig, make_sides

@@ -13,6 +13,7 @@ from ltlsynth.driver import (
 from ltlsynth.ltl import load_spec
 from ltlsynth.logic import read_dimacs
 from ltlsynth.solve import SolveResult
+from ltlsynth.system import MEALY, TransitionSystem
 from ltlsynth.verify import model_check
 from oracles import simulate_aag
 from suite import arbiter_doc, by_name, search
@@ -285,6 +286,23 @@ def test_minimize_stops_at_unknown(tmp_path, monkeypatch, capsys):
     assert out == "REALIZABLE (bound 4)\n"
     assert "(bound 3: budget); bound 4 may not be least" in err
     assert bounds == [1, 2, 4, 3]
+
+
+def test_encoder_bug_message_carries_the_lasso(monkeypatch):
+    """An extracted machine that fails model checking is an encoder bug; the
+    error names the input lasso on which the machine violates the spec."""
+    letters = (frozenset(), frozenset({"i"}))
+    never_o = TransitionSystem(
+        1, MEALY, ("i",), ("o",),
+        {(0, letter): 0 for letter in letters},
+        {(0, letter): frozenset() for letter in letters},
+    )
+    monkeypatch.setattr(driver, "extract", lambda model, directory, inputs, outputs: never_o)
+    doc = {"semantics": "mealy", "inputs": ["i"], "outputs": ["o"], "guarantees": ["G F (i -> o)"]}
+    with pytest.raises(RuntimeError) as err:
+        search(load_spec(json.dumps(doc)), RunConfig(mode="synthesis", counter_strategy="off"))
+    assert str(err.value) == ("extracted system system fails verification on input prefix "
+                              "[{i}] and loop [{i}]; encoder bug")
 
 
 def _recording(build, bounds):

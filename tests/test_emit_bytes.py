@@ -26,16 +26,18 @@ EMITTERS = {"basic": emit_dimacs, "input": emit_qdimacs, "state": emit_dqdimacs,
 
 def _cases():
     """(case name, side, bound) for every suite spec on both sides at n = 1..3,
-    and for arbiter k = 2, 3 with the counter strategy off at n = 2, 3."""
+    and for arbiter k = 2, 3: the system side at n = 2, 3 and the
+    environment side at n = 1, 2."""
     for bench in SUITE:
         for side in make_sides(bench.spec, RunConfig()):
             for n in (1, 2, 3):
                 yield f"{bench.name}/{side.role}", side, n
     for k in (2, 3):
         spec = load_spec(json.dumps(arbiter_doc(k)))
-        [side] = make_sides(spec, RunConfig(counter_strategy="off"))
-        for n in (2, 3):
-            yield f"arbiter{k}/{side.role}", side, n
+        system, environment = make_sides(spec, RunConfig())
+        for side, bounds in ((system, (2, 3)), (environment, (1, 2))):
+            for n in bounds:
+                yield f"arbiter{k}/{side.role}", side, n
 
 
 def digests() -> dict[str, str]:

@@ -16,6 +16,7 @@ from ltlsynth.ltl import (
     lnext,
     lnot,
     load_spec,
+    lor,
     luntil,
     lrelease,
     negate,
@@ -82,6 +83,13 @@ def test_nnf_until_duality():
     assert to_nnf(lnot(luntil(atom("a"), atom("b")))) == lrelease(
         lnot(atom("a")), lnot(atom("b"))
     )
+    a, b = atom("a"), atom("b")
+    assert to_nnf(limplies(a, b)) == lor(lnot(a), b)
+    assert to_nnf(lnot(limplies(a, b))) == land(a, lnot(b))
+    assert to_nnf(ltl.liff(a, b)) == lor(land(a, b), land(lnot(a), lnot(b)))
+    assert to_nnf(lnot(ltl.liff(a, b))) == lor(land(a, lnot(b)), land(lnot(a), b))
+    assert to_nnf(lfinally(a)) == luntil(ltl.LTRUE, a)
+    assert to_nnf(lnot(lfinally(a))) == lrelease(ltl.LFALSE, lnot(a))
 
 
 def test_nnf_globally_duality():
@@ -115,6 +123,37 @@ def test_negate_basics():
         ltl.LTRUE, land(atom("g1"), atom("g2"))
     )
     assert negate(lnext(atom("a"))) == lnext(lnot(atom("a")))
+    a, b = atom("a"), atom("b")
+    assert negate(limplies(a, b)) == land(a, lnot(b))
+    assert negate(lnot(limplies(a, b))) == lor(lnot(a), b)
+    assert negate(ltl.liff(a, b)) == lor(land(a, lnot(b)), land(lnot(a), b))
+    assert negate(lnot(ltl.liff(a, b))) == lor(land(a, b), land(lnot(a), lnot(b)))
+    assert negate(lfinally(a)) == lrelease(ltl.LFALSE, lnot(a))
+    assert negate(lnot(lfinally(a))) == luntil(ltl.LTRUE, a)
+
+
+def _spine(f):
+    """Kinds along the rightmost path from the root, down to its leaf."""
+    kinds = [f.kind]
+    while f.children:
+        f = f.children[-1]
+        kinds.append(f.kind)
+    return kinds
+
+
+@pytest.mark.parametrize("text, nnf, negated", [
+    ("F " * 800 + "a", [ltl.UNTIL] * 800 + [ltl.ATOM], [ltl.RELEASE] * 800 + [ltl.NOT, ltl.ATOM]),
+    ("G " * 800 + "a", [ltl.RELEASE] * 800 + [ltl.ATOM], [ltl.UNTIL] * 800 + [ltl.NOT, ltl.ATOM]),
+    ("X " * 800 + "a", [ltl.NEXT] * 800 + [ltl.ATOM], [ltl.NEXT] * 800 + [ltl.NOT, ltl.ATOM]),
+    ("! " * 800 + "a", [ltl.ATOM], [ltl.NOT, ltl.ATOM]),
+    ("a -> " * 800 + "a", [ltl.OR] * 800 + [ltl.ATOM], [ltl.AND] * 800 + [ltl.NOT, ltl.ATOM]),
+], ids=["F", "G", "X", "not", "implies"])
+def test_nnf_of_deeply_nested_spec(text, nnf, negated):
+    """800 nesting levels fit the default recursion limit: parsing and NNF
+    take one Python frame per level."""
+    f = parse_ltl(text)
+    assert _spine(to_nnf(f)) == nnf
+    assert _spine(negate(f)) == negated
 
 
 def test_assemble_spec():
