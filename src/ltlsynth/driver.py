@@ -274,6 +274,17 @@ def _write(path: str | None, text: str):
             handle.write(text)
 
 
+def _emit(side: SideProblem, cfg: RunConfig) -> int:
+    problem, _ = build_problem(side, cfg.max_bound, cfg)
+    try:
+        text = _EMITTERS[cfg.emit](problem)
+    except ValueError as exc:
+        print(f"error: {exc} (encoding {cfg.encoding!r})", file=sys.stderr)
+        return 1
+    _write(cfg.output, text)
+    return 0
+
+
 def main(argv=None) -> int:
     try:
         args = _arg_parser().parse_args(argv)
@@ -299,21 +310,18 @@ def main(argv=None) -> int:
     if cfg.dump_ucw:
         _write(cfg.dump_ucw, ucw_to_dot(sides[0].automaton))
 
-    if cfg.emit is not None:
-        problem, _ = build_problem(sides[0], cfg.max_bound, cfg)
-        emitter = _EMITTERS[cfg.emit]
-        try:
-            text = emitter(problem)
-        except ValueError as exc:
-            print(f"error: {exc} (encoding {cfg.encoding!r})", file=sys.stderr)
-            return 1
-        _write(cfg.output, text)
-        return 0
-
     try:
+        if cfg.emit is not None:
+            return _emit(sides[0], cfg)
         outcome = search_realizability(sides, cfg)
     except ExpansionLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the universal expansion rebuilds the matrix one call per level
+        limit = sys.getrecursionlimit()
+        print(f"resource limit: constraint formula nested too deeply (Python recursion "
+              f"limit {limit})", file=sys.stderr)
         return 2
 
     if outcome.status == "undetermined":

@@ -248,6 +248,9 @@ def bv_greater(store: Store, x: BitVec, y: BitVec, strict: bool) -> int:
     acc = store.const(not strict)
     for xb, yb in zip(x.bits, y.bits):  # LSB towards MSB
         win = store.and_([xb, store.not_(yb)])
+        if acc == FALSE:  # equal bits cannot win: build no eq to fold away
+            acc = win
+            continue
         eq = store.not_(store.xor2(xb, yb))
         acc = store.or_([win, store.and_([eq, acc])])
     return acc
@@ -392,53 +395,50 @@ class QuantifiedProblem:
 # ---------------------------------------------------------------------------
 # Tseitin conversion
 
+# A private gate is inlined only while the clause it joins has fewer
+# literals than this; past it the gate is named, so the clause form stays
+# linear in the size of the formula.
+_INLINE_LIMIT = 8
+
 
 def tseitin(
     store: Store, root: int, one_sided: bool = False
 ) -> tuple[list[list[int]], dict[int, int], int]:
-    """Equisatisfiable CNF with full or one-sided definitions.
+    """Equisatisfiable CNF: full definitions, or a clause form.
 
     Returns (clauses, node->literal map, total variable count).  Original
-    variables keep their numbers; each internal and/or/xor node gets a
-    fresh definition variable above them.  Not nodes become negated
-    literals.  A constant root yields the trivial or the empty clause.
+    variables keep their numbers; definition variables are numbered above
+    them.  A constant root yields the trivial or the empty clause.
 
-    By default each definition is a full biconditional, t <-> node, as the
-    emitted files carry it.  With one_sided, a node gets only the half its
-    polarity in the formula needs (Plaisted and Greenbaum, 1986): t -> node
-    where it occurs positively, node -> t where it occurs negatively, both
-    below a xor.  Variable numbering is the same either way, and a model of
-    the one-sided CNF, restricted to the store's variables, satisfies root.
+    By default every internal and/or/xor node gets a variable t and the
+    full biconditional t <-> node, as the emitted files carry it; not nodes
+    become negated literals, and the map covers every node of root's cone.
+
+    With one_sided, the result is a clause form (Plaisted and Greenbaum,
+    1986; Jackson and Sheridan, 2004).  A gate gets a variable when it is
+    shared (two parents in root's cone, a not counting as no parent of its
+    own) or sits below a xor, with only the halves of t <-> node that its
+    uses need: t -> node where it occurs positively, node -> t where
+    negatively.  Every other gate is written straight into its parent's
+    clauses, unless that would multiply two conjunctions out or copy a
+    clause of `_INLINE_LIMIT` literals; such a gate is named too (see
+    `_ClauseForm`).  The map covers the named gates, whose variables are
+    numbered in the order the walk meets them, and a model of the
+    clauses, restricted to the store's variables, satisfies root.
     """
     if root == TRUE:
         return [], {root: 0}, store.num_vars
     if root == FALSE:
         return [[]], {root: 0}, store.num_vars
+    if one_sided:
+        form = _ClauseForm(store, root)
+        return form.clauses, form.lit, form.num_vars
 
     nodes = store.nodes
-    order = store.reachable(root)
-    # polarity bits: 1 where a node occurs positively, 2 negatively
-    pol = None
-    if one_sided:
-        pol = {root: 1}
-        for n in reversed(order):  # parents before children
-            node = nodes[n]
-            tag = node[0]
-            p = pol[n]
-            if tag == _NOT:
-                c = node[1]
-                pol[c] = pol.get(c, 0) | (p & 1) << 1 | p >> 1
-            elif tag == _AND or tag == _OR:
-                for c in node[1]:
-                    pol[c] = pol.get(c, 0) | p
-            elif tag == _XOR:
-                pol[node[1]] = pol[node[2]] = 3
-
     lit: dict[int, int] = {}
     clauses: list[list[int]] = []
     next_var = store.num_vars
-
-    for n in order:
+    for n in store.reachable(root):
         node = nodes[n]
         tag = node[0]
         if tag == _CONST:
@@ -452,32 +452,154 @@ def tseitin(
         next_var += 1
         t = next_var
         lit[n] = t
-        p = 3 if pol is None else pol[n]
         if tag == _AND:
             kids = [lit[c] for c in node[1]]
-            if p & 1:
-                for k in kids:
-                    clauses.append([-t, k])
-            if p & 2:
-                clauses.append([t] + [-k for k in kids])
+            for k in kids:
+                clauses.append([-t, k])
+            clauses.append([t] + [-k for k in kids])
         elif tag == _OR:
             kids = [lit[c] for c in node[1]]
-            if p & 2:
-                for k in kids:
-                    clauses.append([t, -k])
-            if p & 1:
-                clauses.append([-t] + kids)
+            for k in kids:
+                clauses.append([t, -k])
+            clauses.append([-t] + kids)
         else:  # xor
             a, b = lit[node[1]], lit[node[2]]
-            if p & 1:
-                clauses.append([-t, a, b])
-                clauses.append([-t, -a, -b])
-            if p & 2:
-                clauses.append([t, a, -b])
-                clauses.append([t, -a, b])
+            clauses.append([-t, a, b])
+            clauses.append([-t, -a, -b])
+            clauses.append([t, a, -b])
+            clauses.append([t, -a, b])
 
     clauses.append([lit[root]])
     return clauses, lit, next_var
+
+
+class _ClauseForm:
+    """The clause form of one root, written by a walk with an explicit stack.
+
+    A work item (g, positive, context) asks for the clauses of
+    `context or g` (`context or not g` when not positive), g a gate and
+    context the literals already in the clause.  A gate in conjunction
+    position (and when positive, or when negative) passes the context to
+    each child; one in disjunction position adds its children's literals,
+    flattens its private disjunction-position children into the same
+    clause, and inlines at most one private conjunction-position child,
+    naming the rest.  Naming a gate in a polarity queues the matching
+    definition half, the item (g, positive, [not t]) or (g, negative, [t]).
+    Each gate is thus walked at most once per polarity.
+    """
+
+    def __init__(self, store: Store, root: int):
+        nodes = self.nodes = store.nodes
+        self.num_vars = store.num_vars
+        self.lit: dict[int, int] = {}  # named gate -> its variable
+        self.queued: set[tuple[int, bool]] = set()  # definition halves asked for
+        self.clauses: list[list[int]] = []
+        positive = True
+        if nodes[root][0] == _NOT:
+            root, positive = nodes[root][1], False
+        if nodes[root][0] == _VAR:
+            self.clauses.append([nodes[root][1] if positive else -nodes[root][1]])
+            return
+        # parents per gate below root, a xor parent counting twice: below a
+        # xor both polarities occur, so the gate is named as a shared one is
+        parents = self.parents = {}
+        stack = [root]
+        while stack:
+            node = nodes[stack.pop()]
+            if node[0] == _XOR:
+                weight, kids = 2, node[1:]
+            else:
+                weight, kids = 1, node[1]
+            for c in kids:
+                if nodes[c][0] == _NOT:
+                    c = nodes[c][1]
+                if nodes[c][0] != _VAR:
+                    k = parents.get(c)
+                    if k is None:
+                        stack.append(c)
+                        k = 0
+                    parents[c] = k + weight
+
+        self.todo: list[tuple[int, bool, list[int]]] = [(root, positive, [])]
+        while self.todo:
+            self._write(*self.todo.pop())
+
+    def _named(self, g: int, positive: bool) -> int:
+        """g's literal in the given polarity; queues the definition half."""
+        t = self.lit.get(g)
+        if t is None:
+            self.num_vars += 1
+            t = self.lit[g] = self.num_vars
+        if (g, positive) not in self.queued:
+            self.queued.add((g, positive))
+            self.todo.append((g, positive, [-t] if positive else [t]))
+        return t if positive else -t
+
+    def _literal(self, c: int, positive: bool) -> int:
+        """The literal of a variable or named gate c (not a not); 0 when c
+        is a private gate."""
+        node = self.nodes[c]
+        if node[0] == _VAR:
+            return node[1] if positive else -node[1]
+        if c in self.lit or self.parents[c] > 1:
+            return self._named(c, positive)
+        return 0
+
+    def _operand(self, c: int) -> int:
+        """The literal of a xor operand, defined both ways if a gate."""
+        positive = True
+        if self.nodes[c][0] == _NOT:
+            c, positive = self.nodes[c][1], False
+        if self.nodes[c][0] != _VAR:
+            self._named(c, not positive)
+        return self._literal(c, positive)
+
+    def _write(self, g: int, positive: bool, context: list[int]):
+        nodes = self.nodes
+        node = nodes[g]
+        tag = node[0]
+        if tag == _XOR:
+            a, b = self._operand(node[1]), self._operand(node[2])
+            if not positive:
+                b = -b
+            self.clauses.append(context + [a, b])
+            self.clauses.append(context + [-a, -b])
+            return
+        if (tag == _AND) == positive:  # conjunction position
+            for c in node[1]:
+                p = positive
+                if nodes[c][0] == _NOT:
+                    c, p = nodes[c][1], not p
+                lit = self._literal(c, p)
+                if lit:
+                    self.clauses.append(context + [lit])
+                else:
+                    self.todo.append((c, p, context))
+            return
+        clause = list(context)
+        inline = None
+        flat = [(g, positive)]
+        while flat:
+            f, fpos = flat.pop()
+            for c in nodes[f][1]:
+                p = fpos
+                if nodes[c][0] == _NOT:
+                    c, p = nodes[c][1], not p
+                lit = self._literal(c, p)
+                if lit:
+                    clause.append(lit)
+                elif nodes[c][0] != _XOR and (nodes[c][0] == _OR) == p:
+                    flat.append((c, p))  # disjunction position: same clause
+                elif inline is None:
+                    inline = (c, p)
+                else:
+                    clause.append(self._named(c, p))
+        if inline is not None:
+            if len(clause) < _INLINE_LIMIT:
+                self.todo.append((inline[0], inline[1], clause))
+                return
+            clause.append(self._named(*inline))
+        self.clauses.append(clause)
 
 
 def _tseitin_var_deps(

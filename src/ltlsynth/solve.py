@@ -16,8 +16,10 @@ variables without one, and entries left behind by bumps are dropped when
 popped.  `solve_internal` decides every fragment by full universal
 expansion (`QuantifiedProblem.expand`): every existential is copied once
 per assignment of exactly its dependency set, and the conjunction of the
-matrix over all universal assignments goes to the SAT core as a CNF with
-one-sided Tseitin definitions.  Each subterm
+matrix over all universal assignments goes to the SAT core in clause
+form: only shared gates get definition variables, each with the halves
+its polarities need, and every other gate is written straight into its
+parent's clauses (`tseitin(..., one_sided=True)`).  Each subterm
 is rebuilt once per assignment of the universals in its own cone, and the
 result is identical, node for node, to substituting every full assignment
 into the matrix.  A SAT problem is the case with no universals: its one
@@ -372,7 +374,7 @@ def solve_internal(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP)
     larger of its matrix copies, one per assignment of the universals, and
     its copies of the dependent existentials, one per assignment of each
     one's dependency set.  A SAT problem has no universals and so none.
-    The CNF carries one-sided definitions (see `tseitin`).
+    The CNF is the clause form of the expanded matrix (see `tseitin`).
     """
     store = problem.store
     universals = problem.universals()

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -10,12 +11,12 @@ from ltlsynth.driver import (
     main,
     make_sides,
 )
-from ltlsynth.ltl import load_spec
+from ltlsynth.ltl import format_ltl, load_spec
 from ltlsynth.logic import read_dimacs
 from ltlsynth.solve import SolveResult
 from ltlsynth.system import MEALY, TransitionSystem
 from ltlsynth.verify import model_check
-from oracles import simulate_aag
+from oracles import random_formula, simulate_aag
 from suite import arbiter_doc, by_name, search
 
 STUB = f"{sys.executable} {os.path.join(os.path.dirname(__file__), 'external_stub.py')} {{file}}"
@@ -337,3 +338,45 @@ def test_main_deeply_nested_spec_is_input_error(tmp_path, capsys, guarantee):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: specification nested too deeply (")
+
+
+def test_main_deep_constraint_matrix_is_resource_limit(tmp_path, capsys):
+    """An 11-input parity guarantee loads and decides on the basic encoding,
+    but the input encoding's matrix is 2,065 levels deep, beyond what the
+    expansion's recursion reaches."""
+    parity = "i10"
+    for j in reversed(range(10)):
+        parity = f"(i{j} <-> {parity})"
+    doc = {"semantics": "mealy", "inputs": [f"i{j}" for j in range(11)], "outputs": ["o"],
+           "guarantees": [f"G (o <-> {parity})"]}
+    code = main([write_spec(tmp_path, doc), "--encoding", "input", "--max-bound", "1",
+                 "--counter-strategy", "off"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource limit: constraint formula nested too deeply (")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_fuzz_random_specs(tmp_path, capsys):
+    """60 seeded random specs over at most 3 atoms, each on all four
+    encodings: no exception, a documented exit code, no traceback, and no
+    two encodings giving opposite verdicts."""
+    rng = random.Random(2024)
+    for case in range(60):
+        atoms = ["a", "b", "c"][: rng.randrange(2, 4)]
+        split = rng.randrange(1, len(atoms))
+        doc = {
+            "semantics": rng.choice(["mealy", "moore"]),
+            "inputs": atoms[:split],
+            "outputs": atoms[split:],
+            "guarantees": [format_ltl(random_formula(rng, atoms, 3))],
+        }
+        path = write_spec(tmp_path, doc, f"fuzz{case}.json")
+        codes = {}
+        for encoding in driver.ENCODING_NAMES:
+            codes[encoding] = main([path, "--encoding", encoding, "--max-bound", "3"])
+            err = capsys.readouterr().err
+            assert codes[encoding] in (0, 1, 2, 10, 20), (doc, encoding)
+            assert "Traceback" not in err, (doc, encoding)
+        assert not {10, 20} <= set(codes.values()), (doc, codes)

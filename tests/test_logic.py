@@ -131,23 +131,21 @@ def test_tseitin_evaluation_agreement_with_witness_extension():
 
 def test_one_sided_tseitin_equisatisfiable_and_witnessed():
     rng = random.Random(13)
-    for _ in range(200):
+    for _ in range(1000):
         s = Store()
         vids = [s.new_var(f"x{j}") for j in range(rng.randrange(1, 7))]
         root = _rand_formula(s, rng, [s.var(v) for v in vids], 4)
-        full, full_lit, full_vars = tseitin(s, root)
-        one, lit, num_vars = tseitin(s, root, one_sided=True)
-        # same numbering; each one-sided clause is a definition half
-        assert (lit, num_vars) == (full_lit, full_vars)
-        assert len(one) <= len(full)
-        assert all(c in full for c in one)
+        clauses, lit, num_vars = tseitin(s, root, one_sided=True)
+        # definition variables only for named gates, numbered above the store's
+        assert num_vars == s.num_vars + len(lit) - (root in (TRUE, FALSE))
+        assert all(abs(l) <= num_vars for c in clauses for l in c)
 
         truth = any(
             s.evaluate(root, dict(zip(vids, bits)))
             for bits in itertools.product([False, True], repeat=len(vids))
         )
-        assert (dpll(one) is not None) == (dpll(full) is not None) == truth
-        result = sat_solve(one, num_vars)
+        assert (dpll(clauses) is not None) == truth
+        result = sat_solve(clauses, num_vars)
         assert (result.status == "sat") == truth
         if truth and root != TRUE:
             model = result.model.assignment
@@ -159,28 +157,82 @@ def test_one_sided_tseitin_polarity_halves():
     a, b, c = (s.var(s.new_var(name)) for name in "abc")
     conj = s.and_([a, b])
     root = s.or_([s.not_(conj), s.xor2(conj, c)])
-    clauses, lit, _ = tseitin(s, root, one_sided=True)
-    t_and, t_xor, t_or = lit[conj], lit[s.xor2(conj, c)], lit[root]
-    # the and occurs both ways (negated, and below the xor): full definition;
-    # the xor and the root occur positively only: t -> node
-    assert {frozenset(c) for c in clauses} == {
-        frozenset(c) for c in (
-            [-t_and, 1], [-t_and, 2], [t_and, -1, -2],
-            [-t_xor, t_and, 3], [-t_xor, -t_and, -3],
-            [-t_or, -t_and, t_xor], [t_or],
-        )
-    }
+    clauses, lit, num_vars = tseitin(s, root, one_sided=True)
+    # the and sits below the xor: named, with both halves; the xor and the
+    # root have one parent each and are written into the root's clauses
+    assert lit == {conj: 4} and num_vars == 4
+    assert clauses == [
+        [-4, 3, 4], [-4, -3, -4],  # not t or (c xor t)
+        [-4, 1], [-4, 2],  # t -> a and b
+        [4, -1, -2],  # a and b -> t
+    ]
+
+
+def test_clause_form_inlines_nested_implications():
+    """r -> (d -> (t -> (a and b))), the shape of every encoding's
+    constraints, needs no definition variable and no unit clause."""
+    s = Store()
+    r, d, t, a, b = (s.var(s.new_var(name)) for name in "rdtab")
+    root = s.implies(r, s.implies(d, s.implies(t, s.and_([a, b]))))
+    clauses, lit, num_vars = tseitin(s, root, one_sided=True)
+    assert clauses == [[-1, -2, -3, 4], [-1, -2, -3, 5]]
+    assert lit == {} and num_vars == 5
+
+
+def test_clause_form_shares_named_gates():
+    s = Store()
+    a, b, c, d = (s.var(s.new_var(name)) for name in "abcd")
+    shared = s.and_([a, b])
+    root = s.and_([s.or_([shared, c]), s.or_([s.not_(shared), d])])
+    clauses, lit, num_vars = tseitin(s, root, one_sided=True)
+    # one variable for the gate with two parents, both halves; the ors and
+    # the root are inlined
+    assert lit == {shared: 5} and num_vars == 5
+    assert sorted(map(sorted, clauses)) == sorted(
+        map(sorted, [[5, 3], [-5, 4], [-5, 1], [-5, 2], [5, -1, -2]])
+    )
+
+
+def test_clause_form_of_deep_chain_is_linear():
+    """or(x, and(y, or(x, and(y, ...)))) 2,000 levels deep: inlining every
+    level would repeat each context, 2,005,001 literals in all."""
+    s = Store()
+    depth = 2000
+    xs = [s.var(s.new_var(f"x{j}")) for j in range(depth + 1)]
+    ys = [s.var(s.new_var(f"y{j}")) for j in range(depth)]
+    f = xs[depth]
+    for j in reversed(range(depth)):
+        f = s.or_([xs[j], s.and_([ys[j], f])])
+    clauses, _, num_vars = tseitin(s, f, one_sided=True)
+    assert sum(map(len, clauses)) <= 10 * depth
+    assert num_vars - s.num_vars <= depth // 2
+    assert sat_solve(clauses, num_vars).status == "sat"
+    # with every x false, each level folds to false from the bottom up
+    refuted = clauses + [[-x] for x in range(1, depth + 2)]
+    assert sat_solve(refuted, num_vars).status == "unsat"
 
 
 def test_one_sided_tseitin_halves_arbiter_cnf():
     """Moore 3-client arbiter, basic encoding, n=3: 7,941 clauses with full
-    definitions, 4,169 with one-sided ones."""
+    definitions, 2,410 in clause form."""
     spec = load_spec(json.dumps(arbiter_doc(3)))
     [side] = make_sides(spec, RunConfig(counter_strategy="off"))
     problem, _ = build_problem(side, 3, RunConfig(encoding="basic"))
     full, _, _ = tseitin(problem.store, problem.matrix)
     one, _, _ = tseitin(problem.store, problem.matrix, one_sided=True)
     assert len(one) <= 0.6 * len(full)
+
+
+def test_clause_form_shrinks_arbiter_cnf():
+    """Moore 4-client arbiter, basic encoding, n=4: one definition variable
+    per gate made 12,153 variables (596 of them the encoding's); the clause
+    form names only the shared gates, and has 2,792."""
+    spec = load_spec(json.dumps(arbiter_doc(4)))
+    [side] = make_sides(spec, RunConfig(counter_strategy="off"))
+    problem, _ = build_problem(side, 4, RunConfig(encoding="basic"))
+    assert problem.store.num_vars == 596
+    _, _, num_vars = tseitin(problem.store, problem.matrix, one_sided=True)
+    assert num_vars <= 12153 // 3
 
 
 def test_gate_creates_no_negations():
