@@ -157,10 +157,14 @@ class Store:
 
         return go(root)
 
-    def _rebuild(self, n: int, i: int, mask: list[int], memo: list) -> int:
+    def _rebuild(self, n: int, i: int, mask: list[int], memo: list, known: tuple) -> int:
         """Node n rebuilt at expansion index i, kept as memo[n][i & mask[n]].
 
-        An and/or stops at its first absorbing child, as a fresh walk would."""
+        An and/or stops at its first absorbing child, as a fresh walk would.
+        known = (T, F, j) holds the Kleene tables of `_block_tables` and i's
+        place j in them: a child missing from the memo that they mark TRUE
+        or FALSE at j is that constant, which its rebuild would fold to."""
+        T, F, j = known
         node = self.nodes[n]
         tag = node[0]
         stop = FALSE if tag == _AND else TRUE if tag == _OR else None
@@ -168,7 +172,8 @@ class Store:
         for c in node[1] if stop is not None else node[1:]:
             r = memo[c].get(i & mask[c])
             if r is None:
-                r = self._rebuild(c, i, mask, memo)
+                r = (TRUE if T[c] >> j & 1 else FALSE if F[c] >> j & 1
+                     else self._rebuild(c, i, mask, memo, known))
             if r == stop:
                 break
             parts.append(r)
@@ -339,10 +344,13 @@ class QuantifiedProblem:
         itertools.product order; a copy is made at the first i showing its
         key.  The rebuild of node n at i depends only on i & mask[n], the
         bits of the universals in n's cone, so it is made once per such
-        projection.  A repeated rebuild would create no node (hash-consing),
-        so the store ends exactly as if the matrix were rebuilt for every
-        i.  A node's memo is cleared when the bits above its highest
-        universal outside the cone change: its projections never recur.
+        projection.  A node's memo is cleared when the bits above its
+        highest universal outside the cone change: its projections never
+        recur.  A node that the Kleene tables of `_block_tables` decide at
+        i is not rebuilt: the rebuild would fold to that constant.  So the
+        expanded formula is node for node the one that rebuilding the
+        matrix for every i makes; only the unreachable nodes that those
+        rebuilds would leave in the store are never created.
         """
         store, root = self.store, self.matrix
         universals = self.universals()
@@ -361,7 +369,8 @@ class QuantifiedProblem:
             memo[store.var(e)] = {}  # filled as copies are made
             for key in product((False, True), repeat=len(deps[e])):
                 first.setdefault(sum(bit[u] for u, b in zip(deps[e], key) if b), []).append((e, key))
-        for n in store.reachable(root):
+        order = store.reachable(root)
+        for n in order:
             node = store.nodes[n]
             if node[0] == _VAR:
                 v = node[1]
@@ -380,16 +389,89 @@ class QuantifiedProblem:
 
         copies: dict[tuple[int, tuple[bool, ...]], int] = {}
         conjuncts: list[int] = []
+        blocks = _block_tables(store.nodes, order, bit, m)
+        low = (1 << min(m, _TABLE_BITS)) - 1
         for i in range(1 << m):
             for table in resets[(i & -i).bit_length()]:
                 table.clear()
+            if not i & low:
+                T, F = next(blocks)
             for e, key in first.get(i, ()):
                 copy = store.new_var(f"{store.var_name[e]}@{''.join('1' if b else '0' for b in key)}")
                 copies[(e, key)] = copy
                 memo[store.var(e)][i] = store.var(copy)
             r = memo[root].get(i & mask[root])
-            conjuncts.append(store._rebuild(root, i, mask, memo) if r is None else r)
+            if r is None:
+                j = i & low
+                r = (TRUE if T[root] >> j & 1 else FALSE if F[root] >> j & 1
+                     else store._rebuild(root, i, mask, memo, (T, F, j)))
+            conjuncts.append(r)
         return store.and_(conjuncts), copies
+
+
+# The Kleene tables of `_block_tables` cover the assignments of at most this
+# many of the lowest universals at once, one bit each, so a gate's pair of
+# tables takes at most 2 * 2^_TABLE_BITS bits whatever the universal count.
+_TABLE_BITS = 10
+
+
+def _block_tables(nodes: list[tuple], order: list[int], bit: dict[int, int], m: int):
+    """Three-valued (Kleene) truth tables of the nodes in order, by block.
+
+    order lists a cone children first and bit gives each of the m
+    universals its bit of an index i as in `QuantifiedProblem.expand`.
+    With w = min(m, _TABLE_BITS), a block is the 2^w indices that share
+    their bits above the lowest w.  Once per block, from the first on, this
+    yields lists (T, F) by node id: bit j of T[n] (of F[n]) is set when n
+    is TRUE (FALSE) at index block + j whatever the existentials are.  The
+    lists are updated in place between blocks, and only for the nodes with
+    a universal among the bits that changed.  Existentials are unknown,
+    and a node's tables stay 0 when its cone has no universal.
+    """
+    w = min(m, _TABLE_BITS)
+    low, full = (1 << w) - 1, (1 << (1 << w)) - 1
+    T, F = [0] * len(nodes), [0] * len(nodes)
+    umask = [0] * len(nodes)  # bits of the universals in each node's cone
+    for n in order:
+        node = nodes[n]
+        if node[0] == _VAR:
+            umask[n] = bit.get(node[1], 0)
+        elif node[0] != _CONST:
+            for c in node[1] if node[0] in (_AND, _OR) else node[1:]:
+                umask[n] |= umask[c]
+    todo = live = [n for n in order if umask[n]]
+    redo: dict[int, list[int]] = {}  # lowest set bit of a block -> the nodes to recompute
+    block = 0
+    while True:
+        for n in todo:
+            node = nodes[n]
+            tag = node[0]
+            if tag == _VAR:
+                b = umask[n]
+                if b & low:  # bit k of t is this universal's bit in k
+                    t = full // ((1 << 2 * b) - 1) * (((1 << b) - 1) << b)
+                else:
+                    t = full if block & b else 0
+                T[n], F[n] = t, full ^ t
+            elif tag == _NOT:
+                T[n], F[n] = F[node[1]], T[node[1]]
+            elif tag == _XOR:
+                a, b = node[1], node[2]
+                T[n] = T[a] & F[b] | F[a] & T[b]
+                F[n] = T[a] & T[b] | F[a] & F[b]
+            else:  # an or is an and with T and F swapped
+                P, Q = (T, F) if tag == _AND else (F, T)
+                t, f = full, 0
+                for c in node[1]:
+                    t &= P[c]
+                    f |= Q[c]
+                P[n], Q[n] = t, f
+        yield T, F
+        block += low + 1
+        h = block & -block
+        todo = redo.get(h)
+        if todo is None:
+            todo = redo[h] = [n for n in live if umask[n] & ~low & (2 * h - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ matrix over all universal assignments goes to the SAT core in clause
 form: only shared gates get definition variables, each with the halves
 its polarities need, and every other gate is written straight into its
 parent's clauses (`tseitin(..., one_sided=True)`).  Each subterm
-is rebuilt once per assignment of the universals in its own cone, and the
-result is identical, node for node, to substituting every full assignment
-into the matrix.  A SAT problem is the case with no universals: its one
-copy is the matrix itself.  Skolem tables fall out of the copies directly.
+is rebuilt once per assignment of the universals in its own cone, except
+where three-valued tables of the universals alone already show it
+constant, and the result is identical, node for node, to substituting
+every full assignment into the matrix.  A SAT problem is the case with
+no universals: its one copy is the matrix itself.  Skolem tables fall
+out of the copies directly.
 """
 
 from __future__ import annotations

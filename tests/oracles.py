@@ -298,9 +298,13 @@ def eager_expand(problem):
 
     The reference for `QuantifiedProblem.expand`: the same copy
     allocation order and names, and a memo that lives for one assignment
-    only, so every node is rebuilt once per full assignment.  With no
-    universals the final and_ can intern the matrix's negation, which
-    `expand` skips by returning the matrix itself.
+    only, so every node is rebuilt once per full assignment and no
+    three-valued shortcut is taken.  Its expanded formula and clause form
+    must equal expand's node for node, up to node ids: expand skips the
+    rebuilds that only fold to a constant, so it never creates the
+    unreachable nodes those leave here.  With no universals the final
+    and_ can intern the matrix's negation, which `expand` skips by
+    returning the matrix itself.
     """
     store = problem.store
     universals = problem.universals()

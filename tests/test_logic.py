@@ -7,10 +7,12 @@ import pytest
 from ltlsynth.driver import RunConfig, build_problem, make_sides
 from ltlsynth.ltl import load_spec
 from ltlsynth.logic import (
+    _TABLE_BITS,
     FALSE,
     TRUE,
     QuantifiedProblem,
     Store,
+    _block_tables,
     bv_const,
     bv_equal,
     bv_greater,
@@ -23,7 +25,7 @@ from ltlsynth.logic import (
     tseitin,
 )
 from ltlsynth.solve import sat_solve
-from oracles import dpll
+from oracles import _substitute, dpll
 from suite import arbiter_doc
 
 
@@ -420,3 +422,42 @@ def test_expand_without_universals_is_identity():
     before = len(s.nodes)
     assert QuantifiedProblem(s, root, [("e", [a, b])]).expand() == (root, {})
     assert len(s.nodes) == before
+
+
+def _assert_tables_fold_like_substitution(s, root, universals):
+    """Each constant that `_block_tables` shows for a node at an assignment
+    is what substituting that assignment into the node folds it to."""
+    m = len(universals)
+    bit = {u: 1 << (m - 1 - j) for j, u in enumerate(universals)}
+    order = s.reachable(root)
+    size = 1 << min(m, _TABLE_BITS)
+    blocks = _block_tables(s.nodes, order, bit, m)
+    decided = 0
+    for block in range(0, 1 << m, size):
+        T, F = next(blocks)
+        for j in range(size):
+            mapping = {u: TRUE if block + j & b else FALSE for u, b in bit.items()}
+            for n in order:
+                t, f = T[n] >> j & 1, F[n] >> j & 1
+                assert not (t and f)
+                if t or f:
+                    assert _substitute(s, n, mapping) == (TRUE if t else FALSE)
+                    decided += 1
+    return decided
+
+
+def test_block_tables_fold_like_substitution():
+    rng = random.Random(37)
+    decided = 0
+    for _ in range(60):
+        s = Store()
+        universals = [s.new_var(f"u{j}") for j in range(rng.randrange(1, 7))]
+        pool = [s.var(v) for v in universals + [s.new_var("e0"), s.new_var("e1")]]
+        decided += _assert_tables_fold_like_substitution(s, _rand_formula(s, rng, pool, 4), universals)
+    assert decided
+    # more universals than one block covers: the tables are redone per block
+    s = Store()
+    universals = [s.new_var(f"u{j}") for j in range(_TABLE_BITS + 2)]
+    pool = [s.var(v) for v in universals[:3] + universals[-1:] + [s.new_var("e0")]]
+    roots = [_rand_formula(s, rng, pool, 4) for _ in range(3)]
+    assert _assert_tables_fold_like_substitution(s, s.and_(roots), universals)

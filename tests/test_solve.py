@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from ltlsynth.driver import RunConfig, build_problem, make_sides
-from ltlsynth.logic import FALSE, TRUE, QuantifiedProblem, Store, tseitin
+from ltlsynth.logic import _AND, _NOT, _OR, _XOR, FALSE, TRUE, QuantifiedProblem, Store, tseitin
 from ltlsynth.ltl import load_spec
 from ltlsynth.solve import ExpansionLimitError, external_solve, sat_solve, solve_internal
 from oracles import dpll, eager_expand, eval_qbf_naive
@@ -362,12 +362,42 @@ def test_expansion_cap_counts_copies():
             assert result.model.value_of(e, {u: bu, w: bw}) == (bu != bw)
 
 
+def _cone(store, root):
+    """root's cone in `reachable` order, each child named by its place there."""
+    order = store.reachable(root)
+    place = {n: k for k, n in enumerate(order)}
+    out = []
+    for n in order:
+        node = store.nodes[n]
+        if node[0] in (_AND, _OR):
+            node = (node[0], tuple(place[c] for c in node[1]))
+        elif node[0] in (_NOT, _XOR):
+            node = (node[0], *(place[c] for c in node[1:]))
+        out.append(node)
+    return out
+
+
 def _assert_expands_like_eager(problem):
+    """expand builds what eager expansion builds, and no node beside it.
+
+    Node ids may differ: eager's rebuilds leave unreachable nodes that
+    expand skips creating.  Everything reachable must match exactly."""
     blob = pickle.dumps(problem)
     ours, ref = pickle.loads(blob), pickle.loads(blob)
-    assert ours.expand() == eager_expand(ref)  # expanded root and copy map
-    assert ours.store.nodes == ref.store.nodes
+    (root, copies), (ref_root, ref_copies) = ours.expand(), eager_expand(ref)
+    assert copies == ref_copies
     assert ours.store.var_name == ref.store.var_name
+    assert _cone(ours.store, root) == _cone(ref.store, ref_root)
+    ours_cnf, ref_cnf = tseitin(ours.store, root, True), tseitin(ref.store, ref_root, True)
+    assert (ours_cnf[0], ours_cnf[2]) == (ref_cnf[0], ref_cnf[2])
+    in_ref: list[int] = []  # our node id -> eager's id of the same node
+    for node in ours.store.nodes:
+        if node[0] in (_AND, _OR):
+            node = (node[0], tuple(in_ref[c] for c in node[1]))
+        elif node[0] in (_NOT, _XOR):
+            node = (node[0], *sorted(in_ref[c] for c in node[1:]))
+        assert node in ref.store._intern, f"expand made a node eager expansion lacks: {node}"
+        in_ref.append(ref.store._intern[node])
 
 
 def test_expansion_matches_eager_on_arbiters():
