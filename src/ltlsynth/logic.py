@@ -4,7 +4,10 @@ Formulas live in a Store: an append-only arena of hash-consed nodes
 addressed by integer ids.  Children always precede parents, constants are
 folded at construction time, and syntactically equal builds return the
 same node id.  Variables are numbered densely from 1 in allocation order,
-which doubles as the DIMACS numbering.
+which doubles as the DIMACS numbering.  Cones are walked with explicit
+stacks, so no formula is too deep to evaluate, convert or emit.  The
+emitted files carry the full definitions of `tseitin`, written as text by
+the walk that numbers the gates; the internal solver gets its clause form.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ class Store:
     def _gate(self, tag: str, children) -> int:
         absorbing = FALSE if tag == _AND else TRUE
         neutral = TRUE if tag == _AND else FALSE
+        nodes, intern = self.nodes, self._intern
         seen: set[int] = set()
         kept: list[int] = []
         for c in children:
@@ -89,7 +93,8 @@ class Store:
                 return absorbing
             if c == neutral or c in seen:
                 continue
-            if self._complement(c) in seen:
+            node = nodes[c]  # is c's complement (see _complement) in seen?
+            if (node[1] if node[0] == _NOT else intern.get((_NOT, c))) in seen:
                 return absorbing
             seen.add(c)
             kept.append(c)
@@ -97,7 +102,9 @@ class Store:
             return neutral
         if len(kept) == 1:
             return kept[0]
-        return self._mk((tag, tuple(kept)))
+        key = (tag, tuple(kept))
+        found = intern.get(key)
+        return self._mk(key) if found is None else found
 
     def and_(self, children) -> int:
         return self._gate(_AND, children)
@@ -132,12 +139,8 @@ class Store:
 
     def evaluate(self, root: int, assignment: dict[int, bool]) -> bool:
         """Evaluate under a total assignment of the variables in root's cone."""
-        memo: dict[int, bool] = {}
-
-        def go(n: int) -> bool:
-            v = memo.get(n)
-            if v is not None:
-                return v
+        value: dict[int, bool] = {}
+        for n in self.reachable(root):
             node = self.nodes[n]
             tag = node[0]
             if tag == _CONST:
@@ -145,17 +148,15 @@ class Store:
             elif tag == _VAR:
                 v = assignment[node[1]]
             elif tag == _NOT:
-                v = not go(node[1])
+                v = not value[node[1]]
             elif tag == _AND:
-                v = all(go(c) for c in node[1])
+                v = all(value[c] for c in node[1])
             elif tag == _OR:
-                v = any(go(c) for c in node[1])
+                v = any(value[c] for c in node[1])
             else:
-                v = go(node[1]) != go(node[2])
-            memo[n] = v
-            return v
-
-        return go(root)
+                v = value[node[1]] != value[node[2]]
+            value[n] = v
+        return value[root]
 
     def _rebuild(self, n: int, i: int, mask: list[int], memo: list, known: tuple) -> int:
         """Node n rebuilt at expansion index i, kept as memo[n][i & mask[n]].
@@ -189,28 +190,28 @@ class Store:
 
     def reachable(self, root: int) -> list[int]:
         """All node ids in root's cone, each once, children before parents."""
-        seen: set[int] = set()
+        nodes = self.nodes
+        seen = bytearray(len(nodes))
         order: list[int] = []
-        stack: list[tuple[int, bool]] = [(root, False)]
+        stack = [root]  # ~n marks n's children as done
         while stack:
-            n, done = stack.pop()
-            if done:
-                order.append(n)
+            n = stack.pop()
+            if n < 0:
+                order.append(~n)
                 continue
-            if n in seen:
+            if seen[n]:
                 continue
-            seen.add(n)
-            stack.append((n, True))
-            node = self.nodes[n]
+            seen[n] = 1
+            stack.append(~n)
+            node = nodes[n]
             tag = node[0]
             if tag == _NOT:
-                stack.append((node[1], False))
+                stack.append(node[1])
             elif tag in (_AND, _OR):
-                for c in node[1]:
-                    stack.append((c, False))
+                stack.extend(node[1])
             elif tag == _XOR:
-                stack.append((node[1], False))
-                stack.append((node[2], False))
+                stack.append(node[1])
+                stack.append(node[2])
         return order
 
     def variables_in(self, root: int) -> set[int]:
@@ -296,9 +297,11 @@ class QuantifiedProblem:
                 if v in bound:
                     raise ValueError(f"variable {v} bound twice")
                 bound.add(v)
-        free = self.store.variables_in(self.matrix) - bound
-        if free:
-            raise ValueError(f"unbound matrix variables: {sorted(free)}")
+        # with every store variable bound, no matrix variable can be free
+        if not bound.issuperset(range(1, self.store.num_vars + 1)):
+            free = self.store.variables_in(self.matrix) - bound
+            if free:
+                raise ValueError(f"unbound matrix variables: {sorted(free)}")
         if self.deps is not None:
             if set(self.deps) != set(self.existentials()):
                 raise ValueError("dependency sets must name exactly the existentials")
@@ -484,8 +487,8 @@ _INLINE_LIMIT = 8
 
 
 def tseitin(
-    store: Store, root: int, one_sided: bool = False
-) -> tuple[list[list[int]], dict[int, int], int]:
+    store: Store, root: int, one_sided: bool = False, text: bool = False
+) -> tuple[list, dict[int, int], int]:
     """Equisatisfiable CNF: full definitions, or a clause form.
 
     Returns (clauses, node->literal map, total variable count).  Original
@@ -494,7 +497,11 @@ def tseitin(
 
     By default every internal and/or/xor node gets a variable t and the
     full biconditional t <-> node, as the emitted files carry it; not nodes
-    become negated literals, and the map covers every node of root's cone.
+    become negated literals, and the map covers every node of root's cone,
+    children first.  One walk numbers the gates and writes each gate's
+    definition clauses as DIMACS lines ("-3 1 0\n") from the literal texts
+    of its children; with text, those lines are the clauses, and without,
+    they are read back into lists of ints.
 
     With one_sided, the result is a clause form (Plaisted and Greenbaum,
     1986; Jackson and Sheridan, 2004).  A gate gets a variable when it is
@@ -511,48 +518,49 @@ def tseitin(
     if root == TRUE:
         return [], {root: 0}, store.num_vars
     if root == FALSE:
-        return [[]], {root: 0}, store.num_vars
+        return [" 0\n" if text else []], {root: 0}, store.num_vars
     if one_sided:
         form = _ClauseForm(store, root)
         return form.clauses, form.lit, form.num_vars
 
     nodes = store.nodes
     lit: dict[int, int] = {}
-    clauses: list[list[int]] = []
-    next_var = store.num_vars
+    pos: dict[int, str] = {}  # each node's literal as text
+    neg: dict[int, str] = {}  # and its negation
+    lines: list[str] = []
+    t = store.num_vars
     for n in store.reachable(root):
         node = nodes[n]
         tag = node[0]
-        if tag == _CONST:
-            raise AssertionError("constants fold away below the root")
-        if tag == _VAR:
-            lit[n] = node[1]
-            continue
         if tag == _NOT:
-            lit[n] = -lit[node[1]]
+            c = node[1]
+            lit[n], pos[n], neg[n] = -lit[c], neg[c], pos[c]
             continue
-        next_var += 1
-        t = next_var
-        lit[n] = t
+        if tag == _VAR:
+            lit[n] = v = node[1]
+        elif tag == _CONST:
+            raise AssertionError("constants fold away below the root")
+        else:
+            t += 1
+            lit[n] = v = t
+        p = pos[n] = str(v)
+        m = neg[n] = "-" + p
         if tag == _AND:
-            kids = [lit[c] for c in node[1]]
-            for k in kids:
-                clauses.append([-t, k])
-            clauses.append([t] + [-k for k in kids])
+            for c in node[1]:
+                lines.append(f"{m} {pos[c]} 0\n")
+            lines.append(f"{p} {' '.join([neg[c] for c in node[1]])} 0\n")
         elif tag == _OR:
-            kids = [lit[c] for c in node[1]]
-            for k in kids:
-                clauses.append([t, -k])
-            clauses.append([-t] + kids)
-        else:  # xor
-            a, b = lit[node[1]], lit[node[2]]
-            clauses.append([-t, a, b])
-            clauses.append([-t, -a, -b])
-            clauses.append([t, a, -b])
-            clauses.append([t, -a, b])
-
-    clauses.append([lit[root]])
-    return clauses, lit, next_var
+            for c in node[1]:
+                lines.append(f"{p} {neg[c]} 0\n")
+            lines.append(f"{m} {' '.join([pos[c] for c in node[1]])} 0\n")
+        elif tag == _XOR:
+            a, b = node[1], node[2]
+            lines += (f"{m} {pos[a]} {pos[b]} 0\n", f"{m} {neg[a]} {neg[b]} 0\n",
+                      f"{p} {pos[a]} {neg[b]} 0\n", f"{p} {neg[a]} {pos[b]} 0\n")
+    lines.append(f"{pos[root]} 0\n")
+    if text:
+        return lines, lit, t
+    return [[int(x) for x in line.split()[:-1]] for line in lines], lit, t
 
 
 class _ClauseForm:
@@ -685,12 +693,15 @@ class _ClauseForm:
 
 
 def _tseitin_var_deps(
-    store: Store, root: int, lit: dict[int, int], var_deps: dict[int, frozenset[int]]
+    store: Store, lit: dict[int, int], var_deps: dict[int, frozenset[int]]
 ) -> dict[int, frozenset[int]]:
-    """Dependency sets for Tseitin variables: union over the node's cone."""
+    """Dependency sets for Tseitin variables: union over the node's cone.
+
+    lit is the map of a full `tseitin` call, which lists the cone children
+    first."""
     cone: dict[int, frozenset[int]] = {}
     out: dict[int, frozenset[int]] = {}
-    for n in store.reachable(root):
+    for n in lit:
         node = store.nodes[n]
         tag = node[0]
         if tag == _CONST:
@@ -720,18 +731,21 @@ def _clause_lines(clauses: list[list[int]]) -> str:
 
 
 def emit_dimacs(problem: QuantifiedProblem) -> str:
-    """Plain CNF text for purely existential problems."""
+    """Plain CNF text for purely existential problems: the header, then
+    the clause lines of one `tseitin(..., text=True)` walk."""
     if not problem.is_sat_fragment():
         raise ValueError("problem is not purely existential")
-    clauses, _, num_vars = tseitin(problem.store, problem.matrix)
-    return f"p cnf {num_vars} {len(clauses)}\n" + _clause_lines(clauses)
+    lines, _, num_vars = tseitin(problem.store, problem.matrix, text=True)
+    return f"p cnf {num_vars} {len(lines)}\n" + "".join(lines)
 
 
 def emit_qdimacs(problem: QuantifiedProblem) -> str:
-    """Prenex QBF text; Tseitin variables join the innermost existentials."""
+    """Prenex QBF text; Tseitin variables join the innermost existentials.
+
+    The clause lines come from one `tseitin(..., text=True)` walk."""
     if problem.deps is not None:
         raise ValueError("problem has dependency annotations; use emit_dqdimacs")
-    clauses, _, num_vars = tseitin(problem.store, problem.matrix)
+    lines, _, num_vars = tseitin(problem.store, problem.matrix, text=True)
 
     blocks: list[tuple[str, list[int]]] = []
     for quant, vs in problem.prefix:
@@ -748,33 +762,34 @@ def emit_qdimacs(problem: QuantifiedProblem) -> str:
         else:
             blocks.append(("e", fresh))
 
-    out = [f"p cnf {num_vars} {len(clauses)}\n"]
+    out = [f"p cnf {num_vars} {len(lines)}\n"]
     for quant, vs in blocks:
         out.append(f"{quant} " + " ".join(str(v) for v in vs) + " 0\n")
-    out.append(_clause_lines(clauses))
-    return "".join(out)
+    return "".join(out + lines)
 
 
 def emit_dqdimacs(problem: QuantifiedProblem) -> str:
-    """QDIMACS extended with explicit `d` dependency lines per existential."""
+    """QDIMACS extended with explicit `d` dependency lines per existential.
+
+    The clause lines come from one `tseitin(..., text=True)` walk, and the
+    `d` lines of its definition variables from that walk's literal map,
+    without walking the cone again."""
     if problem.deps is None:
         raise ValueError("problem has no dependency annotations; use emit_qdimacs")
-    clauses, lit, num_vars = tseitin(problem.store, problem.matrix)
+    lines, lit, num_vars = tseitin(problem.store, problem.matrix, text=True)
 
     universals = problem.universals()
     deps = dict(problem.deps)
     uni_deps = {u: frozenset([u]) for u in universals}
-    extra = _tseitin_var_deps(problem.store, problem.matrix, lit, {**deps, **uni_deps})
-    deps.update(extra)
+    deps.update(_tseitin_var_deps(problem.store, lit, {**deps, **uni_deps}))
 
-    out = [f"p cnf {num_vars} {len(clauses)}\n"]
+    out = [f"p cnf {num_vars} {len(lines)}\n"]
     if universals:
         out.append("a " + " ".join(str(v) for v in universals) + " 0\n")
     for v in sorted(deps):
         ds = " ".join(str(u) for u in sorted(deps[v]))
         out.append(f"d {v}{' ' + ds if ds else ''} 0\n")
-    out.append(_clause_lines(clauses))
-    return "".join(out)
+    return "".join(out + lines)
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 Each case is encoded through the driver's dispatch and emitted in the format
 its fragment needs; the SHA-256 of the text must match `emit_digests.json`.
+The cases run from the suite specs up to the 4-client arbiter's system side
+at bounds 4 and 8, the largest files the benchmark's `emit` workload writes.
 The digests pin the output of full biconditional Tseitin definitions, so a
 change to node construction, encoding or Tseitin that moves a byte fails
 here, naming the case.  Regenerate the file only for an intended change:
@@ -25,9 +27,9 @@ EMITTERS = {"basic": emit_dimacs, "input": emit_qdimacs, "state": emit_dqdimacs,
 
 
 def _cases():
-    """(case name, side, bound) for every suite spec on both sides at n = 1..3,
-    and for arbiter k = 2, 3: the system side at n = 2, 3 and the
-    environment side at n = 1, 2."""
+    """(case name, side, bound) for every suite spec on both sides at n = 1..3;
+    for arbiter k = 2, 3: the system side at n = 2, 3 and the environment
+    side at n = 1, 2; and for arbiter k = 4: the system side at n = 4, 8."""
     for bench in SUITE:
         for side in make_sides(bench.spec, RunConfig()):
             for n in (1, 2, 3):
@@ -38,6 +40,9 @@ def _cases():
         for side, bounds in ((system, (2, 3)), (environment, (1, 2))):
             for n in bounds:
                 yield f"arbiter{k}/{side.role}", side, n
+    system = make_sides(load_spec(json.dumps(arbiter_doc(4))), RunConfig(counter_strategy="off"))[0]
+    for n in (4, 8):
+        yield f"arbiter4/{system.role}", system, n
 
 
 def digests() -> dict[str, str]:

@@ -26,7 +26,7 @@ from ltlsynth.logic import (
 )
 from ltlsynth.solve import sat_solve
 from oracles import _substitute, dpll
-from suite import arbiter_doc
+from suite import SUITE, arbiter_doc
 
 
 def test_hash_consing_shares_nodes():
@@ -214,6 +214,34 @@ def test_clause_form_of_deep_chain_is_linear():
     assert sat_solve(refuted, num_vars).status == "unsat"
 
 
+def test_deep_chain_evaluates_and_emits():
+    """or(x, and(y, or(x, and(y, ...)))) 5,000 levels deep, past the
+    recursion limit: evaluate, emit_dimacs and the clause form take it."""
+    s = Store()
+    depth = 5000
+    xs = [s.new_var(f"x{j}") for j in range(depth + 1)]
+    ys = [s.new_var(f"y{j}") for j in range(depth)]
+    f = s.var(xs[depth])
+    for j in reversed(range(depth)):
+        f = s.or_([s.var(xs[j]), s.and_([s.var(ys[j]), f])])
+    env = {v: False for v in xs} | {v: True for v in ys}
+    assert not s.evaluate(f, env)
+    env[xs[depth]] = True  # reached through every y
+    assert s.evaluate(f, env)
+    env[ys[depth - 1]] = False
+    assert not s.evaluate(f, env)
+    env[xs[0]] = True
+    assert s.evaluate(f, env)
+
+    doc = read_dimacs(emit_dimacs(QuantifiedProblem(s, f, [("e", xs + ys)])))
+    full, _, num_vars = tseitin(s, f)
+    assert doc.num_vars == num_vars == s.num_vars + 2 * depth
+    assert doc.clauses == full
+    clauses, _, num_vars = tseitin(s, f, one_sided=True)
+    result = sat_solve(clauses + [[-x] for x in xs[1:]], num_vars)
+    assert result.status == "sat" and result.model.assignment[xs[0]]
+
+
 def test_one_sided_tseitin_halves_arbiter_cnf():
     """Moore 3-client arbiter, basic encoding, n=3: 7,941 clauses with full
     definitions, 2,410 in clause form."""
@@ -379,6 +407,58 @@ def test_round_trip_byte_identical():
         p2 = QuantifiedProblem(s, root, [("e", vids[:2]), ("a", vids[2:3]), ("e", vids[3:])])
         text2 = emit_qdimacs(p2)
         assert read_dimacs(text2).render() == text2
+
+
+def _assert_text_matches_clauses(problem):
+    """The emitted file holds exactly the full definitions' clause lists."""
+    if problem.deps is not None:
+        emitter = emit_dqdimacs
+    else:
+        emitter = emit_dimacs if problem.is_sat_fragment() else emit_qdimacs
+    doc = read_dimacs(emitter(problem))
+    clauses, _, num_vars = tseitin(problem.store, problem.matrix)
+    assert doc.clauses == clauses
+    assert doc.num_vars == num_vars
+
+
+def test_emitted_clauses_match_tseitin_on_suite():
+    for bench in SUITE:
+        for side in make_sides(bench.spec, RunConfig()):
+            for encoding in ("basic", "input", "state", "full"):
+                for n in (1, 2):
+                    problem, _ = build_problem(side, n, RunConfig(encoding=encoding))
+                    _assert_text_matches_clauses(problem)
+
+
+def test_emitted_clauses_match_tseitin_on_random_formulas():
+    rng = random.Random(17)
+    s = Store()
+    vids = [s.new_var(f"x{j}") for j in range(4)]
+    nodes = [s.var(v) for v in vids]
+    xors = nodes[0]
+    for k in range(12):
+        xors = s.xor2(xors, s.and_([nodes[k % 4], s.xor2(nodes[(k + 1) % 4], xors)]))
+    roots = [TRUE, FALSE, nodes[2], s.not_(nodes[1]), s.not_(s.or_(nodes[:3])), xors]
+    roots += [_rand_formula(s, rng, nodes, 4) for _ in range(200)]
+    u = [vids[1], vids[3]]
+    e = [vids[0], vids[2]]
+    for root in roots:
+        _assert_text_matches_clauses(QuantifiedProblem(s, root, [("e", vids)]))
+        _assert_text_matches_clauses(QuantifiedProblem(s, root, [("a", u), ("e", e)]))
+        deps = {e[0]: frozenset(u[:1]), e[1]: frozenset()}
+        _assert_text_matches_clauses(QuantifiedProblem(s, root, [("a", u), ("e", e)], deps=deps))
+
+
+def test_free_variable_check_with_and_without_shortcut():
+    s = Store()
+    x, y, z = s.new_var("x"), s.new_var("y"), s.new_var("z")
+    matrix = s.and_([s.var(x), s.var(y)])
+    QuantifiedProblem(s, matrix, [("e", [x, y, z])])  # every store variable bound
+    QuantifiedProblem(s, matrix, [("e", [x]), ("a", [y])])  # z unbound, not in the matrix
+    with pytest.raises(ValueError, match=r"^unbound matrix variables: \[2\]$"):
+        QuantifiedProblem(s, matrix, [("e", [x, z])])
+    with pytest.raises(ValueError, match=r"^unbound matrix variables: \[1, 2\]$"):
+        QuantifiedProblem(s, matrix, [("e", [z, 4, 5])])  # 4, 5 are no store variables
 
 
 def test_problem_validates_binding():
