@@ -11,6 +11,7 @@ or undetermined, 1 usage/input errors, 2 resource exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -233,6 +234,7 @@ def search_realizability(sides: list[SideProblem], cfg: RunConfig) -> SearchOutc
 # CLI
 
 
+@functools.cache  # built on the first main call, not at import
 def _arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ltlsynth",
@@ -316,12 +318,6 @@ def main(argv=None) -> int:
         outcome = search_realizability(sides, cfg)
     except ExpansionLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the universal expansion rebuilds the matrix one call per level
-        limit = sys.getrecursionlimit()
-        print(f"resource limit: constraint formula nested too deeply (Python recursion "
-              f"limit {limit})", file=sys.stderr)
         return 2
 
     if outcome.status == "undetermined":

@@ -228,10 +228,11 @@ def _encode_explicit(
                 {name: store.var(d.out[(name, t, *s_out)]) for name in a.outputs}
             )
 
+    # each copy's transition nodes, t2 = 0..n-1
+    trans = {(t, s): [store.var(d.trans[(t, *s, t2)]) for t2 in range(n)]
+             for t in range(n) for s in copies}
     conjuncts = [store.var(d.reach[(0, a.initial)])]
-    for t in range(n):
-        for s in copies:
-            conjuncts.append(store.or_([store.var(d.trans[(t, *s, t2)]) for t2 in range(n)]))
+    conjuncts += [store.or_(nodes) for nodes in trans.values()]
 
     for q in range(m):
         for t in range(n):
@@ -243,16 +244,14 @@ def _encode_explicit(
                     if delta == FALSE:
                         continue
                     inner_parts = []
-                    for t2 in range(n):
+                    for t2, tr in enumerate(trans[(t, s)]):
                         if t2 not in bodies:
                             body = [store.var(d.reach[(t2, q2)])]
                             cmp = _compare(store, scc, a, rank_nodes, q, t, q2, t2)
                             if cmp is not None:
                                 body.append(cmp)
                             bodies[t2] = store.and_(body)
-                        inner_parts.append(
-                            store.implies(store.var(d.trans[(t, *s, t2)]), bodies[t2])
-                        )
+                        inner_parts.append(store.implies(tr, bodies[t2]))
                     parts.append(store.implies(delta, store.and_(inner_parts)))
             if parts:
                 conjuncts.append(store.implies(store.var(d.reach[(t, q)]), store.and_(parts)))

@@ -3,11 +3,13 @@
 Formulas live in a Store: an append-only arena of hash-consed nodes
 addressed by integer ids.  Children always precede parents, constants are
 folded at construction time, and syntactically equal builds return the
-same node id.  Variables are numbered densely from 1 in allocation order,
-which doubles as the DIMACS numbering.  Cones are walked with explicit
-stacks, so no formula is too deep to evaluate, convert or emit.  The
-emitted files carry the full definitions of `tseitin`, written as text by
-the walk that numbers the gates; the internal solver gets its clause form.
+same node id.  An and/or of two operands, and an implication, are folded
+and interned in one step, without the n-ary loop.  Variables are numbered
+densely from 1 in allocation order, which doubles as the DIMACS numbering.
+Cones are walked, and expanded, with explicit stacks, so no formula is too
+deep to evaluate, expand, convert or emit.  The emitted files carry the
+full definitions of `tseitin`, written as text by the walk that numbers
+the gates; the internal solver gets its clause form.
 """
 
 from __future__ import annotations
@@ -39,12 +41,10 @@ class Store:
     # -- construction -------------------------------------------------
 
     def _mk(self, node: tuple) -> int:
-        found = self._intern.get(node)
-        if found is not None:
-            return found
-        self.nodes.append(node)
-        nid = len(self.nodes) - 1
-        self._intern[node] = nid
+        nodes = self.nodes
+        nid = self._intern.setdefault(node, len(nodes))
+        if nid == len(nodes):
+            nodes.append(node)
         return nid
 
     def new_var(self, name: str) -> int:
@@ -66,14 +66,14 @@ class Store:
         return TRUE if value else FALSE
 
     def not_(self, f: int) -> int:
-        if f == TRUE:
-            return FALSE
-        if f == FALSE:
-            return TRUE
+        if f <= TRUE:
+            return TRUE - f
         node = self.nodes[f]
         if node[0] == _NOT:
             return node[1]
-        return self._mk((_NOT, f))
+        key = (_NOT, f)
+        found = self._intern.get(key)
+        return self._mk(key) if found is None else found
 
     def _complement(self, f: int) -> int | None:
         """not_(f) if that node exists already, else None; creates nothing."""
@@ -83,28 +83,42 @@ class Store:
         return self._intern.get((_NOT, f))
 
     def _gate(self, tag: str, children) -> int:
+        """The and/or of children, folded and interned.  A list of two takes
+        a direct path with the same checks and the same result as the loop."""
         absorbing = FALSE if tag == _AND else TRUE
-        neutral = TRUE if tag == _AND else FALSE
+        neutral = TRUE - absorbing
         nodes, intern = self.nodes, self._intern
-        seen: set[int] = set()
-        kept: list[int] = []
-        for c in children:
-            if c == absorbing:
+        if children.__class__ is list and len(children) == 2:
+            a, b = children
+            if a == absorbing or b == absorbing:
                 return absorbing
-            if c == neutral or c in seen:
-                continue
-            node = nodes[c]  # is c's complement (see _complement) in seen?
-            if (node[1] if node[0] == _NOT else intern.get((_NOT, c))) in seen:
+            if a == neutral:
+                return b
+            if b == neutral or b == a:
+                return a
+            node = nodes[b]  # is b's complement (see _complement) a?
+            if (node[1] if node[0] == _NOT else intern.get((_NOT, b))) == a:
                 return absorbing
-            seen.add(c)
-            kept.append(c)
-        if not kept:
-            return neutral
-        if len(kept) == 1:
-            return kept[0]
-        key = (tag, tuple(kept))
-        found = intern.get(key)
-        return self._mk(key) if found is None else found
+            key = (tag, (a, b))
+        else:
+            seen: set[int] = set()
+            kept: list[int] = []
+            for c in children:
+                if c == absorbing:
+                    return absorbing
+                if c == neutral or c in seen:
+                    continue
+                node = nodes[c]  # is c's complement in seen?  Not when none is kept
+                if kept and (node[1] if node[0] == _NOT else intern.get((_NOT, c))) in seen:
+                    return absorbing
+                seen.add(c)
+                kept.append(c)
+            if not kept:
+                return neutral
+            if len(kept) == 1:
+                return kept[0]
+            key = (tag, tuple(kept))
+        return self._mk(key)
 
     def and_(self, children) -> int:
         return self._gate(_AND, children)
@@ -130,7 +144,18 @@ class Store:
         return self._mk((_XOR, a, b))
 
     def implies(self, a: int, b: int) -> int:
-        return self.or_([self.not_(a), b])
+        """or_([not_(a), b]) in one step, interning not a just as it does.
+
+        The complement check is b == a: not b is not a only for b == a,
+        as no node negates a not."""
+        na = self.not_(a)
+        if na == TRUE or b == TRUE or b == a:
+            return TRUE
+        if na == FALSE:
+            return b
+        if b == FALSE or b == na:
+            return na
+        return self._mk((_OR, (na, b)))
 
     def iff(self, a: int, b: int) -> int:
         return self.not_(self.xor2(a, b))
@@ -164,29 +189,50 @@ class Store:
         An and/or stops at its first absorbing child, as a fresh walk would.
         known = (T, F, j) holds the Kleene tables of `_block_tables` and i's
         place j in them: a child missing from the memo that they mark TRUE
-        or FALSE at j is that constant, which its rebuild would fold to."""
+        or FALSE at j is that constant, which its rebuild would fold to.
+        A child to rebuild pushes its parent's frame on an explicit stack,
+        so no depth is too deep; r, the rebuild of the child just finished,
+        resumes the parent's walk over its children, else is None.
+        """
         T, F, j = known
-        node = self.nodes[n]
-        tag = node[0]
-        stop = FALSE if tag == _AND else TRUE if tag == _OR else None
-        parts = []
-        for c in node[1] if stop is not None else node[1:]:
-            r = memo[c].get(i & mask[c])
+        nodes = self.nodes
+        frames: list[tuple] = []
+        r = None
+        while True:
+            if r is None:  # start on n
+                node = nodes[n]
+                tag = node[0]
+                stop = FALSE if tag == _AND else TRUE if tag == _OR else None
+                kids = iter(node[1] if stop is not None else node[1:])
+                parts: list[int] = []
+            elif r != stop:  # resume n; an r equal to stop is n's rebuild
+                parts.append(r)
+                r = None
             if r is None:
-                r = (TRUE if T[c] >> j & 1 else FALSE if F[c] >> j & 1
-                     else self._rebuild(c, i, mask, memo, known))
-            if r == stop:
-                break
-            parts.append(r)
-        else:
-            if tag == _NOT:
-                r = self.not_(parts[0])
-            elif tag == _XOR:
-                r = self.xor2(parts[0], parts[1])
-            else:
-                r = self._gate(tag, parts)
-        memo[n][i & mask[n]] = r
-        return r
+                for c in kids:
+                    r = memo[c].get(i & mask[c])
+                    if r is None:
+                        r = TRUE if T[c] >> j & 1 else FALSE if F[c] >> j & 1 else None
+                        if r is None:
+                            break  # rebuild c first
+                    if r == stop:
+                        break
+                    parts.append(r)
+                else:
+                    if tag == _NOT:
+                        r = self.not_(parts[0])
+                    elif tag == _XOR:
+                        r = self.xor2(parts[0], parts[1])
+                    else:
+                        r = self._gate(tag, parts)
+                if r is None:
+                    frames.append((n, tag, stop, kids, parts))
+                    n = c
+                    continue
+            memo[n][i & mask[n]] = r
+            if not frames:
+                return r
+            n, tag, stop, kids, parts = frames.pop()
 
     def reachable(self, root: int) -> list[int]:
         """All node ids in root's cone, each once, children before parents."""
@@ -500,7 +546,8 @@ def tseitin(
     become negated literals, and the map covers every node of root's cone,
     children first.  One walk numbers the gates and writes each gate's
     definition clauses as DIMACS lines ("-3 1 0\n") from the literal texts
-    of its children; with text, those lines are the clauses, and without,
+    of its children, kept in lists by node id (an or is an and with the
+    texts swapped); with text, those lines are the clauses, and without,
     they are read back into lists of ints.
 
     With one_sided, the result is a clause form (Plaisted and Greenbaum,
@@ -525,8 +572,8 @@ def tseitin(
 
     nodes = store.nodes
     lit: dict[int, int] = {}
-    pos: dict[int, str] = {}  # each node's literal as text
-    neg: dict[int, str] = {}  # and its negation
+    pos: list = [None] * len(nodes)  # each node's literal as text, by node id
+    neg: list = [None] * len(nodes)  # and its negation
     lines: list[str] = []
     t = store.num_vars
     for n in store.reachable(root):
@@ -545,18 +592,19 @@ def tseitin(
             lit[n] = v = t
         p = pos[n] = str(v)
         m = neg[n] = "-" + p
-        if tag == _AND:
-            for c in node[1]:
-                lines.append(f"{m} {pos[c]} 0\n")
-            lines.append(f"{p} {' '.join([neg[c] for c in node[1]])} 0\n")
-        elif tag == _OR:
-            for c in node[1]:
-                lines.append(f"{p} {neg[c]} 0\n")
-            lines.append(f"{m} {' '.join([pos[c] for c in node[1]])} 0\n")
-        elif tag == _XOR:
+        if tag == _XOR:
             a, b = node[1], node[2]
             lines += (f"{m} {pos[a]} {pos[b]} 0\n", f"{m} {neg[a]} {neg[b]} 0\n",
                       f"{p} {pos[a]} {neg[b]} 0\n", f"{p} {neg[a]} {pos[b]} 0\n")
+        elif tag != _VAR:  # an or is an and with the texts swapped
+            kids = node[1]
+            p, m, P, N = (p, m, pos, neg) if tag == _AND else (m, p, neg, pos)
+            if len(kids) == 2:
+                a, b = kids
+                lines += (f"{m} {P[a]} 0\n", f"{m} {P[b]} 0\n", f"{p} {N[a]} {N[b]} 0\n")
+            else:
+                lines += [f"{m} {P[c]} 0\n" for c in kids]
+                lines.append(f"{p} {' '.join([N[c] for c in kids])} 0\n")
     lines.append(f"{pos[root]} 0\n")
     if text:
         return lines, lit, t

@@ -340,10 +340,9 @@ def test_main_deeply_nested_spec_is_input_error(tmp_path, capsys, guarantee):
     assert err.startswith("error: specification nested too deeply (")
 
 
-def test_main_deep_constraint_matrix_is_resource_limit(tmp_path, capsys):
-    """An 11-input parity guarantee loads and decides on the basic encoding,
-    but the input encoding's matrix is 2,065 levels deep, beyond what the
-    expansion's recursion reaches."""
+def test_main_deep_constraint_matrix_decides(tmp_path, capsys):
+    """An 11-input parity guarantee: the input encoding's matrix is 2,065
+    levels deep, and the expansion, which keeps its own stack, decides it."""
     parity = "i10"
     for j in reversed(range(10)):
         parity = f"(i{j} <-> {parity})"
@@ -351,11 +350,25 @@ def test_main_deep_constraint_matrix_is_resource_limit(tmp_path, capsys):
            "guarantees": [f"G (o <-> {parity})"]}
     code = main([write_spec(tmp_path, doc), "--encoding", "input", "--max-bound", "1",
                  "--counter-strategy", "off"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("resource limit: constraint formula nested too deeply (")
-    assert len(captured.err.splitlines()) == 1
+    assert code == 10
+    assert capsys.readouterr() == ("REALIZABLE (bound 1)\n", "")
+
+
+def test_main_parses_each_call_afresh(tmp_path, monkeypatch):
+    """main builds its parser once; a later call still gets the default of
+    every option it does not pass."""
+    seen = []
+    make_sides = driver.make_sides
+    monkeypatch.setattr(driver, "make_sides", lambda spec, cfg: seen.append(cfg) or make_sides(spec, cfg))
+    spec_path = write_spec(tmp_path, ARBITER_DOC)
+    assert main([spec_path, "--encoding", "basic", "--search", "linear", "--max-bound", "2",
+                 "--minimize", "--no-scc-reduction", "--counter-strategy", "off",
+                 "--mode", "synthesis", "--format", "dot",
+                 "--output", str(tmp_path / "a.dot"), "--expansion-cap", "64"]) == 10
+    assert main([spec_path, "--semantics", "mealy"]) == 10
+    assert seen[0] != RunConfig()
+    assert seen[1] == RunConfig(semantics="mealy")
+    assert driver._arg_parser.cache_info().currsize == 1
 
 
 def test_cli_fuzz_random_specs(tmp_path, capsys):

@@ -8,6 +8,8 @@ from ltlsynth.driver import RunConfig, build_problem, make_sides
 from ltlsynth.ltl import load_spec
 from ltlsynth.logic import (
     _TABLE_BITS,
+    _AND,
+    _OR,
     FALSE,
     TRUE,
     QuantifiedProblem,
@@ -24,7 +26,7 @@ from ltlsynth.logic import (
     read_dimacs,
     tseitin,
 )
-from ltlsynth.solve import sat_solve
+from ltlsynth.solve import sat_solve, solve_internal
 from oracles import _substitute, dpll
 from suite import SUITE, arbiter_doc
 
@@ -242,6 +244,31 @@ def test_deep_chain_evaluates_and_emits():
     assert result.status == "sat" and result.model.assignment[xs[0]]
 
 
+def test_deep_matrix_expands_and_solves():
+    """A QBF whose matrix is 10,000 levels deep, far past the recursion
+    limit: forall u exists x, e_j. (u <-> x) and every (e_j or u), as a
+    right-nested chain.  At each value of u the expansion rebuilds the
+    whole chain, and the solver finds x = u and e_j true at u = 0."""
+    s = Store()
+    depth = 5000
+    u = s.new_var("u")
+    x = s.new_var("x")
+    es = [s.new_var(f"e{j}") for j in range(depth)]
+    f = s.iff(s.var(u), s.var(x))
+    for e in reversed(es):
+        f = s.and_([s.or_([s.var(e), s.var(u)]), f])
+    problem = QuantifiedProblem(s, f, [("a", [u]), ("e", [x] + es)])
+    result = solve_internal(problem)
+    assert result.status == "sat"
+    model = result.model
+    for value in (False, True):
+        assert model.value_of(x, {u: value}) is value
+    assert all(model.value_of(e, {u: False}) for e in es)
+    # and with x forced false the universal u = 1 has no answer
+    problem = QuantifiedProblem(s, s.and_([f, s.not_(s.var(x))]), [("a", [u]), ("e", [x] + es)])
+    assert solve_internal(problem).status == "unsat"
+
+
 def test_one_sided_tseitin_halves_arbiter_cnf():
     """Moore 3-client arbiter, basic encoding, n=3: 7,941 clauses with full
     definitions, 2,410 in clause form."""
@@ -276,6 +303,52 @@ def test_gate_creates_no_negations():
     assert s.or_([xs[0], s.not_(xs[0])]) == TRUE
     nx = s.not_(xs[1])
     assert s.and_([nx, xs[2], xs[1]]) == FALSE
+
+
+def test_binary_gates_match_the_loop():
+    """and_/or_ on two operands and implies return the node, and leave the
+    store, that the n-ary loop does: two stores are built in lockstep, one
+    through the two-operand paths, one through `_gate` on an iterator."""
+    rng = random.Random(1414)
+    modes = ("any", "equal", "complement", "fresh", "fresh-equal", "not")
+    seen = set()
+    for trial in range(40):
+        fast, loop = Store(), Store()
+        pool = [TRUE, FALSE]
+        for j in range(3):
+            assert fast.new_var(f"v{j}") == loop.new_var(f"v{j}")
+            pool.append(fast.var(j + 1))
+        for step in range(60):
+            op, mode = rng.choice(("and", "or", "implies")), rng.choice(modes)
+            a = rng.choice(pool)
+            if mode in ("fresh", "fresh-equal"):  # a variable whose not is never built first
+                v = fast.new_var(f"f{step}")
+                assert loop.new_var(f"f{step}") == v
+                b = fast.var(v)
+                if mode == "fresh-equal":
+                    a = b
+            elif mode == "equal":
+                b = a
+            elif mode in ("complement", "not"):  # builds the not first
+                c = a if mode == "complement" else rng.choice(pool)
+                b = fast.not_(c)
+                assert loop.not_(c) == b
+            else:
+                b = rng.choice(pool)
+            if rng.random() < 0.5:
+                a, b = b, a
+            seen.add((op, mode))
+            if op == "implies":
+                got = fast.implies(a, b)
+                want = loop._gate(_OR, iter([loop.not_(a), b]))
+            else:
+                tag = _AND if op == "and" else _OR
+                got = (fast.and_ if op == "and" else fast.or_)([a, b])
+                want = loop._gate(tag, iter([a, b]))
+            assert got == want, (trial, step, op, mode, a, b)
+            assert fast.nodes == loop.nodes and fast._intern == loop._intern
+            pool.append(got)
+    assert len(seen) == 3 * len(modes)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
