@@ -5,7 +5,7 @@ environment side in fair alternation, one bound step per side per round.
 The environment plays the negated specification with inputs and outputs
 swapped and the semantics dualized, so a win on either side settles the
 verdict.  Exit codes: 10 realizable, 20 unrealizable, 0 `--emit` success
-or undetermined, 1 usage/input errors, 2 resource exhaustion.
+or undetermined, 1 usage, input or write errors, 2 resource exhaustion.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_bound < 1:
             raise ValueError("max bound must be positive")
+        if self.expansion_cap < 0:
+            raise ValueError("expansion cap must not be negative")
         if (
             self.mode == "synthesis"
             and self.solver_cmd is not None
@@ -268,12 +270,19 @@ def _arg_parser() -> argparse.ArgumentParser:
 _EMITTERS = {"dimacs": emit_dimacs, "qdimacs": emit_qdimacs, "dqdimacs": emit_dqdimacs}
 
 
-def _write(path: str | None, text: str):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _write(path: str | None, text: str) -> bool:
+    """Write text to path, or to stdout; False, with an error printed, when
+    the file cannot be written."""
+    try:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        return True
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
 
 
 def _emit(side: SideProblem, cfg: RunConfig) -> int:
@@ -283,8 +292,7 @@ def _emit(side: SideProblem, cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc} (encoding {cfg.encoding!r})", file=sys.stderr)
         return 1
-    _write(cfg.output, text)
-    return 0
+    return 0 if _write(cfg.output, text) else 1
 
 
 def main(argv=None) -> int:
@@ -309,8 +317,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    if cfg.dump_ucw:
-        _write(cfg.dump_ucw, ucw_to_dot(sides[0].automaton))
+    if cfg.dump_ucw and not _write(cfg.dump_ucw, ucw_to_dot(sides[0].automaton)):
+        return 1
 
     try:
         if cfg.emit is not None:
@@ -332,7 +340,8 @@ def main(argv=None) -> int:
               f"bound {outcome.bound} may not be least", file=sys.stderr)
     if cfg.mode == "synthesis" and outcome.system is not None:
         text = to_aiger(outcome.system) if cfg.fmt == "aag" else to_dot(outcome.system)
-        _write(cfg.output, text)
+        if not _write(cfg.output, text):
+            return 1
     return 10 if outcome.status == "realizable" else 20
 
 

@@ -92,51 +92,39 @@ class VarDirectory:
         return out
 
 
-def _chain(gate, nodes, empty: int) -> int:
-    """gate(gate(n0, n1), n2)...: a left-nested chain, built in order."""
-    out = empty
-    for j, node in enumerate(nodes):
-        out = gate([out, node]) if j else node
-    return out
-
-
 def compile_guard(store: Store, alphabet: tuple[str, ...], mask: int, atom_map: dict[str, int]) -> int:
-    """Store node for a letter-set guard: the chain of its prime cover's
-    cubes, each the chain of its literals, atoms taken from atom_map."""
-    def lit(name, positive):
-        return atom_map[name] if positive else store.not_(atom_map[name])
-
-    cubes = prime_cover(alphabet, mask)
-    return _chain(store.or_, (_chain(store.and_, (lit(*l) for l in c), TRUE) for c in cubes), FALSE)
+    """Store node for a letter-set guard: one OR over its prime cover's
+    cubes, each one AND of its literals in name order (atoms from atom_map)."""
+    return store.or_([
+        store.and_([atom_map[name] if positive else store.not_(atom_map[name]) for name, positive in cube])
+        for cube in prime_cover(alphabet, mask)
+    ])
 
 
 def _code_node(store: Store, bits: list[int], value: int) -> int:
     """The bit nodes spell value, lowest bit first."""
-    lits = (bit if value >> j & 1 else store.not_(bit) for j, bit in enumerate(bits))
-    return _chain(store.and_, lits, TRUE)
+    return store.and_([bit if value >> j & 1 else store.not_(bit) for j, bit in enumerate(bits)])
 
 
 def symbolic_nodes(store: Store, sa: SymbolicUcw, atom_map: dict[str, int]) -> tuple[int, int, int]:
     """(init, reject, delta) of a binary-coded automaton as Store nodes.
 
     atom_map gives a node for every alphabet atom and state bit.  init is
-    the initial code, reject the chain of primed rejecting codes, and delta
-    the chain over the sorted edges of code(q) & guard & code'(q2), so codes
+    the initial code, reject one OR of the primed rejecting codes, and delta
+    one OR over the sorted edges of AND(code(q), guard, code'(q2)), so codes
     of no state satisfy init or a source position of delta.
     """
     a = sa.automaton
     code = [atom_map[name] for name in sa.state_vars]
     code2 = [atom_map[name] for name in sa.state_vars_primed]
     init = _code_node(store, code, a.initial)
-    reject = _chain(store.or_, (_code_node(store, code2, q) for q in sorted(a.rejecting)), FALSE)
-    edges = (
-        store.and_([
-            store.and_([_code_node(store, code, q), compile_guard(store, a.alphabet, g, atom_map)]),
-            _code_node(store, code2, q2),
-        ])
+    reject = store.or_([_code_node(store, code2, q) for q in sorted(a.rejecting)])
+    delta = store.or_([
+        store.and_([_code_node(store, code, q), compile_guard(store, a.alphabet, g, atom_map),
+                    _code_node(store, code2, q2)])
         for (q, q2), g in sorted(a.guards.items())
-    )
-    return init, reject, _chain(store.or_, edges, FALSE)
+    ])
+    return init, reject, delta
 
 
 def _rank_vec(store: Store, directory_rank: dict, key, b: int, prefix: str) -> BitVec:
@@ -341,9 +329,6 @@ class _SymbolicFrame:
     def vec(self, ids) -> BitVec:
         return BitVec(tuple(self.store.var(v) for v in ids))
 
-    def t_zero(self) -> int:
-        return self.store.and_([self.store.not_(bit) for bit in self.t_vec.bits])
-
     def match(self) -> int:
         """The transition bits name t2."""
         return self.store.and_(
@@ -389,7 +374,7 @@ def encode_state_symbolic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[Quant
         STATE_SYMBOLIC, a, n, sem, scc.counter_bits, range(a.n_states), sorted(scc.counted)
     )
     store, d = f.store, f.d
-    init = store.implies(f.t_zero(), store.var(d.reach[a.initial]))
+    init = store.implies(_code_node(store, f.t_vec.bits, 0), store.var(d.reach[a.initial]))
     match = f.match()
 
     main_parts = []
@@ -424,7 +409,7 @@ def encode_fully_symbolic(
 
     reach = store.var(d.reach[()])
     reach2 = store.var(d.reach2[()])
-    init = store.implies(store.and_([f.t_zero(), q_init]), reach)
+    init = store.implies(store.and_([_code_node(store, f.t_vec.bits, 0), q_init]), reach)
     match = f.match()
     compare = store.and_(
         [

@@ -231,6 +231,25 @@ def test_main_expansion_cap_exhaustion_exit_code(tmp_path):
     assert code == 2
 
 
+def test_main_negative_expansion_cap_is_usage_error(tmp_path, capsys):
+    # basic has no universals, so only the check on the option itself can refuse -1
+    spec_path = write_spec(tmp_path, ARBITER_DOC)
+    assert main([spec_path, "--encoding", "basic", "--expansion-cap", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: expansion cap must not be negative\n")
+
+
+@pytest.mark.parametrize("args", [["--emit", "qdimacs", "--output"], ["--dump-ucw"],
+                                  ["--mode", "synthesis", "--output"]],
+                         ids=["emit", "dump_ucw", "synthesis"])
+def test_main_write_failure_is_error(tmp_path, capsys, args):
+    """A path in a missing directory: exit 1 with one error line."""
+    spec_path = write_spec(tmp_path, ARBITER_DOC)
+    assert main([spec_path, *args, str(tmp_path / "missing" / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_main_undetermined_prints_unknown(tmp_path, capsys):
     spec_path = write_spec(tmp_path, ARBITER_DOC)
     code = main([spec_path, "--max-bound", "1"])
@@ -341,8 +360,8 @@ def test_main_deeply_nested_spec_is_input_error(tmp_path, capsys, guarantee):
 
 
 def test_main_deep_constraint_matrix_decides(tmp_path, capsys):
-    """An 11-input parity guarantee: the input encoding's matrix is 2,065
-    levels deep, and the expansion, which keeps its own stack, decides it."""
+    """An 11-input parity guarantee: its guard is a cover of 2,048 cubes,
+    one gate of that many children, and the input encoding decides it."""
     parity = "i10"
     for j in reversed(range(10)):
         parity = f"(i{j} <-> {parity})"

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ltlsynth.automaton import (
@@ -15,12 +17,13 @@ from ltlsynth.encode import (
     compile_guard,
     encode_state_symbolic,
 )
+from ltlsynth.driver import RunConfig, build_problem, make_sides
 from ltlsynth.extract import extract
-from ltlsynth.logic import FALSE, TRUE, Store
-from ltlsynth.ltl import parse_ltl
+from ltlsynth.logic import _AND, _NOT, _OR, _XOR, FALSE, TRUE, Store
+from ltlsynth.ltl import load_spec, parse_ltl
 from ltlsynth.solve import solve_internal
 from ltlsynth.verify import build_run_graph, check_annotation, model_check
-from suite import ARBITER_GUARANTEES, by_name, encode, guard
+from suite import ARBITER_GUARANTEES, arbiter_doc, by_name, encode, guard
 
 
 def ucw_for(text, inputs, outputs):
@@ -82,6 +85,51 @@ def test_specialize_guard_mutex():
     for v1 in (False, True):
         for v2 in (False, True):
             assert store.evaluate(node, {1: v1, 2: v2}) == (not (v1 and v2))
+
+
+def test_compile_guard_is_one_or_of_cube_ands():
+    # atoms allocated against name order, so the AND's order is not the ids'
+    alphabet = ("c", "b", "a")
+    a = Ucw((), alphabet, 1, 0, {(0, 0): guard("(a && b && c) || (!a && !b) || (!a && !c)", alphabet)},
+            frozenset())
+    store = Store()
+    atoms = {name: store.var(store.new_var(name)) for name in alphabet}
+    node = compile_guard(store, alphabet, a.guards[(0, 0)], atoms)
+    na, nb, nc = (store.not_(atoms[name]) for name in "abc")
+    cubes = (store.and_([na, nb]), store.and_([na, nc]), store.and_([atoms["a"], atoms["b"], atoms["c"]]))
+    assert store.nodes[node] == (_OR, cubes)
+    assert store.nodes[cubes[2]] == (_AND, (atoms["a"], atoms["b"], atoms["c"]))
+
+
+def _depth(store, root):
+    """Levels on the longest path from root down to a leaf."""
+    depth = {}
+    for n in store.reachable(root):
+        node = store.nodes[n]
+        kids = node[1] if node[0] in (_AND, _OR) else node[1:] if node[0] in (_NOT, _XOR) else ()
+        depth[n] = 1 + max((depth[c] for c in kids), default=0)
+    return depth[root]
+
+
+def _parity_doc():
+    """An 11-input parity guarantee: every edge guard covers 2,048 cubes."""
+    parity = "i10"
+    for j in reversed(range(10)):
+        parity = f"(i{j} <-> {parity})"
+    return {"semantics": "mealy", "inputs": [f"i{j}" for j in range(11)], "outputs": ["o"],
+            "guarantees": [f"G (o <-> {parity})"]}
+
+
+@pytest.mark.parametrize("doc, n, kinds", [(arbiter_doc(4), 4, ALL_KINDS),
+                                           (_parity_doc(), 1, ["input", "state", "full"])],
+                         ids=["arbiter4", "parity11"])
+def test_matrix_depth_is_shallow(doc, n, kinds):
+    """Covers, codes and the symbolic relation are single n-ary gates, so
+    no matrix grows with the number of cubes, rejecting states or edges."""
+    side = make_sides(load_spec(json.dumps(doc)), RunConfig(counter_strategy="off"))[0]
+    for kind in kinds:
+        problem, _ = build_problem(side, n, RunConfig(encoding=kind))
+        assert _depth(problem.store, problem.matrix) <= 24, kind
 
 
 # ---------------------------------------------------------------------------
