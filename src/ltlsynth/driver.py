@@ -94,8 +94,6 @@ class SideProblem:
     role: str  # 'system' | 'environment'
     automaton: Ucw
     semantics: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
 
 
 @dataclass
@@ -136,8 +134,9 @@ def _attempt(
     result = _solve(problem, cfg)
     if result.status != "sat" or not want_system:
         return result, None
-    ts = extract(result.model, directory, side.inputs, side.outputs)
-    lasso = model_check(ts, side.automaton)
+    a = side.automaton
+    ts = extract(result.model, directory, a.inputs, a.outputs)
+    lasso = model_check(ts, a)
     if lasso is not None:
         raise RuntimeError(
             f"extracted {side.role} system fails verification on input prefix "
@@ -154,27 +153,12 @@ def _word(letters) -> str:
 def make_sides(spec: SynthSpec, cfg: RunConfig) -> list[SideProblem]:
     semantics = cfg.semantics or spec.semantics
     formula = spec.formula()
-    sides = [
-        SideProblem(
-            "system",
-            ltl_to_ucw(formula, spec.inputs, spec.outputs),
-            semantics,
-            spec.inputs,
-            spec.outputs,
-        )
-    ]
+    sides = [SideProblem("system", ltl_to_ucw(formula, spec.inputs, spec.outputs), semantics)]
     # the environment side serves only the counter-strategy search
     if cfg.counter_strategy == "auto" and cfg.emit is None:
         dual_semantics = MEALY if semantics == MOORE else MOORE
-        sides.append(
-            SideProblem(
-                "environment",
-                ltl_to_ucw(negate(formula), spec.outputs, spec.inputs),
-                dual_semantics,
-                spec.outputs,
-                spec.inputs,
-            )
-        )
+        dual = ltl_to_ucw(negate(formula), spec.outputs, spec.inputs)
+        sides.append(SideProblem("environment", dual, dual_semantics))
     return sides
 
 

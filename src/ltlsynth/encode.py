@@ -11,10 +11,11 @@ output variables feeding the edge guards.  The variants differ along one
 axis, what stays explicit, and come in two pairs with one skeleton each:
 
   explicit system states (`_encode_explicit`): the basic encoding
-      enumerates the input valuations, binds each guard's inputs to
-      constants and keeps one copy of trans (and of Mealy outputs) per
-      valuation; the input-symbolic one binds them to universal variables,
-      so a single copy serves every valuation.
+      enumerates the input valuations, compiles each guard's cofactor at
+      a valuation over the outputs alone and keeps one copy of trans (and
+      of Mealy outputs) per valuation; the input-symbolic one keeps the
+      inputs as universal variables, so a single copy serves every
+      valuation.
   symbolic system states (`_SymbolicFrame`): system states become
       universally quantified bit vectors, t and its successor t2, with
       Ackermann-style consistency ties between the two occurrences.  The
@@ -22,8 +23,8 @@ axis, what stays explicit, and come in two pairs with one skeleton each:
       state; the fully symbolic one also runs over a binary-coded
       automaton, whose state bits are universal as well.
 
-Variable allocation order and the order in which formula nodes are built
-fix the emitted DIMACS numbering, so both are part of each encoding.
+Variable allocation order and the order of each gate's children fix the
+emitted DIMACS numbering, so both are part of each encoding.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 from .automaton import SccInfo, SymbolicUcw, Ucw, prime_cover
 from .logic import (
     FALSE,
-    TRUE,
     BitVec,
     QuantifiedProblem,
     Store,
@@ -41,7 +41,7 @@ from .logic import (
     bv_greater,
     bv_less_const,
 )
-from .system import MEALY, MOORE, input_valuations
+from .system import MEALY, MOORE
 
 BASIC = "basic"
 INPUT_SYMBOLIC = "input"
@@ -101,6 +101,14 @@ def compile_guard(store: Store, alphabet: tuple[str, ...], mask: int, atom_map: 
     ])
 
 
+def cofactors(mask: int, w: int, width: int) -> list[int]:
+    """A letter set's cofactor at each valuation ii of its low w atoms: the
+    letters whose low w atoms spell ii, as a letter set over the `width`
+    atoms above them.  With w = 0 that is [mask]."""
+    bits = format(mask, f"0{1 << (w + width)}b")[::-1]  # bit l of mask at position l
+    return [int(bits[ii::1 << w][::-1], 2) for ii in range(1 << w)]
+
+
 def _code_node(store: Store, bits: list[int], value: int) -> int:
     """The bit nodes spell value, lowest bit first."""
     return store.and_([bit if value >> j & 1 else store.not_(bit) for j, bit in enumerate(bits)])
@@ -156,8 +164,12 @@ def _encode_explicit(
     """One obligation builder for the basic and input-symbolic encodings.
 
     A copy of trans, and of the Mealy outputs, is keyed by a suffix: the
-    valuation index (basic) or nothing (input-symbolic).  Input-symbolic
-    Moore outputs do not depend on the inputs and join the outer block.
+    valuation index (basic) or nothing (input-symbolic).  A copy sees each
+    guard as its cofactor at the copy's valuation, a letter set over the
+    outputs (basic), or whole over the universal inputs and the outputs
+    (input-symbolic); a copy whose cofactor is empty builds nothing for
+    that edge.  Input-symbolic Moore outputs do not depend on the inputs
+    and join the outer block.
     The basic prefix has an empty universal block, so it stays a SAT
     fragment and emits as one existential block.
     """
@@ -167,9 +179,9 @@ def _encode_explicit(
     m = a.n_states
     b = scc.counter_bits
     symbolic = kind == INPUT_SYMBOLIC
-    vals = input_valuations(a.inputs)
+    w = 0 if symbolic else len(a.inputs)  # the atoms each copy fixes: none, or the inputs
     # key suffixes of the trans/out copies: one per valuation, or a single ()
-    copies = [()] if symbolic else [(ii,) for ii in range(len(vals))]
+    copies = [()] if symbolic else [(ii,) for ii in range(1 << w)]
     out_copies = [()] if sem == MOORE else copies
     d = VarDirectory(kind, sem, n, b)
 
@@ -202,19 +214,16 @@ def _encode_explicit(
         allocate_outputs()
     inner = list(range(len(outer) + len(universals) + 1, store.num_vars + 1))
 
-    # how a guard sees the inputs: universal variables, or constants per valuation
-    if symbolic:
-        input_maps = [{name: store.var(v) for name, v in d.univ_inputs.items()}]
-    else:
-        input_maps = [{name: (TRUE if name in i else FALSE) for name in a.inputs} for i in vals]
+    # each guard at each copy's valuation, over the atoms left free; empty ones dropped
+    free = a.alphabet[w:]
+    copy_guards = {e: [(s, c) for s, c in zip(copies, cofactors(g, w, len(free))) if c]
+                   for e, g in a.guards.items()}
+    univ = {name: store.var(v) for name, v in d.univ_inputs.items()}
     atom_maps = {}
     for t in range(n):
-        for s, input_map in zip(copies, input_maps):
+        for s in copies:
             s_out = () if sem == MOORE else s
-            atom_maps[(t, s)] = dict(input_map)
-            atom_maps[(t, s)].update(
-                {name: store.var(d.out[(name, t, *s_out)]) for name in a.outputs}
-            )
+            atom_maps[(t, s)] = univ | {name: store.var(d.out[(name, t, *s_out)]) for name in a.outputs}
 
     # each copy's transition nodes, t2 = 0..n-1
     trans = {(t, s): [store.var(d.trans[(t, *s, t2)]) for t2 in range(n)]
@@ -227,10 +236,8 @@ def _encode_explicit(
             parts = []
             for q2 in a.successors(q):
                 bodies: dict[int, int] = {}  # t2 -> obligation, shared by the copies
-                for s in copies:
-                    delta = compile_guard(store, a.alphabet, a.guards[(q, q2)], atom_maps[(t, s)])
-                    if delta == FALSE:
-                        continue
+                for s, guard in copy_guards[(q, q2)]:
+                    delta = compile_guard(store, free, guard, atom_maps[(t, s)])
                     inner_parts = []
                     for t2, tr in enumerate(trans[(t, s)]):
                         if t2 not in bodies:

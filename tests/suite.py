@@ -95,7 +95,7 @@ def arbiter_doc(k):
 
 def encode(kind, a, n, sem, reduction=True):
     """Encode an automaton through the driver's dispatch, as the CLI does."""
-    side = SideProblem("system", a, sem, a.inputs, a.outputs)
+    side = SideProblem("system", a, sem)
     return build_problem(side, n, RunConfig(encoding=kind, scc_reduction=reduction))
 
 

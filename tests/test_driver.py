@@ -361,16 +361,18 @@ def test_main_deeply_nested_spec_is_input_error(tmp_path, capsys, guarantee):
 
 def test_main_deep_constraint_matrix_decides(tmp_path, capsys):
     """An 11-input parity guarantee: its guard is a cover of 2,048 cubes,
-    one gate of that many children, and the input encoding decides it."""
+    one gate of that many children, and the input encoding decides it.  The
+    basic encoding compiles one cofactor over the output per valuation."""
     parity = "i10"
     for j in reversed(range(10)):
         parity = f"(i{j} <-> {parity})"
     doc = {"semantics": "mealy", "inputs": [f"i{j}" for j in range(11)], "outputs": ["o"],
            "guarantees": [f"G (o <-> {parity})"]}
-    code = main([write_spec(tmp_path, doc), "--encoding", "input", "--max-bound", "1",
-                 "--counter-strategy", "off"])
-    assert code == 10
-    assert capsys.readouterr() == ("REALIZABLE (bound 1)\n", "")
+    spec_path = write_spec(tmp_path, doc)
+    for encoding in ("input", "basic"):
+        code = main([spec_path, "--encoding", encoding, "--max-bound", "1", "--counter-strategy", "off"])
+        assert code == 10, encoding
+        assert capsys.readouterr() == ("REALIZABLE (bound 1)\n", ""), encoding
 
 
 def test_main_parses_each_call_afresh(tmp_path, monkeypatch):

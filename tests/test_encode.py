@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,9 +8,11 @@ from ltlsynth.automaton import (
     analyze_sccs,
     encode_symbolic,
     full_counters,
+    letter_index,
     ltl_to_ucw,
 )
 from ltlsynth.encode import (
+    cofactors,
     count_profile,
     encode_basic,
     encode_fully_symbolic,
@@ -19,7 +22,7 @@ from ltlsynth.encode import (
 )
 from ltlsynth.driver import RunConfig, build_problem, make_sides
 from ltlsynth.extract import extract
-from ltlsynth.logic import _AND, _NOT, _OR, _XOR, FALSE, TRUE, Store
+from ltlsynth.logic import _AND, _NOT, _OR, _XOR, FALSE, Store
 from ltlsynth.ltl import load_spec, parse_ltl
 from ltlsynth.solve import solve_internal
 from ltlsynth.verify import build_run_graph, check_annotation, model_check
@@ -43,10 +46,10 @@ ALL_KINDS = ["basic", "input", "state", "full"]
 
 
 def specialize(store, a, q, q2, i, outvars):
-    """Edge guard with inputs bound to constants and outputs to nodes."""
-    atom_map = {name: (TRUE if name in i else FALSE) for name in a.inputs}
-    atom_map.update(outvars)
-    return compile_guard(store, a.alphabet, a.guards.get((q, q2), 0), atom_map)
+    """Edge guard at input valuation i: its cofactor over the outputs, whose
+    atoms are the nodes in outvars."""
+    table = cofactors(a.guards.get((q, q2), 0), len(a.inputs), len(a.outputs))
+    return compile_guard(store, a.outputs, table[letter_index(a.inputs, i)], outvars)
 
 
 def test_specialize_guard_substitution():
@@ -85,6 +88,29 @@ def test_specialize_guard_mutex():
     for v1 in (False, True):
         for v2 in (False, True):
             assert store.evaluate(node, {1: v1, 2: v2}) == (not (v1 and v2))
+
+
+@pytest.mark.parametrize("n_in", range(4))
+@pytest.mark.parametrize("n_out", range(4))
+def test_specialized_guard_matches_letter_set(n_in, n_out):
+    """At every input valuation and output letter, the compiled cofactor
+    agrees with the guard's bit for that letter; with no input fixed, the
+    cofactor is the guard itself."""
+    rng = random.Random(1000 * n_in + n_out)
+    inputs = tuple(f"i{j}" for j in range(n_in))
+    outputs = tuple(f"o{j}" for j in range(n_out))
+    for _ in range(12):
+        g = rng.getrandbits(1 << (n_in + n_out))
+        assert cofactors(g, 0, n_in + n_out) == [g]
+        a = Ucw(inputs, outputs, 1, 0, {(0, 0): g}, frozenset())
+        store = Store()
+        ov = {name: store.var(store.new_var(name)) for name in outputs}
+        for ii in range(1 << n_in):
+            i = frozenset(name for j, name in enumerate(inputs) if ii >> j & 1)
+            node = specialize(store, a, 0, 0, i, ov)
+            for o in range(1 << n_out):
+                values = {j + 1: bool(o >> j & 1) for j in range(n_out)}  # variables 1..n_out
+                assert store.evaluate(node, values) == bool(g >> (ii | o << n_in) & 1), (g, ii, o)
 
 
 def test_compile_guard_is_one_or_of_cube_ands():

@@ -22,7 +22,7 @@ from ltlsynth.ltl import load_spec
 from suite import SUITE, arbiter_doc
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "solver_input_digests.json")
-ENCODINGS = ("input", "state", "full")
+ENCODINGS = ("basic", "input", "state", "full")
 
 
 def _cases():
