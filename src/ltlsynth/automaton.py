@@ -7,7 +7,12 @@ the result as a universal co-Buchi automaton for the original formula
 (transitions interpreted universally, Buchi-accepting states marked
 rejecting).  Top-level disjuncts of the negation are translated separately
 and joined under a fresh initial state, which keeps the degeneralization
-counters local to each disjunct.
+counters local to each disjunct.  Within a disjunct, a conjunct G p with p
+propositional only cuts every guard to p's letters, and each other
+conjunct gets its own tableau; the disjunct's automaton is their
+synchronous product, built on the fly over the reachable states whose
+letter set is nonempty, accepting on the union of the conjuncts'
+acceptance sets (Babiak, Kretinsky, Rehak and Strejcek, TACAS 2012).
 
 Edge guards are letter sets, as in Spot (Duret-Lutz et al., "Spot 2.0",
 ATVA 2016): an int bitmask over the 2^|AP| letters of the alphabet
@@ -185,12 +190,14 @@ def _expand(new: dict, old: set, nxt: dict, out: set[int], index: dict, work: li
         raise ValueError(f"tableau input must be in negation normal form, got {k}")
 
 
-def _tableau(phi: LtlFormula):
+def _tableau(phi: LtlFormula, alphabet):
     """GPVW expansion.  Returns (successors, initial ids, acceptance sets,
-    labels), successor and initial ids ascending.
+    labels), successor and initial ids ascending; a node's label is the
+    letter set of its literals.
 
     Acceptance sets are per Until subformula of phi: a run must infinitely
-    often visit a node where the Until is absent or already fulfilled.
+    often visit a node where the Until is absent or already fulfilled.  A
+    U true is fulfilled in every node, as true never enters `old`.
     """
     index: dict[tuple[frozenset, frozenset], int] = {}  # (old, nxt) -> node id
     work: list[tuple[int, tuple]] = []
@@ -217,11 +224,13 @@ def _tableau(phi: LtlFormula):
     untils.sort(key=ltl.format_ltl)
 
     acc_sets = [
-        frozenset(idx for idx, (old, _) in enumerate(nodes) if u not in old or u.children[1] in old)
+        frozenset(idx for idx, (old, _) in enumerate(nodes)
+                  if u not in old or u.children[1] in old or u.children[1].kind == ltl.TRUE)
         for u in untils
     ]
     labels = [
-        {f.name or f.children[0].name: f.kind == ltl.ATOM for f in old if _is_literal(f)}
+        cube_mask(alphabet, {f.name or f.children[0].name: f.kind == ltl.ATOM
+                             for f in old if _is_literal(f)})
         for old, _ in nodes
     ]
     return [sorted(succ[idx]) for idx in range(len(nodes))], sorted(initial), acc_sets, labels
@@ -268,10 +277,64 @@ def _degeneralize(succ, initial, acc_sets, labels):
     return out_succ, start, accepting, out_labels
 
 
-def _top_disjuncts(f: LtlFormula) -> list[LtlFormula]:
-    if f.kind == ltl.OR:
-        return _top_disjuncts(f.children[0]) + _top_disjuncts(f.children[1])
+def _operands(f: LtlFormula, kind: str) -> list[LtlFormula]:
+    """The operands of the chain of `kind` nodes at f's top, left to right."""
+    if f.kind == kind:
+        return _operands(f.children[0], kind) + _operands(f.children[1], kind)
     return [f]
+
+
+def _letters(f: LtlFormula, alphabet) -> int | None:
+    """The letter set of a propositional NNF formula; None if f is temporal."""
+    k = f.kind
+    if k == ltl.TRUE:
+        return cube_mask(alphabet, {})
+    if k == ltl.FALSE:
+        return 0
+    if _is_literal(f):
+        return cube_mask(alphabet, {f.name or f.children[0].name: k == ltl.ATOM})
+    if k != ltl.AND and k != ltl.OR:
+        return None
+    a = _letters(f.children[0], alphabet)
+    b = None if a is None else _letters(f.children[1], alphabet)
+    if b is None:
+        return None
+    return a & b if k == ltl.AND else a | b
+
+
+def _product(parts: list[LtlFormula], letters: int, alphabet):
+    """Synchronous product of one tableau per part, each state's letter set
+    cut by `letters`.  Builds only the reachable states with a nonempty
+    letter set, numbered in tuple order, so one part and all letters give
+    its tableau unchanged.  Returns what `_tableau` does; the acceptance
+    sets are those of every part."""
+    tableaux = [_tableau(p, alphabet) for p in parts]
+
+    def combos(choices):
+        """(state tuple, letter set) of each combination with a letter."""
+        out = [((), letters)]
+        for (_, _, _, labels), ids in zip(tableaux, choices):
+            out = [(t + (s,), m & labels[s]) for t, m in out for s in ids if m & labels[s]]
+        return out
+
+    label = dict(combos([t[1] for t in tableaux]))
+    initial, succ, work = list(label), {}, list(label)
+    while work:
+        t = work.pop()
+        succ[t] = []
+        for t2, m in combos([tab[0][s] for tab, s in zip(tableaux, t)]):
+            succ[t].append(t2)
+            if t2 not in label:
+                label[t2] = m
+                work.append(t2)
+    states = sorted(label)
+    ids = {t: j for j, t in enumerate(states)}
+    acc_sets = [
+        frozenset(ids[t] for t in states if t[i] in acc)
+        for i, tab in enumerate(tableaux) for acc in tab[2]
+    ]
+    return ([[ids[t2] for t2 in succ[t]] for t in states], [ids[t] for t in initial],
+            acc_sets, [label[t] for t in states])
 
 
 def ltl_to_ucw(f: LtlFormula, inputs, outputs) -> Ucw:
@@ -289,18 +352,28 @@ def ltl_to_ucw(f: LtlFormula, inputs, outputs) -> Ucw:
     guards: dict[tuple[int, int], int] = {}
     rejecting: set[int] = set()
     n_states = 1  # state 0 is the fresh initial state
-    for part in _top_disjuncts(negated):
-        if part.kind == ltl.FALSE:
+    for part in _operands(negated, ltl.OR):
+        # A conjunct G p = false R p with p propositional only cuts letters.
+        letters, temporal = cube_mask(alphabet, {}), []
+        for c in _operands(part, ltl.AND):
+            folded = None
+            if c.kind == ltl.RELEASE and c.children[0].kind == ltl.FALSE:
+                folded = _letters(c.children[1], alphabet)
+            if folded is None:
+                temporal.append(c)
+            else:
+                letters &= folded
+        if not letters:
             continue
-        succ, initial, accepting, labels = _degeneralize(*_tableau(part))
+        succ, initial, accepting, labels = _degeneralize(*_product(temporal, letters, alphabet))
         base = n_states
         n_states += len(succ)
         rejecting.update(base + s for s in accepting)
         for s in initial:
-            guards[(0, base + s)] = cube_mask(alphabet, labels[s])
+            guards[(0, base + s)] = labels[s]
         for s, targets in enumerate(succ):
             for s2 in set(targets):
-                guards[(base + s, base + s2)] = cube_mask(alphabet, labels[s2])
+                guards[(base + s, base + s2)] = labels[s2]
 
     return _merge_duplicates(Ucw(inputs, outputs, n_states, 0, guards, frozenset(rejecting)))
 

@@ -83,12 +83,15 @@ class Store:
         return self._intern.get((_NOT, f))
 
     def _gate(self, tag: str, children) -> int:
-        """The and/or of children, folded and interned.  A list of two takes
-        a direct path with the same checks and the same result as the loop."""
+        """The and/or of children, folded and interned.  A list of at most
+        two takes a direct path with the same checks and the same result as
+        the loop."""
         absorbing = FALSE if tag == _AND else TRUE
         neutral = TRUE - absorbing
         nodes, intern = self.nodes, self._intern
-        if children.__class__ is list and len(children) == 2:
+        if children.__class__ is list and len(children) < 3:
+            if len(children) < 2:
+                return children[0] if children else neutral
             a, b = children
             if a == absorbing or b == absorbing:
                 return absorbing

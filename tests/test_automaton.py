@@ -1,7 +1,9 @@
+import json
 import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 
 import networkx as nx
 import pytest
@@ -20,15 +22,24 @@ from ltlsynth.automaton import (
 )
 from ltlsynth.encode import symbolic_nodes
 from ltlsynth.logic import Store
-from ltlsynth.ltl import parse_ltl
+from ltlsynth.ltl import load_spec, parse_ltl
 from oracles import all_lassos, all_letters, eval_ltl_lasso, random_formula
-from suite import SUITE, guard
+from suite import SUITE, arbiter_doc, guard
 
 ARBITER = "G (r1 -> X F g1) && G (r2 -> X F g2) && G ! (g1 && g2)"
 
 
 def ucw(text, inputs, outputs):
     return ltl_to_ucw(parse_ltl(text), inputs, outputs)
+
+
+@lru_cache(maxsize=None)
+def arbiter_sides(k):
+    """The k-client arbiter's formula and its system and environment automata."""
+    spec = load_spec(json.dumps(arbiter_doc(k)))
+    f = spec.formula()
+    system = ltl_to_ucw(f, spec.inputs, spec.outputs)
+    return f, system, ltl_to_ucw(ltl.negate(f), spec.outputs, spec.inputs)
 
 
 def test_guard_eval():
@@ -103,6 +114,71 @@ def test_language_against_trace_oracle_four_atoms():
             ), ltl.format_ltl(f)
 
 
+def test_arbiter_language_against_trace_oracle():
+    """Both sides of arbiter k = 2..4, whose negation (system) and formula
+    (environment) are conjunctions that the construction splits, on seeded
+    lassos.  Grants mostly keep mutual exclusion, so that the response
+    properties decide many words; uniform letters would break it in almost
+    every word."""
+    rng = random.Random(24)
+    for k in (2, 3, 4):
+        f, system, environment = arbiter_sides(k)
+        requests = [f"r{i}" for i in range(1, k + 1)]
+        grants = [f"g{i}" for i in range(1, k + 1)]
+
+        def letter():
+            out = {r for r in requests if rng.random() < 0.5}
+            granted = rng.sample(grants, 2) if rng.random() < 0.05 else [rng.choice(grants + [None])]
+            return frozenset(out | set(granted) - {None})
+
+        verdicts = set()
+        for _ in range(150):
+            prefix = [letter() for _ in range(rng.randrange(0, 3))]
+            loop = [letter() for _ in range(rng.randrange(1, 4))]
+            holds = eval_ltl_lasso(f, prefix, loop)
+            verdicts.add(holds)
+            assert ucw_accepts_lasso(system, prefix, loop) == holds, (k, prefix, loop)
+            assert ucw_accepts_lasso(environment, prefix, loop) != holds, (k, prefix, loop)
+        assert verdicts == {False, True}
+
+
+def test_globally_propositional_conjuncts_fold_into_guards():
+    """A conjunct G p of the negation with p propositional adds no state:
+    it cuts the letters of its disjunct, and G false drops the disjunct."""
+    alphabet = ("a", "b")
+    lassos = list(all_lassos(["a", "b"], 2, 2))
+    cases = [
+        # negation F a && G false: no run, so every word is accepted
+        ("! (F a && G false)", 1, 0),
+        # negation G a && G ! b: one rejecting state looping on a && !b
+        ("! (G a && G ! b)", 2, 1),
+        # the same beside a disjunct that G false empties
+        ("! ((G a && G ! b) || (X b && G (a && ! a)))", 2, 1),
+        # a folded conjunct beside a temporal one; one tableau of both gives 4
+        ("! (G (a || b) && (a U b))", 3, 1),
+    ]
+    for text, n_states, n_rejecting in cases:
+        f = parse_ltl(text)
+        a = ltl_to_ucw(f, ["a"], ["b"])
+        assert (a.n_states, len(a.rejecting)) == (n_states, n_rejecting), text
+        for prefix, loop in lassos:
+            assert ucw_accepts_lasso(a, prefix, loop) == eval_ltl_lasso(f, prefix, loop), text
+    a = ucw("! (G a && G ! b)", ["a"], ["b"])
+    assert a.guards == {(0, 1): guard("a && ! b", alphabet), (1, 1): guard("a && ! b", alphabet)}
+
+
+def test_until_with_true_right_side_is_always_fulfilled():
+    """x U true holds at once; the tableau never puts true among a node's
+    formulas, so its acceptance set must not wait for it."""
+    lassos = list(all_lassos(["a", "b"], 1, 2))
+    for text in ("G F true", "! G F true", "! G (a U true)", "(G (false U true) <-> a)",
+                 "! X F (b R false)"):
+        f = parse_ltl(text)
+        a = ltl_to_ucw(f, ["a"], ["b"])
+        for prefix, loop in lassos:
+            assert ucw_accepts_lasso(a, prefix, loop) == eval_ltl_lasso(f, prefix, loop), text
+
+
 def _reachable_with_live_guards(a):
     """States reachable from the initial state; asserts every guard is nonempty."""
     rows = a.rows()
@@ -119,8 +195,10 @@ def _reachable_with_live_guards(a):
 def test_every_state_reachable_and_every_guard_nonempty():
     """The tableau creates a node only as a successor of an existing one, and
     each guard is the cube of a consistent literal set; so ltl_to_ucw needs
-    no pruning pass.  Checked on random formulas of both polarities and on
-    both sides of every suite spec."""
+    no pruning pass, and the product of tableaux builds only reachable
+    states with a nonempty letter set.  Checked on random formulas of both
+    polarities, on both sides of every suite spec and on the environment
+    side of arbiter k = 2..4."""
     rng = random.Random(23)
     automata = []
     for _ in range(150):
@@ -131,23 +209,28 @@ def test_every_state_reachable_and_every_guard_nonempty():
         f = bench.spec.formula()
         automata.append(ltl_to_ucw(f, bench.spec.inputs, bench.spec.outputs))
         automata.append(ltl_to_ucw(ltl.negate(f), bench.spec.outputs, bench.spec.inputs))
+    automata.extend(arbiter_sides(k)[2] for k in (2, 3, 4))
     for a in automata:
         assert _reachable_with_live_guards(a) == set(range(a.n_states))
 
 
 _DUMP_SUITE_AUTOMATA = """
+import json
 import suite
 from ltlsynth.driver import RunConfig, make_sides
-for bench in suite.SUITE:
-    for side in make_sides(bench.spec, RunConfig()):
+from ltlsynth.ltl import load_spec
+benches = [(bench.name, bench.spec) for bench in suite.SUITE]
+benches.append(("arbiter3", load_spec(json.dumps(suite.arbiter_doc(3)))))
+for name, spec in benches:
+    for side in make_sides(spec, RunConfig()):
         a = side.automaton
-        print(bench.name, side.role, a.n_states, a.initial, sorted(a.rejecting), sorted(a.guards.items()))
+        print(name, side.role, a.n_states, a.initial, sorted(a.rejecting), sorted(a.guards.items()))
 """
 
 
 def test_automata_independent_of_hash_seed():
-    """Both sides of every suite spec, built in two processes with
-    different string hashing, are the same automaton."""
+    """Both sides of every suite spec and of arbiter k = 3, built in two
+    processes with different string hashing, are the same automaton."""
     paths = [os.path.dirname(os.path.dirname(ltl.__file__)), os.path.dirname(__file__)]
     dumps = []
     for seed in ("1", "2"):
@@ -156,7 +239,7 @@ def test_automata_independent_of_hash_seed():
             [sys.executable, "-c", _DUMP_SUITE_AUTOMATA],
             env=env, capture_output=True, text=True, check=True,
         ).stdout)
-    assert dumps[0].count("\n") == 2 * len(SUITE)
+    assert dumps[0].count("\n") == 2 * len(SUITE) + 2
     assert dumps[0] == dumps[1]
 
 
