@@ -43,6 +43,7 @@ from .solve import (
     SolveResult,
     external_solve,
     solve_internal,
+    solver_argv,
 )
 from .system import MEALY, MOORE, TransitionSystem, to_aiger, to_dot
 from .verify import model_check
@@ -58,7 +59,7 @@ class RunConfig:
     search: str = "exponential"  # 'exponential' | 'linear'
     max_bound: int = 8
     minimize: bool = False
-    solver_cmd: str | None = None
+    solver_cmd: str | list[str] | None = None  # validate splits it into argv tokens
     scc_reduction: bool = True
     counter_strategy: str = "auto"  # 'auto' | 'off'
     emit: str | None = None  # 'dimacs' | 'qdimacs' | 'dqdimacs'
@@ -76,6 +77,8 @@ class RunConfig:
             raise ValueError("max bound must be positive")
         if self.expansion_cap < 0:
             raise ValueError("expansion cap must not be negative")
+        if isinstance(self.solver_cmd, str):
+            self.solver_cmd = solver_argv(self.solver_cmd)
         if (
             self.mode == "synthesis"
             and self.solver_cmd is not None
@@ -162,9 +165,9 @@ def make_sides(spec: SynthSpec, cfg: RunConfig) -> list[SideProblem]:
     return sides
 
 
-def _bounds(cfg: RunConfig) -> list[int]:
+def _bounds(cfg: RunConfig) -> range | list[int]:
     if cfg.search == "linear":
-        return list(range(1, cfg.max_bound + 1))
+        return range(1, cfg.max_bound + 1)
     out = []
     n = 1
     while n <= cfg.max_bound:

@@ -35,14 +35,30 @@ RELEASE = "release"
 FINALLY = "finally"
 GLOBALLY = "globally"
 
-_ARITY = {
-    ATOM: 0, TRUE: 0, FALSE: 0,
-    NOT: 1, NEXT: 1, FINALLY: 1, GLOBALLY: 1,
-    AND: 2, OR: 2, IMPLIES: 2, IFF: 2, UNTIL: 2, RELEASE: 2,
+# The operator table. A binary token maps to (kind, binding strength, right
+# associative), 1 binding loosest; '&&' and '||' are read as '&' and '|'
+# and written in the long form.
+_BINARY = {
+    "<->": (IFF, 1, True),
+    "->": (IMPLIES, 2, True),
+    "|": (OR, 3, False),
+    "&": (AND, 4, False),
+    "U": (UNTIL, 5, True),
+    "R": (RELEASE, 5, True),
 }
+_UNARY = {"!": NOT, "X": NEXT, "F": FINALLY, "G": GLOBALLY}
+_LONG = {"&": "&&", "|": "||"}
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_RESERVED = {"true", "false", "X", "F", "G", "U", "R"}
+_ARITY = {ATOM: 0, TRUE: 0, FALSE: 0, **dict.fromkeys(_UNARY.values(), 1)}
+_ARITY.update((kind, 2) for kind, _, _ in _BINARY.values())
+_TEXT = {kind: _LONG.get(tok, tok) for tok, (kind, _, _) in _BINARY.items()}
+_TEXT.update((kind, tok) for tok, kind in _UNARY.items())
+_RESERVED = {TRUE, FALSE, *(tok for tok in (*_UNARY, *_BINARY) if tok.isalpha())}
+# tokens that can start an operand
+_OPERAND = {"atom", TRUE, FALSE, "(", *_UNARY}
+
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"\s+|(?P<name>{_NAME})|(?P<op><->|->|&&|\|\||[&|!()])")
 
 
 @dataclass(frozen=True)
@@ -61,7 +77,7 @@ class LtlFormula:
                 f"{self.kind} expects {_ARITY[self.kind]} children, got {len(self.children)}"
             )
         if self.kind == ATOM:
-            if not self.name or not _NAME_RE.match(self.name):
+            if not self.name or not re.fullmatch(_NAME, self.name):
                 raise ValueError(f"invalid atom name {self.name!r}")
         elif self.name is not None:
             raise ValueError(f"{self.kind} node cannot carry a name")
@@ -151,36 +167,24 @@ class LtlSyntaxError(ValueError):
         self.expected = set(expected)
 
 
-_TOKEN_RE = re.compile(
-    r"\s+"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op><->|->|&&|\|\||[&|!()])"
-)
-
-# token kinds: ATOM/'true'/'false'/'X'/'F'/'G'/'U'/'R'/'!'/'&'/'|'/'->'/'<->'/'('/')'/'eof'
-
-
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) triples: an operator or reserved word is its own
+    kind and any other name an 'atom'; the last, 'eof', reads 'end of input'."""
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise LtlSyntaxError(f"unknown character {text[pos]!r}", pos)
-        if m.lastgroup == "name":
-            word = m.group("name")
-            if word in ("true", "false"):
-                tokens.append((word, word, pos))
-            elif word in ("X", "F", "G", "U", "R"):
-                tokens.append((word, word, pos))
-            else:
-                tokens.append(("atom", word, pos))
+        word = m.group("name")
+        if word is not None:
+            tokens.append((word if word in _RESERVED else "atom", word, pos))
         elif m.lastgroup == "op":
             op = m.group("op")
-            op = {"&&": "&", "||": "|"}.get(op, op)
+            op = op[0] if op[0] in _LONG else op
             tokens.append((op, op, pos))
         pos = m.end()
-    tokens.append(("eof", "", len(text)))
+    tokens.append(("eof", "end of input", len(text)))
     return tokens
 
 
@@ -192,107 +196,60 @@ class _Parser:
     def peek(self) -> str:
         return self.tokens[self.idx][0]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
     def error(self, expected: set[str]):
-        kind, value, offset = self.tokens[self.idx]
-        shown = value if kind != "eof" else "end of input"
+        _, shown, offset = self.tokens[self.idx]
         raise LtlSyntaxError(f"unexpected {shown!r}", offset, expected)
 
-    def parse_iff(self) -> LtlFormula:
-        left = self.parse_implies()
-        if self.peek() == "<->":
-            self.advance()
-            return liff(left, self.parse_iff())
-        return left
-
-    def parse_implies(self) -> LtlFormula:
-        left = self.parse_or()
-        if self.peek() == "->":
-            self.advance()
-            return limplies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> LtlFormula:
-        left = self.parse_and()
-        while self.peek() == "|":
-            self.advance()
-            left = lor(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> LtlFormula:
-        left = self.parse_until()
-        while self.peek() == "&":
-            self.advance()
-            left = land(left, self.parse_until())
-        return left
-
-    def parse_until(self) -> LtlFormula:
+    def parse(self, weakest: int = 1) -> LtlFormula:
+        """An operand followed by binary operators binding at least as
+        strongly as `weakest`, by precedence climbing."""
         left = self.parse_unary()
-        if self.peek() in ("U", "R"):
-            op, _, _ = self.advance()
-            right = self.parse_until()
-            return luntil(left, right) if op == "U" else lrelease(left, right)
+        while self.peek() in _BINARY:
+            kind, strength, right_assoc = _BINARY[self.peek()]
+            if strength < weakest:
+                break
+            self.idx += 1
+            right = self.parse(strength if right_assoc else strength + 1)
+            left = LtlFormula(kind, (left, right))
         return left
 
     def parse_unary(self) -> LtlFormula:
-        kind = self.peek()
-        if kind in ("!", "X", "F", "G"):
-            self.advance()
-            child = self.parse_unary()
-            ctor = {"!": lnot, "X": lnext, "F": lfinally, "G": lglobally}[kind]
-            return ctor(child)
-        return self.parse_primary()
-
-    def parse_primary(self) -> LtlFormula:
         kind, value, _ = self.tokens[self.idx]
+        if kind not in _OPERAND:
+            self.error(_OPERAND)
+        self.idx += 1
+        if kind in _UNARY:
+            return LtlFormula(_UNARY[kind], (self.parse_unary(),))
         if kind == "atom":
-            self.advance()
             return atom(value)
-        if kind == "true":
-            self.advance()
-            return LTRUE
-        if kind == "false":
-            self.advance()
-            return LFALSE
-        if kind == "(":
-            self.advance()
-            inner = self.parse_iff()
-            if self.peek() != ")":
-                self.error({")"})
-            self.advance()
-            return inner
-        self.error({"atom", "true", "false", "!", "X", "F", "G", "("})
+        if kind != "(":
+            return LTRUE if kind == TRUE else LFALSE
+        inner = self.parse()
+        if self.peek() != ")":
+            self.error({")"})
+        self.idx += 1
+        return inner
 
 
 def parse_ltl(text: str) -> LtlFormula:
     """Parse an LTL formula from text; raises LtlSyntaxError on bad input."""
     parser = _Parser(text)
-    result = parser.parse_iff()
+    result = parser.parse()
     if parser.peek() != "eof":
         parser.error({"end of input", "binary operator"})
     return result
-
-
-_BINOP_TEXT = {AND: "&&", OR: "||", IMPLIES: "->", IFF: "<->", UNTIL: "U", RELEASE: "R"}
-_UNOP_TEXT = {NOT: "!", NEXT: "X", FINALLY: "F", GLOBALLY: "G"}
 
 
 def format_ltl(f: LtlFormula) -> str:
     """Canonical text form; parse_ltl(format_ltl(f)) reproduces f exactly."""
     if f.kind == ATOM:
         return f.name
-    if f.kind == TRUE:
-        return "true"
-    if f.kind == FALSE:
-        return "false"
-    if f.kind in _UNOP_TEXT:
-        return f"{_UNOP_TEXT[f.kind]} {format_ltl(f.children[0])}"
+    if not f.children:
+        return f.kind  # 'true' and 'false' are their own text
+    if len(f.children) == 1:
+        return f"{_TEXT[f.kind]} {format_ltl(f.children[0])}"
     left, right = f.children
-    return f"({format_ltl(left)} {_BINOP_TEXT[f.kind]} {format_ltl(right)})"
+    return f"({format_ltl(left)} {_TEXT[f.kind]} {format_ltl(right)})"
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +360,7 @@ def load_spec(text: str) -> SynthSpec:
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise SpecError(f'"{key}" must be an array of strings')
         for v in value:
-            if not _NAME_RE.match(v) or v in _RESERVED:
+            if not re.fullmatch(_NAME, v) or v in _RESERVED:
                 raise SpecError(f"invalid atom name {v!r} in {key}")
         if len(set(value)) != len(value):
             raise SpecError(f"duplicate names in {key}")

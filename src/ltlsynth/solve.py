@@ -408,15 +408,29 @@ def solve_internal(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP)
 # External solver bridge
 
 
-def external_solve(problem: QuantifiedProblem, cmd: str) -> SolveResult:
+def solver_argv(cmd: str) -> list[str]:
+    """The argv tokens of an external solver command; ValueError on an
+    unbalanced quote or a missing {file} placeholder."""
+    try:
+        argv = shlex.split(cmd)
+    except ValueError as exc:
+        raise ValueError(f"solver command: {exc}") from None
+    if not any("{file}" in token for token in argv):
+        raise ValueError("solver command must contain the {file} placeholder")
+    return argv
+
+
+def external_solve(problem: QuantifiedProblem, cmd: str | list[str]) -> SolveResult:
     """Emit the matching format, spawn cmd, read the SAT-competition verdict.
 
-    cmd must contain the placeholder {file}; exit code 10 means SAT and 20
-    means UNSAT, and a `v` line model is parsed when present.  Only the
-    verdict is available from solvers that do not print models.
+    cmd is a command string or its `solver_argv` tokens, with the
+    placeholder {file} replaced in each token by the emitted file's path;
+    exit code 10 means SAT and 20 means UNSAT, and a `v` line model is
+    parsed when present.  A DIMACS model must satisfy every emitted clause;
+    the QBF formats' models are not read further.  Only the verdict is
+    available from solvers that do not print models.
     """
-    if "{file}" not in cmd:
-        raise ValueError("solver command must contain the {file} placeholder")
+    argv = solver_argv(cmd) if isinstance(cmd, str) else cmd
     if problem.deps is not None:
         text, suffix = emit_dqdimacs(problem), ".dqdimacs"
     elif problem.is_sat_fragment():
@@ -428,9 +442,9 @@ def external_solve(problem: QuantifiedProblem, cmd: str) -> SolveResult:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        argv = shlex.split(cmd.replace("{file}", path))
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True)
+            proc = subprocess.run([token.replace("{file}", path) for token in argv],
+                                  capture_output=True, text=True)
         except OSError as exc:
             return SolveResult("unknown", detail=f"spawn failed: {exc}")
         if proc.returncode == 20:
@@ -439,14 +453,17 @@ def external_solve(problem: QuantifiedProblem, cmd: str) -> SolveResult:
             stderr = proc.stderr.strip()
             detail = f"exit code {proc.returncode}" + (f"; stderr: {stderr}" if stderr else "")
             return SolveResult("unknown", detail=detail)
-        assignment: dict[int, bool] = {}
-        for line in proc.stdout.splitlines():
-            if not line.startswith("v"):
-                continue
-            for token in line[1:].split():
-                lit = int(token)
-                if lit != 0:
-                    assignment[abs(lit)] = lit > 0
+        try:
+            lits = [int(token) for line in proc.stdout.splitlines() if line.startswith("v")
+                    for token in line[1:].split()]
+        except ValueError as exc:
+            return SolveResult("unknown", detail=f"malformed model: {exc}")
+        assignment = {abs(lit): lit > 0 for lit in lits if lit}
+        if suffix == ".cnf":
+            for line in text.splitlines()[1:]:
+                if not any(assignment.get(abs(lit), False) == (lit > 0)
+                           for lit in map(int, line.split()[:-1])):
+                    return SolveResult("unknown", detail=f"model falsifies clause {line!r}")
         return SolveResult("sat", Model(assignment))
     finally:
         os.unlink(path)

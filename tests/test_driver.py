@@ -1,7 +1,9 @@
 import json
 import os
 import random
+import shlex
 import sys
+import tempfile
 
 import pytest
 
@@ -266,6 +268,50 @@ def test_main_solver_unknown_prints_reason(tmp_path, capsys, cmd, reason):
     code = main([write_spec(tmp_path, doc), "--encoding", "basic", "--solver-cmd", cmd])
     assert code == 0
     assert capsys.readouterr().out.startswith(f"UNKNOWN ({reason}")
+
+
+G_O = {"semantics": "moore", "inputs": ["i"], "outputs": ["o"], "guarantees": ["G o"]}
+
+
+@pytest.mark.parametrize("cmd, message", [
+    ("solver", "error: solver command must contain the {file} placeholder\n"),
+    ("solver '{file}", "error: solver command: No closing quotation\n"),
+], ids=["no_placeholder", "unbalanced_quote"])
+def test_main_malformed_solver_cmd_is_usage_error(tmp_path, capsys, cmd, message):
+    assert main([write_spec(tmp_path, G_O), "--encoding", "basic", "--solver-cmd", cmd]) == 1
+    assert capsys.readouterr() == ("", message)
+
+
+def test_main_solver_gets_whole_temp_path(tmp_path, capsys, monkeypatch):
+    """The temp path goes into the split command, so a space in it stays."""
+    spaced = tmp_path / "with space"
+    spaced.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+    code = main([write_spec(tmp_path, G_O), "--encoding", "basic", "--solver-cmd", STUB])
+    assert (code, capsys.readouterr().out) == (10, "REALIZABLE (bound 1)\n")
+
+
+@pytest.mark.parametrize("model, reason", [
+    ("v 1 -2 oops 0", "malformed model: invalid literal for int() with base 10: 'oops'"),
+    ("v 1 0", "model falsifies clause '"),
+], ids=["malformed", "falsifying"])
+def test_main_bad_solver_model_is_unknown(tmp_path, capsys, model, reason):
+    """A solver that claims sat with a bad model: UNKNOWN with the reason."""
+    script = tmp_path / "liar.py"
+    script.write_text(f"import sys\nprint({model!r})\nsys.exit(10)\n")
+    cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{file}}"
+    code = main([write_spec(tmp_path, G_O), "--encoding", "basic", "--mode", "synthesis",
+                 "--max-bound", "1", "--solver-cmd", cmd])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.startswith(f"UNKNOWN ({reason}")
+
+
+def test_main_linear_search_huge_max_bound(tmp_path, capsys):
+    """The bounds are tried in turn; no list of 2^62 of them is built first."""
+    code = main([write_spec(tmp_path, G_O), "--search", "linear",
+                 "--max-bound", str(2**62)])
+    assert (code, capsys.readouterr().out) == (10, "REALIZABLE (bound 1)\n")
 
 
 def test_undetermined_keeps_first_unknown_reason(monkeypatch):

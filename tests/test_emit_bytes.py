@@ -18,7 +18,8 @@ import sys
 
 from ltlsynth.driver import RunConfig, build_problem, make_sides
 from ltlsynth.ltl import load_spec
-from ltlsynth.logic import emit_dimacs, emit_dqdimacs, emit_qdimacs
+from ltlsynth.logic import (FALSE, TRUE, QuantifiedProblem, Store, emit_dimacs, emit_dqdimacs,
+                            emit_qdimacs)
 from suite import SUITE, arbiter_doc
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "emit_digests.json")
@@ -62,6 +63,50 @@ def test_emitted_bytes_match_pinned_digests():
     assert ours.keys() == pinned.keys()
     moved = [case for case in ours if ours[case] != pinned[case]]
     assert not moved, f"emitted bytes changed for {len(moved)} case(s): {', '.join(moved)}"
+
+
+def _rebuilt(problem: QuantifiedProblem) -> tuple[QuantifiedProblem, dict[int, int]]:
+    """The same problem built again in a fresh store, and the map from the
+    old node ids to the new ones.  The variables come first, in the same
+    order; then the matrix's gates, children first, in `Store.reachable`
+    order, which visits a gate's last child first where the encoders build
+    the first child first."""
+    old, store = problem.store, Store()
+    for name in old.var_name[1:]:
+        store.new_var(name)
+    gate = {"a": store.and_, "o": store.or_}
+    new = {FALSE: FALSE, TRUE: TRUE}
+    for n in old.reachable(problem.matrix):
+        node = old.nodes[n]
+        if node[0] == "v":
+            new[n] = store.var(node[1])
+        elif node[0] == "n":
+            new[n] = store.not_(new[node[1]])
+        elif node[0] == "x":
+            new[n] = store.xor2(new[node[1]], new[node[2]])
+        elif node[0] in gate:
+            new[n] = gate[node[0]]([new[c] for c in node[1]])
+    return QuantifiedProblem(store, new[problem.matrix], problem.prefix, problem.deps), new
+
+
+def test_emitted_bytes_ignore_construction_order():
+    """Each suite spec on both sides, and arbiter k = 2, 3 on both sides, at
+    n = 2 on every encoding, built by the encoder and again in another
+    order: the emitted text is the same although the node ids are not.  An
+    encoder passing a gate, whose id follows construction order, to
+    `Store.xor2`, which orders its operands by id, would fail here."""
+    sides = [side for bench in SUITE for side in make_sides(bench.spec, RunConfig())]
+    for k in (2, 3):
+        sides += make_sides(load_spec(json.dumps(arbiter_doc(k))), RunConfig())
+    reordered = 0
+    for side in sides:
+        for encoding, emitter in EMITTERS.items():
+            problem, _ = build_problem(side, 2, RunConfig(encoding=encoding))
+            rebuilt, new = _rebuilt(problem)
+            assert emitter(rebuilt) == emitter(problem), encoding
+            old_ids = sorted(new)
+            reordered += [new[n] for n in old_ids] != sorted(new.values())
+    assert reordered > len(sides) * len(EMITTERS) // 2
 
 
 if __name__ == "__main__":

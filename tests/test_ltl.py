@@ -64,6 +64,37 @@ def test_parse_errors_have_offset(text):
     assert isinstance(info.value.expected, set)
 
 
+_OPERAND = {"atom", "true", "false", "!", "X", "F", "G", "("}
+
+
+@pytest.mark.parametrize("text, offset, expected, shown", [
+    ("a &&", 4, _OPERAND, "end of input"),
+    ("(a", 2, {")"}, "end of input"),
+    ("a b", 2, {"end of input", "binary operator"}, "b"),
+    ("U a", 0, _OPERAND, "U"),
+    ("", 0, _OPERAND, "end of input"),
+    ("!", 1, _OPERAND, "end of input"),
+    ("(a U", 4, _OPERAND, "end of input"),
+])
+def test_parse_error_sites_pinned(text, offset, expected, shown):
+    with pytest.raises(LtlSyntaxError) as info:
+        parse_ltl(text)
+    assert (info.value.offset, info.value.expected) == (offset, expected)
+    listed = ", ".join(sorted(expected))
+    assert str(info.value) == f"unexpected {shown!r} at offset {offset} (expected {listed})"
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("a U b R c", luntil(atom("a"), lrelease(atom("b"), atom("c")))),
+    ("a R b U c", lrelease(atom("a"), luntil(atom("b"), atom("c")))),
+    ("a && b & c", land(land(atom("a"), atom("b")), atom("c"))),
+    ("a | b || c", lor(lor(atom("a"), atom("b")), atom("c"))),
+    ("a <-> b <-> c", ltl.liff(atom("a"), ltl.liff(atom("b"), atom("c")))),
+])
+def test_parse_mixed_and_chained_operators(text, tree):
+    assert parse_ltl(text) == tree
+
+
 def test_parse_unknown_character():
     with pytest.raises(LtlSyntaxError) as info:
         parse_ltl("a @ b")
