@@ -59,7 +59,7 @@ class RunConfig:
     search: str = "exponential"  # 'exponential' | 'linear'
     max_bound: int = 8
     minimize: bool = False
-    solver_cmd: str | list[str] | None = None  # validate splits it into argv tokens
+    solver_cmd: str | None = None
     scc_reduction: bool = True
     counter_strategy: str = "auto"  # 'auto' | 'off'
     emit: str | None = None  # 'dimacs' | 'qdimacs' | 'dqdimacs'
@@ -77,8 +77,8 @@ class RunConfig:
             raise ValueError("max bound must be positive")
         if self.expansion_cap < 0:
             raise ValueError("expansion cap must not be negative")
-        if isinstance(self.solver_cmd, str):
-            self.solver_cmd = solver_argv(self.solver_cmd)
+        if self.solver_cmd is not None:
+            solver_argv(self.solver_cmd)  # rejects a malformed command up front
         if (
             self.mode == "synthesis"
             and self.solver_cmd is not None

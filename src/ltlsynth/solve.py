@@ -420,17 +420,17 @@ def solver_argv(cmd: str) -> list[str]:
     return argv
 
 
-def external_solve(problem: QuantifiedProblem, cmd: str | list[str]) -> SolveResult:
+def external_solve(problem: QuantifiedProblem, cmd: str) -> SolveResult:
     """Emit the matching format, spawn cmd, read the SAT-competition verdict.
 
-    cmd is a command string or its `solver_argv` tokens, with the
-    placeholder {file} replaced in each token by the emitted file's path;
-    exit code 10 means SAT and 20 means UNSAT, and a `v` line model is
-    parsed when present.  A DIMACS model must satisfy every emitted clause;
-    the QBF formats' models are not read further.  Only the verdict is
-    available from solvers that do not print models.
+    cmd is split into `solver_argv` tokens, and the placeholder {file} is
+    replaced in each token by the emitted file's path; exit code 10 means
+    SAT and 20 means UNSAT, and a `v` line model is parsed when present.
+    A printed DIMACS model must satisfy every emitted clause; the QBF
+    formats' models are not read further.  Only the verdict is available
+    from solvers that do not print models.
     """
-    argv = solver_argv(cmd) if isinstance(cmd, str) else cmd
+    argv = solver_argv(cmd)
     if problem.deps is not None:
         text, suffix = emit_dqdimacs(problem), ".dqdimacs"
     elif problem.is_sat_fragment():
@@ -459,7 +459,7 @@ def external_solve(problem: QuantifiedProblem, cmd: str | list[str]) -> SolveRes
         except ValueError as exc:
             return SolveResult("unknown", detail=f"malformed model: {exc}")
         assignment = {abs(lit): lit > 0 for lit in lits if lit}
-        if suffix == ".cnf":
+        if lits and suffix == ".cnf":
             for line in text.splitlines()[1:]:
                 if not any(assignment.get(abs(lit), False) == (lit > 0)
                            for lit in map(int, line.split()[:-1])):

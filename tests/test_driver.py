@@ -307,6 +307,15 @@ def test_main_bad_solver_model_is_unknown(tmp_path, capsys, model, reason):
     assert out.startswith(f"UNKNOWN ({reason}")
 
 
+def test_main_verdict_only_solver_is_trusted(tmp_path, capsys):
+    """A solver that exits 10 and prints no model still decides realizability."""
+    script = tmp_path / "silent.py"
+    script.write_text("import sys\nsys.exit(10)\n")
+    cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{file}}"
+    code = main([write_spec(tmp_path, G_O), "--encoding", "basic", "--solver-cmd", cmd])
+    assert (code, capsys.readouterr().out) == (10, "REALIZABLE (bound 1)\n")
+
+
 def test_main_linear_search_huge_max_bound(tmp_path, capsys):
     """The bounds are tried in turn; no list of 2^62 of them is built first."""
     code = main([write_spec(tmp_path, G_O), "--search", "linear",
