@@ -22,6 +22,7 @@ is.  Evaluation is a bit test, merging is |, and equal sets compare equal.
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -514,56 +515,41 @@ def ucw_accepts_lasso(a: Ucw, prefix, loop) -> bool:
 class SccInfo:
     """Which automaton states carry rank counters, and how wide they are.
 
-    compare_all disables the same-component restriction on rank
-    comparisons (the unreduced encoding).
+    component maps each counted state to its component; ranks are compared
+    only along edges within one component.  `counted` is the set of its keys.
     """
 
-    scc_id: dict[int, int]
-    counted: frozenset[int]
+    component: dict[int, int]
     counter_bits: int
-    compare_all: bool = False
+
+    @property
+    def counted(self) -> KeysView[int]:
+        return self.component.keys()
 
     def needs_compare(self, q: int, q2: int) -> bool:
-        if q not in self.counted or q2 not in self.counted:
-            return False
-        return self.compare_all or self.scc_id[q] == self.scc_id[q2]
-
-
-def _edge_components(a: Ucw) -> list[list[int]]:
-    adj = [[q2 for q2, g in row if g] for row in a.rows()]
-    return sccs(a.n_states, lambda v: adj[v])
+        return q in self.component and self.component[q] == self.component.get(q2)
 
 
 def counter_width(a: Ucw, n_states_of_system: int) -> int:
     """Bits needed for ranks up to n*|F| (a run repeats beyond that)."""
+    if n_states_of_system < 1:
+        raise ValueError("system bound must be positive")
     bound = n_states_of_system * len(a.rejecting)
     return max(1, bound.bit_length())
 
 
 def analyze_sccs(a: Ucw, n_states_of_system: int) -> SccInfo:
     """Counters only for states whose component contains a rejecting state."""
-    if n_states_of_system < 1:
-        raise ValueError("system bound must be positive")
-    comps = _edge_components(a)
-    scc_id = {}
-    counted = set()
-    for cid, comp in enumerate(comps):
-        for q in comp:
-            scc_id[q] = cid
-        if any(q in a.rejecting for q in comp):
-            counted.update(comp)
-    return SccInfo(scc_id, frozenset(counted), counter_width(a, n_states_of_system))
+    adj = [[q2 for q2, g in row if g] for row in a.rows()]
+    component = {q: cid for cid, comp in enumerate(sccs(a.n_states, lambda v: adj[v]))
+                 if not a.rejecting.isdisjoint(comp) for q in comp}
+    return SccInfo(component, counter_width(a, n_states_of_system))
 
 
 def full_counters(a: Ucw, n_states_of_system: int) -> SccInfo:
-    """Unreduced variant: every state counted, comparisons everywhere."""
-    info = analyze_sccs(a, n_states_of_system)
-    return SccInfo(
-        info.scc_id,
-        frozenset(range(a.n_states)),
-        info.counter_bits,
-        compare_all=True,
-    )
+    """Unreduced variant: every state counted, all in one component, so
+    ranks are compared along every edge."""
+    return SccInfo(dict.fromkeys(range(a.n_states), 0), counter_width(a, n_states_of_system))
 
 
 # ---------------------------------------------------------------------------
@@ -572,29 +558,18 @@ def full_counters(a: Ucw, n_states_of_system: int) -> SccInfo:
 
 @dataclass
 class SymbolicUcw:
-    """An automaton whose states are binary-coded by fresh bit atoms.
-
-    state_vars code the source state of an edge, state_vars_primed its
-    target, bit j of a code being the atom with index j.  The encoder
-    builds the init, reject and delta constraints from these codes and the
-    letter-set guards (`encode.symbolic_nodes`).
-    """
+    """An automaton whose states are binary-coded in `width` bits.  The
+    encoder allocates the code bits and builds the init, reject and delta
+    constraints from them and the letter-set guards
+    (`encode.symbolic_nodes`)."""
 
     automaton: Ucw
-    state_vars: tuple[str, ...]
-    state_vars_primed: tuple[str, ...]
+    width: int
 
 
 def encode_symbolic(a: Ucw) -> SymbolicUcw:
-    """Binary-encode states with fresh bit atoms (at least one bit)."""
-    bits = max(1, (a.n_states - 1).bit_length())
-    taken = set(a.alphabet)
-    base = "aut_b"
-    while any(f"{base}{j}" in taken or f"{base}{j}_p" in taken for j in range(bits)):
-        base += "_"
-    names = tuple(f"{base}{j}" for j in range(bits))
-    primed = tuple(f"{base}{j}_p" for j in range(bits))
-    return SymbolicUcw(a, names, primed)
+    """Binary-code the states (at least one bit)."""
+    return SymbolicUcw(a, max(1, (a.n_states - 1).bit_length()))
 
 
 # ---------------------------------------------------------------------------

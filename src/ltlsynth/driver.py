@@ -120,7 +120,7 @@ def build_problem(
         return encode_input_symbolic(a, n, side.semantics, scc)
     if cfg.encoding == STATE_SYMBOLIC:
         return encode_state_symbolic(a, n, side.semantics, scc)
-    return encode_fully_symbolic(encode_symbolic(a), n, side.semantics, scc.counter_bits)
+    return encode_fully_symbolic(encode_symbolic(a), n, side.semantics, scc)
 
 
 def _solve(problem: QuantifiedProblem, cfg: RunConfig) -> SolveResult:
@@ -137,6 +137,8 @@ def _attempt(
     result = _solve(problem, cfg)
     if result.status != "sat" or not want_system:
         return result, None
+    if result.model is None:  # an external solver printed only its verdict
+        return SolveResult("unknown", detail="solver printed no model"), None
     a = side.automaton
     ts = extract(result.model, directory, a.inputs, a.outputs)
     lasso = model_check(ts, a)

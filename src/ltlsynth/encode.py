@@ -32,15 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .automaton import SccInfo, SymbolicUcw, Ucw, prime_cover
-from .logic import (
-    FALSE,
-    BitVec,
-    QuantifiedProblem,
-    Store,
-    bv_equal,
-    bv_greater,
-    bv_less_const,
-)
+from .logic import FALSE, QuantifiedProblem, Store, bv_equal, bv_greater, bv_less_const
 from .system import MEALY, MOORE
 
 BASIC = "basic"
@@ -54,7 +46,7 @@ class VarDirectory:
     """Role -> variable map for one encoded instance.
 
     Key shapes per kind:
-      basic:  reach[(t,q)], rank[(t,q)]=BitVec, trans[(t,i_idx,t2)],
+      basic:  reach[(t,q)], rank[(t,q)]=tuple of bits, trans[(t,i_idx,t2)],
               out[(name,t,i_idx)] (Mealy) or out[(name,t)] (Moore)
       input:  reach[(t,q)], rank[(t,q)], trans[(t,t2)], out[(name,t)]
       state:  reach[q], rank[q], reach2[q], rank2[q], trans[j], out[name]
@@ -64,7 +56,6 @@ class VarDirectory:
     kind: str
     semantics: str
     n: int
-    counter_bits: int
     reach: dict = field(default_factory=dict)
     rank: dict = field(default_factory=dict)
     reach2: dict = field(default_factory=dict)
@@ -114,17 +105,16 @@ def _code_node(store: Store, bits: list[int], value: int) -> int:
     return store.and_([bit if value >> j & 1 else store.not_(bit) for j, bit in enumerate(bits)])
 
 
-def symbolic_nodes(store: Store, sa: SymbolicUcw, atom_map: dict[str, int]) -> tuple[int, int, int]:
+def symbolic_nodes(store: Store, a: Ucw, atom_map: dict[str, int], code, code2) -> tuple[int, int, int]:
     """(init, reject, delta) of a binary-coded automaton as Store nodes.
 
-    atom_map gives a node for every alphabet atom and state bit.  init is
-    the initial code, reject one OR of the primed rejecting codes, and delta
-    one OR over the sorted edges of AND(code(q), guard, code'(q2)), so codes
-    of no state satisfy init or a source position of delta.
+    atom_map gives a node for every alphabet atom; code and code2 are the
+    bit nodes of the source and target state codes, lowest bit first.
+    init is the initial code, reject one OR of the primed rejecting codes,
+    and delta one OR over the sorted edges of AND(code(q), guard,
+    code2(q2)), so codes of no state satisfy init or a source position of
+    delta.
     """
-    a = sa.automaton
-    code = [atom_map[name] for name in sa.state_vars]
-    code2 = [atom_map[name] for name in sa.state_vars_primed]
     init = _code_node(store, code, a.initial)
     reject = store.or_([_code_node(store, code2, q) for q in sorted(a.rejecting)])
     delta = store.or_([
@@ -133,21 +123,6 @@ def symbolic_nodes(store: Store, sa: SymbolicUcw, atom_map: dict[str, int]) -> t
         for (q, q2), g in sorted(a.guards.items())
     ])
     return init, reject, delta
-
-
-def _rank_vec(store: Store, directory_rank: dict, key, b: int, prefix: str) -> BitVec:
-    ids = [store.new_var(f"{prefix}_b{j}") for j in range(b)]
-    directory_rank[key] = tuple(ids)
-    return BitVec(tuple(store.var(v) for v in ids))
-
-
-def _compare(store, scc: SccInfo, a: Ucw, rank_nodes, q, t_key, q2, t2_key) -> int | None:
-    """rank[target] >= rank[source], strict into rejecting states."""
-    if not scc.needs_compare(q, q2):
-        return None
-    src = rank_nodes[(t_key, q)]
-    tgt = rank_nodes[(t2_key, q2)]
-    return bv_greater(store, tgt, src, strict=q2 in a.rejecting)
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +158,15 @@ def _encode_explicit(
     # key suffixes of the trans/out copies: one per valuation, or a single ()
     copies = [()] if symbolic else [(ii,) for ii in range(1 << w)]
     out_copies = [()] if sem == MOORE else copies
-    d = VarDirectory(kind, sem, n, b)
+    d = VarDirectory(kind, sem, n)
 
     for t in range(n):
         for q in range(m):
             d.reach[(t, q)] = store.new_var(f"reach_t{t}_q{q}")
-    rank_nodes: dict = {}
     for t in range(n):
         for q in sorted(scc.counted):
-            rank_nodes[(t, q)] = _rank_vec(store, d.rank, (t, q), b, f"rank_t{t}_q{q}")
+            d.rank[(t, q)] = tuple(store.new_var(f"rank_t{t}_q{q}_b{j}") for j in range(b))
+    rank = {key: tuple(map(store.var, ids)) for key, ids in d.rank.items()}
 
     def allocate_outputs():
         for name in a.outputs:
@@ -242,9 +217,9 @@ def _encode_explicit(
                     for t2, tr in enumerate(trans[(t, s)]):
                         if t2 not in bodies:
                             body = [store.var(d.reach[(t2, q2)])]
-                            cmp = _compare(store, scc, a, rank_nodes, q, t, q2, t2)
-                            if cmp is not None:
-                                body.append(cmp)
+                            if scc.needs_compare(q, q2):  # strictly into rejecting states
+                                body.append(bv_greater(store, rank[(t2, q2)], rank[(t, q)],
+                                                       q2 in a.rejecting))
                             bodies[t2] = store.and_(body)
                         inner_parts.append(store.implies(tr, bodies[t2]))
                     parts.append(store.implies(delta, store.and_(inner_parts)))
@@ -285,19 +260,19 @@ class _SymbolicFrame:
     reach and rank variables: automaton states, or the single key ().
     """
 
-    def __init__(self, kind, a, n, sem, b, locations, counted, aut_atoms=(), aut_atoms2=()):
+    def __init__(self, kind, a, n, sem, b, locations, counted, aut_width=0):
         if n < 1:
             raise ValueError("bound must be positive")
         self.store = store = Store()
         self.n = n
         self.k = k = (n - 1).bit_length()
-        self.d = d = VarDirectory(kind, sem, n, b)
+        self.d = d = VarDirectory(kind, sem, n)
 
         d.univ_inputs = {name: store.new_var(f"in_{name}") for name in a.inputs}
         d.univ_state = [store.new_var(f"st_{j}") for j in range(k)]
         d.univ_state2 = [store.new_var(f"st2_{j}") for j in range(k)]
-        d.univ_aut = [store.new_var(f"aq_{j}") for j in range(len(aut_atoms))]
-        d.univ_aut2 = [store.new_var(f"aq2_{j}") for j in range(len(aut_atoms2))]
+        d.univ_aut = [store.new_var(f"aq_{j}") for j in range(aut_width)]
+        d.univ_aut2 = [store.new_var(f"aq2_{j}") for j in range(aut_width)]
         self.universals = list(range(1, store.num_vars + 1))
 
         t_set = frozenset(d.univ_state)
@@ -324,8 +299,6 @@ class _SymbolicFrame:
         self.trans_vec = self.vec(d.trans[j] for j in range(k))
         self.atom_map = {name: store.var(v) for name, v in d.univ_inputs.items()}
         self.atom_map.update({name: store.var(d.out[name]) for name in a.outputs})
-        self.atom_map.update(zip(aut_atoms, map(store.var, d.univ_aut)))
-        self.atom_map.update(zip(aut_atoms2, map(store.var, d.univ_aut2)))
 
     def _allocate(self, name: str, dep: frozenset[int]) -> int:
         v = self.store.new_var(name)
@@ -333,14 +306,12 @@ class _SymbolicFrame:
         self.existentials.append(v)
         return v
 
-    def vec(self, ids) -> BitVec:
-        return BitVec(tuple(self.store.var(v) for v in ids))
+    def vec(self, ids) -> tuple[int, ...]:
+        return tuple(map(self.store.var, ids))
 
     def match(self) -> int:
         """The transition bits name t2."""
-        return self.store.and_(
-            [self.store.iff(x, y) for x, y in zip(self.trans_vec.bits, self.t2_vec.bits)]
-        )
+        return self.store.and_([self.store.iff(x, y) for x, y in zip(self.trans_vec, self.t2_vec)])
 
     def assemble(self, init: int, main: int) -> tuple[QuantifiedProblem, VarDirectory]:
         """Add the dead-code guard and the consistency ties; build the problem."""
@@ -381,7 +352,7 @@ def encode_state_symbolic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[Quant
         STATE_SYMBOLIC, a, n, sem, scc.counter_bits, range(a.n_states), sorted(scc.counted)
     )
     store, d = f.store, f.d
-    init = store.implies(_code_node(store, f.t_vec.bits, 0), store.var(d.reach[a.initial]))
+    init = store.implies(_code_node(store, f.t_vec, 0), store.var(d.reach[a.initial]))
     match = f.match()
 
     main_parts = []
@@ -392,31 +363,28 @@ def encode_state_symbolic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[Quant
             if delta == FALSE:
                 continue
             body = [store.var(d.reach2[q2])]
-            if scc.needs_compare(q, q2):
-                rank, rank2 = f.vec(d.rank[q]), f.vec(d.rank2[q2])
-                body.append(bv_greater(store, rank2, rank, strict=q2 in a.rejecting))
+            if scc.needs_compare(q, q2):  # strictly into rejecting states
+                body.append(bv_greater(store, f.vec(d.rank2[q2]), f.vec(d.rank[q]), q2 in a.rejecting))
             parts.append(store.implies(store.and_([delta, match]), store.and_(body)))
         if parts:
             main_parts.append(store.implies(store.var(d.reach[q]), store.and_(parts)))
     return f.assemble(init, store.and_(main_parts))
 
 
-def encode_fully_symbolic(
-    sa: SymbolicUcw, n: int, sem: str, scc_bits: int
-) -> tuple[QuantifiedProblem, VarDirectory]:
+def encode_fully_symbolic(sa: SymbolicUcw, n: int, sem: str, scc: SccInfo) -> tuple[QuantifiedProblem, VarDirectory]:
     """Binary-coded automaton: one obligation over the symbolic delta."""
-    f = _SymbolicFrame(
-        FULLY_SYMBOLIC, sa.automaton, n, sem, scc_bits, [()], [()], sa.state_vars, sa.state_vars_primed
-    )
+    f = _SymbolicFrame(FULLY_SYMBOLIC, sa.automaton, n, sem, scc.counter_bits, [()], [()], sa.width)
     store, d = f.store, f.d
     rank_vec = f.vec(d.rank[()])
     rank2_vec = f.vec(d.rank2[()])
 
-    q_init, q_reject2, delta = symbolic_nodes(store, sa, f.atom_map)
+    q_init, q_reject2, delta = symbolic_nodes(
+        store, sa.automaton, f.atom_map, f.vec(d.univ_aut), f.vec(d.univ_aut2)
+    )
 
     reach = store.var(d.reach[()])
     reach2 = store.var(d.reach2[()])
-    init = store.implies(store.and_([_code_node(store, f.t_vec.bits, 0), q_init]), reach)
+    init = store.implies(store.and_([_code_node(store, f.t_vec, 0), q_init]), reach)
     match = f.match()
     compare = store.and_(
         [

@@ -5,7 +5,7 @@ becomes a universal context (input variables, plus the state-code bits of
 the symbolic-state pair) and every trans/out variable is read through
 `Model.value_of` in it.  The basic encoding has no universals, so its
 per-valuation variables read straight off the assignment; the others read
-their Skolem tables.  Automaton bits of the fully symbolic encoding never
+each variable's expansion copy for the context.  Automaton bits of the fully symbolic encoding never
 occur in the dependency sets of trans or out, so they need no context.
 
 Successors: the explicit-state pair (basic, input) has one-hot trans

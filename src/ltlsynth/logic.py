@@ -272,36 +272,19 @@ class Store:
 
 
 # ---------------------------------------------------------------------------
-# Bit vectors
+# Bit vectors: tuples of formula nodes, least significant bit first
 
 
-@dataclass(frozen=True)
-class BitVec:
-    """Little-endian vector of formula nodes."""
-
-    bits: tuple[int, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
+def bv_const(store: Store, value: int, width: int) -> tuple[int, ...]:
+    return tuple(store.const(bool(value >> j & 1)) for j in range(width))
 
 
-def bv_const(store: Store, value: int, width: int) -> BitVec:
-    return BitVec(tuple(store.const(bool(value >> j & 1)) for j in range(width)))
-
-
-def bv_vars(store: Store, prefix: str, width: int) -> tuple[BitVec, list[int]]:
-    """Allocate width fresh variables; returns the vector and the var numbers."""
-    ids = [store.new_var(f"{prefix}{j}") for j in range(width)]
-    return BitVec(tuple(store.var(v) for v in ids)), ids
-
-
-def bv_greater(store: Store, x: BitVec, y: BitVec, strict: bool) -> int:
+def bv_greater(store: Store, x: tuple[int, ...], y: tuple[int, ...], strict: bool) -> int:
     """Ripple comparator: x > y when strict, else x >= y.  Linear size."""
-    if x.width != y.width:
-        raise ValueError(f"width mismatch: {x.width} vs {y.width}")
+    if len(x) != len(y):
+        raise ValueError(f"width mismatch: {len(x)} vs {len(y)}")
     acc = store.const(not strict)
-    for xb, yb in zip(x.bits, y.bits):  # LSB towards MSB
+    for xb, yb in zip(x, y):  # LSB towards MSB
         win = store.and_([xb, store.not_(yb)])
         if acc == FALSE:  # equal bits cannot win: build no eq to fold away
             acc = win
@@ -311,17 +294,17 @@ def bv_greater(store: Store, x: BitVec, y: BitVec, strict: bool) -> int:
     return acc
 
 
-def bv_equal(store: Store, x: BitVec, y: BitVec) -> int:
-    if x.width != y.width:
-        raise ValueError(f"width mismatch: {x.width} vs {y.width}")
-    return store.and_([store.not_(store.xor2(a, b)) for a, b in zip(x.bits, y.bits)])
+def bv_equal(store: Store, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    if len(x) != len(y):
+        raise ValueError(f"width mismatch: {len(x)} vs {len(y)}")
+    return store.and_([store.not_(store.xor2(a, b)) for a, b in zip(x, y)])
 
 
-def bv_less_const(store: Store, x: BitVec, bound: int) -> int:
+def bv_less_const(store: Store, x: tuple[int, ...], bound: int) -> int:
     """Formula for x < bound (bound >= 1)."""
-    if bound >= 1 << x.width:
+    if bound >= 1 << len(x):
         return TRUE
-    return store.not_(bv_greater(store, x, bv_const(store, bound - 1, x.width), True))
+    return store.not_(bv_greater(store, x, bv_const(store, bound - 1, len(x)), True))
 
 
 # ---------------------------------------------------------------------------

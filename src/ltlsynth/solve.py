@@ -24,8 +24,9 @@ is rebuilt once per assignment of the universals in its own cone, except
 where three-valued tables of the universals alone already show it
 constant, and the result is identical, node for node, to substituting
 every full assignment into the matrix.  A SAT problem is the case with
-no universals: its one copy is the matrix itself.  Skolem tables fall
-out of the copies directly.
+no universals: its one copy is the matrix itself.  The model reads a
+dependent existential at a universal assignment from that assignment's
+copy (`Model.value_of`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import islice
 
 from .logic import (
     TRUE,
@@ -55,25 +56,19 @@ class ExpansionLimitError(RuntimeError):
 
 
 @dataclass
-class SkolemTable:
-    """Boolean function table for one existential over its dependency set."""
-
-    deps: tuple[int, ...]  # universal var numbers, ascending
-    table: dict[tuple[bool, ...], bool]
-
-
-@dataclass
 class Model:
+    """Variable values; a dependent existential e is read from its
+    expansion copy copies[(e, key)], key being the values of deps[e]."""
+
     assignment: dict[int, bool]
-    skolem: dict[int, SkolemTable] = field(default_factory=dict)
+    copies: dict[tuple[int, tuple[bool, ...]], int] = field(default_factory=dict)
+    deps: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def value_of(self, var: int, univ_assignment: dict[int, bool] | None = None) -> bool:
         """Value of an existential; dependent ones need the universal context."""
-        entry = self.skolem.get(var)
-        if entry is None:
-            return self.assignment.get(var, False)
-        key = tuple(bool(univ_assignment[d]) for d in entry.deps)
-        return entry.table.get(key, False)
+        if self.deps.get(var):
+            var = self.copies[(var, tuple(bool(univ_assignment[d]) for d in self.deps[var]))]
+        return self.assignment.get(var, False)
 
 
 @dataclass
@@ -387,21 +382,13 @@ def solve_internal(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP)
         raise ExpansionLimitError(f"expansion needs {load} copies, cap is {cap}")
 
     matrix, copies = problem.expand()
-
-    values: dict[int, bool] = {}  # a TRUE matrix leaves every value False
-    stats: dict[str, int] = {}
-    if matrix != TRUE:
-        clauses, _, num_vars = tseitin(store, matrix, one_sided=True)
-        outcome = sat_solve(clauses, num_vars)
-        if outcome.status != "sat":
-            return outcome
-        values, stats = outcome.model.assignment, outcome.stats
-    model = Model({e: values.get(e, False) for e, ds in deps.items() if not ds})
-    for e in dependent:
-        table = {key: values.get(copies[(e, key)], False)
-                 for key in product((False, True), repeat=len(deps[e]))}
-        model.skolem[e] = SkolemTable(deps[e], table)
-    return SolveResult("sat", model, stats=stats)
+    if matrix == TRUE:  # every value False
+        return SolveResult("sat", Model({}, copies, deps))
+    clauses, _, num_vars = tseitin(store, matrix, one_sided=True)
+    outcome = sat_solve(clauses, num_vars)
+    if outcome.status == "sat":
+        outcome.model = Model(outcome.model.assignment, copies, deps)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +414,8 @@ def external_solve(problem: QuantifiedProblem, cmd: str) -> SolveResult:
     replaced in each token by the emitted file's path; exit code 10 means
     SAT and 20 means UNSAT, and a `v` line model is parsed when present.
     A printed DIMACS model must satisfy every emitted clause; the QBF
-    formats' models are not read further.  Only the verdict is available
-    from solvers that do not print models.
+    formats' models are not read further.  A solver that prints no model
+    gives a sat result without one: a verdict, but no system to extract.
     """
     argv = solver_argv(cmd)
     if problem.deps is not None:
@@ -464,6 +451,6 @@ def external_solve(problem: QuantifiedProblem, cmd: str) -> SolveResult:
                 if not any(assignment.get(abs(lit), False) == (lit > 0)
                            for lit in map(int, line.split()[:-1])):
                     return SolveResult("unknown", detail=f"model falsifies clause {line!r}")
-        return SolveResult("sat", Model(assignment))
+        return SolveResult("sat", Model(assignment) if assignment else None)
     finally:
         os.unlink(path)

@@ -286,10 +286,11 @@ def test_analyze_sccs_matches_networkx():
             if any(q in a.rejecting for q in comp):
                 expected |= comp
         assert info.counted == expected
-        # scc ids partition consistently
-        for comp in nx.strongly_connected_components(g):
-            ids = {info.scc_id[q] for q in comp}
-            assert len(ids) == 1
+        # one component id per counted component, distinct across them
+        ids = [{info.component[q] for q in comp}
+               for comp in nx.strongly_connected_components(g) if comp <= expected]
+        assert all(len(c) == 1 for c in ids)
+        assert len(set().union(*ids)) == len(ids)
 
 
 def test_counted_monotone_under_adding_rejecting():
@@ -307,25 +308,32 @@ def test_full_counters():
     a = ucw("F g", [], ["g"])
     info = full_counters(a, 2)
     assert info.counted == frozenset(range(a.n_states))
-    assert info.compare_all
-    assert info.needs_compare(0, a.n_states - 1)
+    assert all(info.needs_compare(q, q2) for q in range(a.n_states) for q2 in range(a.n_states))
 
 
 # ---------------------------------------------------------------------------
 # Symbolic encoding
 
 
+def _code_names(sa):
+    """Names for the source and target code bits: q0, q1, ... and p0, p1, ..."""
+    return [f"q{j}" for j in range(sa.width)], [f"p{j}" for j in range(sa.width)]
+
+
 class _Coded:
     """The encoder's init/reject/delta nodes for sa, in a store with one
-    variable per alphabet atom and state bit; `holds(node, env)` evaluates
-    a node with exactly the atoms in env true."""
+    variable per alphabet atom and code bit (`_code_names`); `holds(node,
+    env)` evaluates a node with exactly the atoms in env true."""
 
     def __init__(self, sa):
         self.store = Store()
-        names = sa.automaton.alphabet + sa.state_vars + sa.state_vars_primed
+        code, code2 = _code_names(sa)
+        names = sa.automaton.alphabet + tuple(code + code2)
         self.var = {name: self.store.new_var(name) for name in names}
-        atom_map = {name: self.store.var(v) for name, v in self.var.items()}
-        self.init, self.reject, self.delta = symbolic_nodes(self.store, sa, atom_map)
+        node = {name: self.store.var(v) for name, v in self.var.items()}
+        self.init, self.reject, self.delta = symbolic_nodes(
+            self.store, sa.automaton, node, [node[x] for x in code], [node[x] for x in code2]
+        )
 
     def holds(self, node, env) -> bool:
         return self.store.evaluate(node, {v: name in env for name, v in self.var.items()})
@@ -336,13 +344,14 @@ def _delta_models(sa):
     coded = _Coded(sa)
     triples = set()
     alphabet = list(sa.automaton.alphabet)
-    width = len(sa.state_vars)
+    width = sa.width
+    code, code2 = _code_names(sa)
     for q in range(1 << width):
         for q2 in range(1 << width):
             for letter in all_letters(alphabet):
                 env = set(letter)
-                env |= {sa.state_vars[j] for j in range(width) if q >> j & 1}
-                env |= {sa.state_vars_primed[j] for j in range(width) if q2 >> j & 1}
+                env |= {code[j] for j in range(width) if q >> j & 1}
+                env |= {code2[j] for j in range(width) if q2 >> j & 1}
                 if coded.holds(coded.delta, env):
                     triples.add((q, frozenset(letter), q2))
     return triples
@@ -351,7 +360,7 @@ def _delta_models(sa):
 def test_encode_symbolic_single_state():
     a = Ucw((), ("a",), 1, 0, {(0, 0): guard("true", ("a",))}, frozenset())
     sa = encode_symbolic(a)
-    assert len(sa.state_vars) == 1
+    assert sa.width == 1
     # delta is satisfied exactly by code 0 -> code 0
     assert _delta_models(sa) == {
         (0, frozenset(), 0),
@@ -359,7 +368,7 @@ def test_encode_symbolic_single_state():
     }
     coded = _Coded(sa)
     assert coded.holds(coded.init, frozenset())
-    assert not coded.holds(coded.init, frozenset(sa.state_vars))
+    assert not coded.holds(coded.init, frozenset(_code_names(sa)[0]))
 
 
 def test_encode_symbolic_three_states_excludes_dead_code():
@@ -367,15 +376,15 @@ def test_encode_symbolic_three_states_excludes_dead_code():
     guards = {(0, 1): true, (1, 2): true, (2, 0): true}
     a = Ucw((), ("a",), 3, 0, guards, frozenset([2]))
     sa = encode_symbolic(a)
-    assert len(sa.state_vars) == 2
+    assert sa.width == 2
     models = _delta_models(sa)
     assert all(q != 3 and q2 != 3 for q, _, q2 in models)
     coded = _Coded(sa)
     # init excludes code 3
-    env3 = frozenset(sa.state_vars)
-    assert not coded.holds(coded.init, env3)
+    code, code2 = _code_names(sa)
+    assert not coded.holds(coded.init, frozenset(code))
     # reject is the primed code of state 2
-    assert coded.holds(coded.reject, frozenset([sa.state_vars_primed[1]]))
+    assert coded.holds(coded.reject, frozenset([code2[1]]))
     assert not coded.holds(coded.reject, frozenset())
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import shlex
+import subprocess
 import sys
 import tempfile
 
@@ -316,6 +317,17 @@ def test_main_verdict_only_solver_is_trusted(tmp_path, capsys):
     assert (code, capsys.readouterr().out) == (10, "REALIZABLE (bound 1)\n")
 
 
+def test_main_verdict_only_solver_in_synthesis_is_unknown(tmp_path, capsys):
+    """In synthesis, a solver that says sat but prints no model leaves no
+    machine to extract: each such attempt is unknown, with the reason."""
+    script = tmp_path / "verdict.py"
+    script.write_text("import sys\nprint('s SATISFIABLE')\nsys.exit(10)\n")
+    cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{file}}"
+    code = main([write_spec(tmp_path, ARBITER_DOC), "--encoding", "basic", "--mode", "synthesis",
+                 "--max-bound", "2", "--solver-cmd", cmd])
+    assert (code, capsys.readouterr()) == (0, ("UNKNOWN (solver printed no model)\n", ""))
+
+
 def test_main_linear_search_huge_max_bound(tmp_path, capsys):
     """The bounds are tried in turn; no list of 2^62 of them is built first."""
     code = main([write_spec(tmp_path, G_O), "--search", "linear",
@@ -469,3 +481,38 @@ def test_cli_fuzz_random_specs(tmp_path, capsys):
             assert codes[encoding] in (0, 1, 2, 10, 20), (doc, encoding)
             assert "Traceback" not in err, (doc, encoding)
         assert not {10, 20} <= set(codes.values()), (doc, codes)
+
+
+TRACED_RUN = """
+import json
+import sys
+
+import tracing
+from ltlsynth import driver
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+codes = [driver.main([sys.argv[1], "--mode", "synthesis", "--encoding", encoding,
+                      "--output", sys.argv[2]])
+         for encoding in driver.ENCODING_NAMES]
+sizes = tracer.sizes[None]
+keys = ("automaton.counted_states", "automaton.counter_bits", "encode.nodes")
+print(json.dumps([codes, [sizes[key] for key in keys]]))
+"""
+
+
+def test_benchmark_tracer_wraps_the_driver(tmp_path):
+    """perfbench/tracing.py wraps driver functions by name and reads the
+    SccInfo and the encoders' results: arbiter k=2 synthesis on every
+    encoding, both sides, runs under it and records nonzero sizes."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, write_spec(tmp_path, ARBITER_DOC),
+         str(tmp_path / "out.aag")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, sizes = json.loads(proc.stdout.splitlines()[-1])  # after the verdict lines
+    assert codes == [10] * len(driver.ENCODING_NAMES)
+    assert all(sizes), sizes

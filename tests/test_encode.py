@@ -221,7 +221,7 @@ def test_state_symbolic_single_state_no_bits():
 def test_fully_symbolic_single_state():
     a = ucw_for("G a", [], ["a"])
     scc = analyze_sccs(a, 1)
-    problem, d = encode_fully_symbolic(encode_symbolic(a), 1, "moore", scc.counter_bits)
+    problem, d = encode_fully_symbolic(encode_symbolic(a), 1, "moore", scc)
     result = solve_internal(problem)
     assert result.status == "sat"
     ts = extract(result.model, d, a.inputs, a.outputs)
@@ -231,7 +231,7 @@ def test_fully_symbolic_single_state():
 def test_fully_symbolic_arbiter_unsat_at_one():
     a = arbiter_ucw()
     scc = analyze_sccs(a, 1)
-    problem, _ = encode_fully_symbolic(encode_symbolic(a), 1, "moore", scc.counter_bits)
+    problem, _ = encode_fully_symbolic(encode_symbolic(a), 1, "moore", scc)
     assert solve_internal(problem).status == "unsat"
 
 
@@ -356,10 +356,10 @@ def test_count_profile_closed_forms_arbiter():
     assert u == n_i + 2 * k
 
     sa = encode_symbolic(a)
-    p_full, _ = encode_fully_symbolic(sa, n, "mealy", b)
+    p_full, _ = encode_fully_symbolic(sa, n, "mealy", scc)
     e, u, _ = count_profile(p_full)
     assert e == 2 + 2 * b + k + n_o
-    assert u == n_i + 2 * k + 2 * len(sa.state_vars)
+    assert u == n_i + 2 * k + 2 * sa.width
 
 
 def test_count_profile_growth_with_inputs():

@@ -42,11 +42,11 @@ def test_extract_state_symbolic_out_of_range_guard():
     problem, d = encode_state_symbolic(a, 3, "moore", analyze_sccs(a, 3))
     result = solve_internal(problem)
     assert result.status == "sat"
-    # sabotage every transition-bit table so codes land at 3 (>= n)
-    for j in d.trans.values():
-        entry = result.model.skolem[j]
-        for key in entry.table:
-            entry.table[key] = True
+    # sabotage every transition bit's copies so codes land at 3 (>= n)
+    model = result.model
+    for (e, _), copy in model.copies.items():
+        if e in d.trans.values():
+            model.assignment[copy] = True
     with pytest.raises(ExtractionError):
         extract(result.model, d, a.inputs, a.outputs)
 

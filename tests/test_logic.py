@@ -19,7 +19,6 @@ from ltlsynth.logic import (
     bv_equal,
     bv_greater,
     bv_less_const,
-    bv_vars,
     emit_dimacs,
     emit_dqdimacs,
     emit_qdimacs,
@@ -374,8 +373,9 @@ def test_bv_less_const():
 
 def test_bv_greater_symbolic_truth_table():
     s = Store()
-    xv, xids = bv_vars(s, "x", 2)
-    yv, yids = bv_vars(s, "y", 2)
+    xids = [s.new_var(f"x{j}") for j in range(2)]
+    yids = [s.new_var(f"y{j}") for j in range(2)]
+    xv, yv = tuple(map(s.var, xids)), tuple(map(s.var, yids))
     strict = bv_greater(s, xv, yv, True)
     loose = bv_greater(s, xv, yv, False)
     for x in range(4):
