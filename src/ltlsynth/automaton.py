@@ -465,46 +465,58 @@ def sccs(num_nodes: int, adj) -> list[list[int]]:
     return comps
 
 
+def explore(start, moves):
+    """The graph reachable from `start`, where moves(v) yields the
+    (label, successor) pairs of vertex v.
+
+    Vertices are numbered when first seen, from a last-in first-out
+    worklist.  Returns the vertices by number, each vertex's distinct
+    successors by number in first-seen order, and the first label of every
+    edge, keyed by its pair of numbers."""
+    number = {start: 0}
+    succ: list[list[int]] = [[]]
+    labels: dict[tuple[int, int], object] = {}
+    work = [start]
+    while work:
+        v = work.pop()
+        i = number[v]
+        for label, w in moves(v):
+            j = number.setdefault(w, len(succ))
+            if j == len(succ):
+                succ.append([])
+                work.append(w)
+            if (i, j) not in labels:
+                labels[(i, j)] = label
+                succ[i].append(j)
+    return list(number), succ, labels
+
+
+def rejecting_cycle(succ: list[list[int]], rejecting) -> list[int] | None:
+    """The first component, in `sccs` order, with a cycle through a vertex
+    of `rejecting`; None when no such cycle exists."""
+    for comp in sccs(len(succ), succ.__getitem__):
+        cyclic = len(comp) > 1 or comp[0] in succ[comp[0]]
+        if cyclic and not rejecting.isdisjoint(comp):
+            return comp
+    return None
+
+
 def ucw_accepts_lasso(a: Ucw, prefix, loop) -> bool:
     """True iff every run over prefix . loop^omega hits rejecting states
     only finitely often, checked on the product with the word positions."""
     if not loop:
         raise ValueError("loop must be nonempty")
     letters = [letter_index(a.alphabet, l) for l in list(prefix) + list(loop)]
-    total = len(letters)
-    loop_start = len(prefix)
-
-    def succ_pos(p: int) -> int:
-        return p + 1 if p + 1 < total else loop_start
-
-    # reachable product vertices (q, p)
-    start = (a.initial, 0)
-    nodes = {start: 0}
-    order = [start]
-    adj_list: list[list[int]] = [[]]
-    frontier = [start]
     rows = a.rows()
-    while frontier:
-        q, p = frontier.pop()
-        vid = nodes[(q, p)]
-        p2 = succ_pos(p)
-        for q2, g in rows[q]:
-            if not g >> letters[p] & 1:
-                continue
-            key = (q2, p2)
-            if key not in nodes:
-                nodes[key] = len(order)
-                order.append(key)
-                adj_list.append([])
-                frontier.append(key)
-            adj_list[vid].append(nodes[key])
 
-    comps = sccs(len(order), lambda v: adj_list[v])
-    for comp in comps:
-        cyclic = len(comp) > 1 or comp[0] in adj_list[comp[0]]
-        if cyclic and any(order[v][0] in a.rejecting for v in comp):
-            return False
-    return True
+    def moves(v):
+        q, p = v
+        p2 = p + 1 if p + 1 < len(letters) else len(prefix)
+        return ((None, (q2, p2)) for q2, g in rows[q] if g >> letters[p] & 1)
+
+    vertices, succ, _ = explore((a.initial, 0), moves)
+    rejecting = {j for j, (q, _) in enumerate(vertices) if q in a.rejecting}
+    return rejecting_cycle(succ, rejecting) is None
 
 
 # ---------------------------------------------------------------------------

@@ -178,14 +178,16 @@ def _bounds(cfg: RunConfig) -> range | list[int]:
     return out
 
 
-def _minimized(side: SideProblem, found: int, cfg: RunConfig, want_system: bool):
-    """Walk the bound down linearly while the instance stays satisfiable.
+def _minimized(side: SideProblem, found: int, floor: int, cfg: RunConfig, want_system: bool):
+    """Walk the bound down linearly while the instance stays satisfiable,
+    stopping above `floor`, the greatest bound shown unsat (0 for none): an
+    unreachable state pads any machine, so no bound below it is sat either.
 
     Returns the least satisfiable bound seen, its system (None if only
     `found` was), and, when the walk stopped at an unknown rather than an
     unsat attempt, that attempt's reason."""
     best_bound, best = found, None
-    for n in range(found - 1, 0, -1):
+    for n in range(found - 1, floor, -1):
         result, ts = _attempt(side, n, cfg, want_system)
         if result.status == "unknown":
             return best_bound, best, f"bound {n}: {result.detail}"
@@ -203,17 +205,19 @@ def search_realizability(sides: list[SideProblem], cfg: RunConfig) -> SearchOutc
     """
     want_system = cfg.mode == "synthesis"
     unknown = ""
+    refuted = [0] * len(sides)  # each side's greatest unsat bound so far
     for n in _bounds(cfg):
-        for side in sides:
+        for j, side in enumerate(sides):
             result, ts = _attempt(side, n, cfg, want_system)
             if result.status == "unknown":
                 unknown = unknown or result.detail
                 continue
             if result.status != "sat":
+                refuted[j] = n
                 continue
             bound, detail = n, ""
             if cfg.minimize:
-                bound, better, detail = _minimized(side, n, cfg, want_system)
+                bound, better, detail = _minimized(side, n, refuted[j], cfg, want_system)
                 if better is not None:
                     ts = better
             status = "realizable" if side.role == "system" else "unrealizable"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .logic import _NOT, _OR, FALSE, TRUE, Store
+
 MEALY = "mealy"
 MOORE = "moore"
 
@@ -105,109 +107,68 @@ def to_dot(ts: TransitionSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _AagBuilder:
-    """Accumulates AND gates; literals are AIGER-encoded (2v, negation +1)."""
-
-    def __init__(self, first_free_var: int):
-        self.next_var = first_free_var
-        self.gates: list[tuple[int, int, int]] = []
-        self._memo: dict[tuple[int, int], int] = {}
-
-    def and2(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if a == 1:
-            return b
-        if b == 1:
-            return a
-        if a == b:
-            return a
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        if key in self._memo:
-            return self._memo[key]
-        lhs = 2 * self.next_var
-        self.next_var += 1
-        self.gates.append((lhs, a, b))
-        self._memo[key] = lhs
-        return lhs
-
-    def and_many(self, lits: list[int]) -> int:
-        acc = 1
-        for l in lits:
-            acc = self.and2(acc, l)
-        return acc
-
-    def or_many(self, lits: list[int]) -> int:
-        return self.and_many([l ^ 1 for l in lits]) ^ 1
-
-
 def to_aiger(ts: TransitionSystem) -> str:
     """ASCII AIGER circuit: binary state code in latches, all-zero reset.
 
     Every output bit and next-state bit is a sum of products over the latch
-    bits (plus input bits for Mealy outputs and all transitions), decomposed
-    into two-input AND gates with inverters.
+    bits (plus input bits for Mealy outputs and all transitions), built from
+    two-operand and/or/not in a fresh `logic.Store`, which folds constants
+    and repeats.  Its variables 1..I+L are the inputs, then the latches, so
+    AIGER literal 2v is variable v; a children-first walk over each root's
+    cone numbers the AND gates above them, an or becoming an AND of negations.
     """
     n_in = len(ts.inputs)
     state_bits = max(0, (ts.n - 1).bit_length())
-
-    in_lit = {name: 2 * (j + 1) for j, name in enumerate(ts.inputs)}
-    latch_lit = [2 * (n_in + j + 1) for j in range(state_bits)]
-    builder = _AagBuilder(first_free_var=n_in + state_bits + 1)
-
+    store = Store()
+    bits = [store.var(store.new_var(name)) for name in ts.inputs]
+    bits += [store.var(store.new_var(f"state_bit_{j}")) for j in range(state_bits)]
     vals = input_valuations(ts.inputs)
 
-    def minterm(t: int, i: frozenset[str], use_inputs: bool) -> int:
-        lits = []
-        for j in range(state_bits):
-            lits.append(latch_lit[j] ^ (0 if t >> j & 1 else 1))
-        if use_inputs:
-            for name in ts.inputs:
-                lits.append(in_lit[name] ^ (0 if name in i else 1))
-        return builder.and_many(lits)
+    def sum_of_products(holds, use_inputs: bool) -> int:
+        """Or, over the states t and input valuations i where holds(t, i),
+        of the and of t's latch literals and, if use_inputs, i's inputs."""
+        total = FALSE
+        for t in range(ts.n):
+            state = TRUE
+            for j, b in enumerate(bits[n_in:]):
+                state = store.and_([state, b if t >> j & 1 else store.not_(b)])
+            for i in vals if use_inputs else vals[:1]:
+                if holds(t, i):
+                    term = state
+                    for x, b in zip(ts.inputs if use_inputs else (), bits):
+                        term = store.and_([term, b if x in i else store.not_(b)])
+                    total = store.or_([total, term])
+        return total
 
-    def compile_function(true_points: list[tuple[int, frozenset[str]]], use_inputs: bool) -> int:
-        if not true_points:
-            return 0
-        total = ts.n * (len(vals) if use_inputs else 1)
-        if len(true_points) == total and state_bits == 0:
-            return 1
-        return builder.or_many([minterm(t, i, use_inputs) for t, i in true_points])
+    roots = [sum_of_products(lambda t, i: ts.trans[(t, i)] >> j & 1, True)
+             for j in range(state_bits)]
+    roots += [sum_of_products(lambda t, i: name in ts.label[(t, i)], ts.semantics != MOORE)
+              for name in ts.outputs]
 
-    out_lits = []
-    for name in ts.outputs:
-        if ts.semantics == MOORE:
-            points = [(t, frozenset()) for t in range(ts.n) if name in ts.moore_label(t)]
-            out_lits.append(compile_function(points, use_inputs=False))
-        else:
-            points = [(t, i) for t in range(ts.n) for i in vals if name in ts.label[(t, i)]]
-            out_lits.append(compile_function(points, use_inputs=True))
+    lit = {FALSE: 0, TRUE: 1}
+    lit.update((b, 2 * (j + 1)) for j, b in enumerate(bits))
+    gates: list[tuple[int, int, int]] = []
+    for root in roots:
+        for f in store.reachable(root):
+            if f in lit:
+                continue
+            tag, kids = store.nodes[f]
+            if tag == _NOT:
+                lit[f] = lit[kids] ^ 1
+            else:
+                flip = tag == _OR  # a or b = not (not a and not b)
+                gates.append((2 * (n_in + state_bits + len(gates) + 1),
+                              lit[kids[0]] ^ flip, lit[kids[1]] ^ flip))
+                lit[f] = gates[-1][0] ^ flip
 
-    next_lits = []
-    for j in range(state_bits):
-        points = [(t, i) for t in range(ts.n) for i in vals if ts.trans[(t, i)] >> j & 1]
-        next_lits.append(compile_function(points, use_inputs=True))
-
-    max_var = builder.next_var - 1
-    lines = [
-        f"aag {max_var} {n_in} {state_bits} {len(ts.outputs)} {len(builder.gates)}"
-    ]
-    for name in ts.inputs:
-        lines.append(str(in_lit[name]))
-    for j in range(state_bits):
-        lines.append(f"{latch_lit[j]} {next_lits[j]}")
-    for lit in out_lits:
-        lines.append(str(lit))
-    for lhs, a, b in builder.gates:
-        lines.append(f"{lhs} {a} {b}")
-    for j, name in enumerate(ts.inputs):
-        lines.append(f"i{j} {name}")
-    for j in range(state_bits):
-        lines.append(f"l{j} state_bit_{j}")
-    for j, name in enumerate(ts.outputs):
-        lines.append(f"o{j} {name}")
-    lines.append("c")
-    lines.append(f"{ts.semantics} system, {ts.n} states")
+    lines = [f"aag {n_in + state_bits + len(gates)} {n_in} {state_bits} "
+             f"{len(ts.outputs)} {len(gates)}"]
+    lines += [str(2 * (j + 1)) for j in range(n_in)]
+    lines += [f"{2 * (n_in + j + 1)} {lit[roots[j]]}" for j in range(state_bits)]
+    lines += [str(lit[f]) for f in roots[state_bits:]]
+    lines += [f"{lhs} {a} {b}" for lhs, a, b in gates]
+    lines += [f"i{j} {name}" for j, name in enumerate(ts.inputs)]
+    lines += [f"l{j} state_bit_{j}" for j in range(state_bits)]
+    lines += [f"o{j} {name}" for j, name in enumerate(ts.outputs)]
+    lines += ["c", f"{ts.semantics} system, {ts.n} states"]
     return "\n".join(lines) + "\n"

@@ -2,14 +2,17 @@
 
 This module is the independent check on everything the encoders and
 solvers produce: it works directly on the product of a transition system
-and an automaton and shares no code with the encodings.
+and an automaton and shares no code with the encodings.  The product is
+built and searched for a rejecting cycle by `automaton.explore` and
+`automaton.rejecting_cycle`, the search that also decides lasso acceptance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
-from .automaton import Ucw, letter_index, sccs, ucw_accepts_lasso
+from .automaton import Ucw, explore, letter_index, rejecting_cycle, sccs, ucw_accepts_lasso
 from .system import TransitionSystem, input_valuations, run
 
 Vertex = tuple[int, int]  # (system state, automaton state)
@@ -23,8 +26,6 @@ class RunGraph:
     vertices: list[Vertex]
     edges: dict[Vertex, list[Vertex]]
     rejecting: frozenset[Vertex]
-    # one witness input valuation per edge, for counterexample extraction
-    witness: dict[tuple[Vertex, Vertex], frozenset[str]] = field(default_factory=dict)
 
 
 @dataclass
@@ -35,38 +36,32 @@ class Violation:
     reason: str
 
 
-def build_run_graph(ts: TransitionSystem, a: Ucw) -> RunGraph:
-    """Explicit product, enumerating input valuations for the edges."""
+def _product(ts: TransitionSystem, a: Ucw):
+    """`explore` over the product, each edge labelled by an input valuation
+    that takes it; the rejecting vertices by number come last."""
     if set(ts.inputs) != set(a.inputs) or set(ts.outputs) != set(a.outputs):
         raise ValueError("system and automaton alphabets differ")
-    vals = input_valuations(ts.inputs)
-    start: Vertex = (0, a.initial)
-    vertices = [start]
-    seen = {start}
-    edges: dict[Vertex, list[Vertex]] = {}
-    witness: dict[tuple[Vertex, Vertex], frozenset[str]] = {}
-    frontier = [start]
+    steps = [[(i, ts.trans[(t, i)], letter_index(a.alphabet, i | ts.label[(t, i)]))
+              for i in input_valuations(ts.inputs)] for t in range(ts.n)]
     rows = a.rows()
-    while frontier:
-        t, q = frontier.pop()
-        out: list[Vertex] = []
-        for i in vals:
-            t2 = ts.trans[(t, i)]
-            letter = letter_index(a.alphabet, i | ts.label[(t, i)])
+
+    def moves(v):
+        t, q = v
+        for i, t2, letter in steps[t]:
             for q2, g in rows[q]:
-                if not g >> letter & 1:
-                    continue
-                v2 = (t2, q2)
-                if v2 not in seen:
-                    seen.add(v2)
-                    vertices.append(v2)
-                    frontier.append(v2)
-                if v2 not in out:
-                    out.append(v2)
-                    witness[((t, q), v2)] = i
-        edges[(t, q)] = out
-    rejecting = frozenset(v for v in vertices if v[1] in a.rejecting)
-    return RunGraph(start, vertices, edges, rejecting, witness)
+                if g >> letter & 1:
+                    yield i, (t2, q2)
+
+    vertices, succ, labels = explore((0, a.initial), moves)
+    rejecting = {j for j, (_, q) in enumerate(vertices) if q in a.rejecting}
+    return vertices, succ, labels, rejecting
+
+
+def build_run_graph(ts: TransitionSystem, a: Ucw) -> RunGraph:
+    """Explicit product, enumerating input valuations for the edges."""
+    vertices, succ, _, rejecting = _product(ts, a)
+    edges = {v: [vertices[j] for j in succ[i]] for i, v in enumerate(vertices)}
+    return RunGraph(vertices[0], vertices, edges, frozenset(vertices[j] for j in rejecting))
 
 
 def check_annotation(g: RunGraph, lam: dict[Vertex, int | None]) -> Violation | None:
@@ -94,38 +89,18 @@ def check_annotation(g: RunGraph, lam: dict[Vertex, int | None]) -> Violation | 
     return None
 
 
-def _condense(g: RunGraph):
-    """One Tarjan pass over the run graph.
-
-    Returns the adjacency by vertex index, the components in reverse
-    topological order, and the first component with a cycle through a
-    rejecting vertex (None when there is none).
-    """
-    idx = {v: j for j, v in enumerate(g.vertices)}
-    adj = [[idx[v2] for v2 in g.edges.get(v, ())] for v in g.vertices]
-    comps = sccs(len(g.vertices), lambda v: adj[v])
-    for comp in comps:
-        cyclic = len(comp) > 1 or comp[0] in adj[comp[0]]
-        if cyclic and any(g.vertices[v] in g.rejecting for v in comp):
-            return adj, comps, comp
-    return adj, comps, None
-
-
 def infer_annotation(g: RunGraph) -> dict[Vertex, int] | None:
     """Least valid annotation, or None when a rejecting cycle is reachable.
 
-    Computed on the condensation: a cycle through a rejecting vertex kills
-    validity; otherwise the rank of a vertex is the largest number of
-    rejecting vertices on any path reaching it.
+    Computed on the condensation: an edge inside a component lies on a
+    cycle, so one into a rejecting vertex kills validity; otherwise the
+    rank of a vertex is the largest number of rejecting vertices on any
+    path reaching it.
     """
-    adj, comps, bad = _condense(g)
-    if bad is not None:
-        return None
-
-    comp_of = {}
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = cid
+    idx = {v: j for j, v in enumerate(g.vertices)}
+    adj = [[idx[v2] for v2 in g.edges.get(v, ())] for v in g.vertices]
+    comps = sccs(len(adj), adj.__getitem__)
+    comp_of = {v: cid for cid, comp in enumerate(comps) for v in comp}
 
     # propagate over edges in topological order (reverse of Tarjan's output):
     # value[target comp] >= value[source comp] + 1 when the target vertex rejects
@@ -133,17 +108,12 @@ def infer_annotation(g: RunGraph) -> dict[Vertex, int] | None:
     for cid in range(len(comps) - 1, -1, -1):
         for v in comps[cid]:
             for w in adj[v]:
-                tgt = comp_of[w]
-                if tgt == cid:
-                    continue
                 bonus = 1 if g.vertices[w] in g.rejecting else 0
-                value[tgt] = max(value[tgt], value[cid] + bonus)
-
-    lam: dict[Vertex, int] = {}
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            lam[g.vertices[v]] = value[cid]
-    return lam
+                if comp_of[w] != cid:
+                    value[comp_of[w]] = max(value[comp_of[w]], value[cid] + bonus)
+                elif bonus:
+                    return None
+    return {g.vertices[v]: value[cid] for v, cid in comp_of.items()}
 
 
 @dataclass
@@ -154,58 +124,43 @@ class CounterexampleLasso:
     loop: list[frozenset[str]]
 
 
+def _path(succ: list[list[int]], start: int, goal: int, within=None) -> list[int]:
+    """The vertices of a shortest path of at least one edge from start to
+    goal, through vertices of `within` only when it is given."""
+    parent = {start: start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in succ[v]:
+            if within is not None and w not in within:
+                continue
+            if w == goal:
+                path = [w, v]
+                while v != start:
+                    v = parent[v]
+                    path.append(v)
+                return path[::-1]
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    raise AssertionError("goal is unreachable")
+
+
 def model_check(ts: TransitionSystem, a: Ucw) -> CounterexampleLasso | None:
     """None when the system realizes the automaton's language.
 
     Otherwise extracts a concrete input lasso driving the product around a
     reachable cycle through a rejecting vertex.
     """
-    g = build_run_graph(ts, a)
-    adj, _, bad_comp = _condense(g)
-    if bad_comp is None:
+    _, succ, labels, rejecting = _product(ts, a)
+    comp = rejecting_cycle(succ, rejecting)
+    if comp is None:
         return None
-    members = set(bad_comp)
-    target = next(v for v in bad_comp if g.vertices[v] in g.rejecting)
-    origin = g.vertices.index(g.initial)
-
-    def bfs(start: int, goal: int, restrict: set[int] | None, skip_trivial: bool):
-        """Shortest edge path start->goal; may be empty unless skip_trivial."""
-        if start == goal and not skip_trivial:
-            return []
-        parent: dict[int, tuple[int, int]] = {}
-        queue = [start]
-        seen = {start}
-        while queue:
-            v = queue.pop(0)
-            for w in adj[v]:
-                if restrict is not None and w not in restrict:
-                    continue
-                if w == goal:
-                    path = [(v, w)]
-                    while v != start:
-                        pv, _ = parent[v]
-                        path.append((pv, v))
-                        v = pv
-                    path.reverse()
-                    return path
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = (v, w)
-                    queue.append(w)
-        return None
-
-    into = bfs(origin, target, None, skip_trivial=origin != target)
-    around = bfs(target, target, members, skip_trivial=True)
-    assert into is not None and around is not None
-
-    def inputs_of(path):
-        return [
-            g.witness[(g.vertices[v], g.vertices[w])] for v, w in path
-        ]
-
-    prefix = inputs_of(into)
-    loop = inputs_of(around)
-    return CounterexampleLasso(prefix, loop)
+    target = next(v for v in comp if v in rejecting)
+    into = _path(succ, 0, target) if target else [0]
+    around = _path(succ, target, target, set(comp))
+    return CounterexampleLasso([labels[e] for e in zip(into, into[1:])],
+                               [labels[e] for e in zip(around, around[1:])])
 
 
 def counterexample_refutes(

@@ -142,11 +142,17 @@ def all_lassos(atoms: list[str], max_prefix: int, max_loop: int):
 
 
 def simulate_aag(text: str, input_rows: list[dict[str, bool]]) -> list[frozenset[str]]:
-    """Run an ASCII AIGER circuit; returns the named outputs true per step."""
+    """Run an ASCII AIGER circuit; returns the named outputs true per step.
+
+    Checks the header and the definitions against the format first: M is
+    I + L + A, the inputs are literals 2..2I with the latches next, and
+    each AND defines an even literal, once, above every latch; no literal
+    exceeds 2M + 1."""
     lines = text.splitlines()
     header = lines[0].split()
     assert header[0] == "aag"
-    _m, n_in, n_latch, n_out, n_and = (int(x) for x in header[1:6])
+    m, n_in, n_latch, n_out, n_and = (int(x) for x in header[1:6])
+    assert m == n_in + n_latch + n_and, "M is not I + L + A"
     at = 1
     in_lits = [int(lines[at + j]) for j in range(n_in)]
     at += n_in
@@ -162,6 +168,15 @@ def simulate_aag(text: str, input_rows: list[dict[str, bool]]) -> list[frozenset
         lhs, a, b = (int(x) for x in lines[at + j].split())
         ands.append((lhs, a, b))
     at += n_and
+    assert in_lits == [2 * (j + 1) for j in range(n_in)], "inputs are not 2..2I"
+    assert [cur for cur, _ in latches] == [2 * (n_in + j + 1) for j in range(n_latch)], \
+        "latches do not follow the inputs"
+    lhs_lits = [lhs for lhs, _, _ in ands]
+    assert all(lhs % 2 == 0 and lhs > 2 * (n_in + n_latch) for lhs in lhs_lits), \
+        "an AND does not define an even literal above the latches"
+    assert len(set(lhs_lits)) == n_and, "an AND literal is defined twice"
+    used = [nxt for _, nxt in latches] + out_lits + [x for gate in ands for x in gate]
+    assert all(0 <= x <= 2 * m + 1 for x in used), "a literal exceeds 2M + 1"
     in_names = {}
     out_names = {}
     for line in lines[at:]:

@@ -14,9 +14,11 @@ from ltlsynth.automaton import (
     analyze_sccs,
     cube_mask,
     encode_symbolic,
+    explore,
     full_counters,
     letter_index,
     ltl_to_ucw,
+    rejecting_cycle,
     ucw_accepts_lasso,
     ucw_to_dot,
 )
@@ -241,6 +243,39 @@ def test_automata_independent_of_hash_seed():
         ).stdout)
     assert dumps[0].count("\n") == 2 * len(SUITE) + 2
     assert dumps[0] == dumps[1]
+
+
+# ---------------------------------------------------------------------------
+# Product search
+
+
+def search(graph, rejecting):
+    """explore from 'a' over a dict of (label, successor) lists, then
+    rejecting_cycle over the named rejecting vertices; the cycle by name."""
+    vertices, succ, _ = explore("a", lambda v: graph.get(v, []))
+    comp = rejecting_cycle(succ, {vertices.index(v) for v in rejecting if v in vertices})
+    return None if comp is None else sorted(vertices[j] for j in comp)
+
+
+def test_rejecting_cycle_needs_a_cycle_through_a_rejecting_vertex():
+    assert search({"a": [(0, "b")], "b": [(0, "b")]}, {"b"}) == ["b"]
+    assert search({"a": [(0, "b")]}, {"b"}) is None
+    assert search({"a": [(0, "b")], "b": [(0, "a")]}, {"b"}) == ["a", "b"]
+    # reachable only from a cycle of non-rejecting vertices
+    assert search({"a": [(0, "b")], "b": [(0, "a"), (0, "c")]}, {"c"}) is None
+
+
+def test_explore_merges_duplicate_moves_keeping_the_first_label():
+    vertices, succ, labels = explore("a", {"a": [("x", "b"), ("y", "b")], "b": []}.get)
+    assert (vertices, succ, labels) == (["a", "b"], [[1], []], {(0, 1): "x"})
+
+
+def test_explore_numbers_vertices_when_first_seen():
+    graph = {"a": [(0, "b"), (0, "c")], "b": [(0, "e")], "c": [(0, "d")], "d": [], "e": []}
+    vertices, succ, _ = explore("a", graph.get)
+    # c is expanded before b (last in, first out), but b was seen first
+    assert vertices == ["a", "b", "c", "d", "e"]
+    assert succ == [[1, 2], [4], [3], [], []]
 
 
 # ---------------------------------------------------------------------------

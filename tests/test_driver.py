@@ -497,14 +497,15 @@ codes = [driver.main([sys.argv[1], "--mode", "synthesis", "--encoding", encoding
          for encoding in driver.ENCODING_NAMES]
 sizes = tracer.sizes[None]
 keys = ("automaton.counted_states", "automaton.counter_bits", "encode.nodes")
-print(json.dumps([codes, [sizes[key] for key in keys]]))
+print(json.dumps([codes, [sizes[key] for key in keys], sorted({span[0] for span in tracer.spans})]))
 """
 
 
 def test_benchmark_tracer_wraps_the_driver(tmp_path):
     """perfbench/tracing.py wraps driver functions by name and reads the
     SccInfo and the encoders' results: arbiter k=2 synthesis on every
-    encoding, both sides, runs under it and records nonzero sizes."""
+    encoding, both sides, runs under it, records nonzero sizes and opens a
+    span for every layer it times."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
@@ -513,6 +514,29 @@ def test_benchmark_tracer_wraps_the_driver(tmp_path):
          str(tmp_path / "out.aag")],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    codes, sizes = json.loads(proc.stdout.splitlines()[-1])  # after the verdict lines
+    codes, sizes, spans = json.loads(proc.stdout.splitlines()[-1])  # after the verdict lines
     assert codes == [10] * len(driver.ENCODING_NAMES)
     assert all(sizes), sizes
+    layers = {"ltl.load", "automaton.ucw", "automaton.scc", "automaton.symbolic", "encode",
+              "logic.tseitin", "solve.expand", "solve.cdcl", "extract", "verify", "system.aiger"}
+    assert layers <= set(spans), sorted(layers - set(spans))
+
+
+@pytest.mark.parametrize("name, options, tried", [
+    ("blinker", {"search": "linear"}, [("system", 1), ("environment", 1), ("system", 2)]),
+    ("arbiter", {"search": "linear"}, [("system", 1), ("environment", 1), ("system", 2)]),
+    ("arbiter3", {}, [("system", 1), ("environment", 1), ("system", 2), ("environment", 2),
+                      ("system", 4), ("system", 3)]),
+])
+def test_minimize_skips_bounds_the_schedule_refuted(monkeypatch, name, options, tried):
+    """The walk down stops above the side's greatest unsat bound: a machine
+    padded with an unreachable state shows every bound below a sat one sat,
+    so no bound the schedule refuted is solved again."""
+    attempts = []
+    real_attempt = driver._attempt
+    monkeypatch.setattr(driver, "_attempt", lambda side, n, cfg, want_system: (
+        attempts.append((side.role, n)) or real_attempt(side, n, cfg, want_system)))
+    spec = load_spec(json.dumps(arbiter_doc(3))) if name == "arbiter3" else by_name(name).spec
+    outcome = search(spec, RunConfig(encoding="basic", minimize=True, **options))
+    assert (outcome.status, outcome.bound) == ("realizable", tried[-1][1])
+    assert attempts == tried
