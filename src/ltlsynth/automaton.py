@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import ltl
+from .logic import Store
 from .ltl import LtlFormula, atoms_of
 
 
@@ -56,9 +57,6 @@ class Ucw:
     @property
     def alphabet(self) -> tuple[str, ...]:
         return self.inputs + self.outputs
-
-    def successors(self, q: int) -> list[int]:
-        return sorted(q2 for (q1, q2) in self.guards if q1 == q)
 
     def rows(self) -> list[list[tuple[int, int]]]:
         """Outgoing (target, guard) pairs of every state, in edge order."""
@@ -112,6 +110,17 @@ def prime_cover(alphabet: tuple[str, ...], mask: int) -> tuple[tuple[tuple[str, 
         left &= ~cube_mask(alphabet, care)
         cubes.append(tuple(sorted(care.items())))
     return tuple(cubes)
+
+
+def compile_guard(store: Store, alphabet: tuple[str, ...], mask: int, atom_map: dict[str, int]) -> int:
+    """Store node for a letter set: one OR over its prime cover's cubes, each
+    one AND of its literals in name order (atoms from atom_map).  The
+    encoders compile their guards and `system.to_aiger` its circuit bits
+    through it."""
+    return store.or_([
+        store.and_([atom_map[name] if positive else store.not_(atom_map[name]) for name, positive in cube])
+        for cube in prime_cover(alphabet, mask)
+    ])
 
 
 def format_guard(alphabet: tuple[str, ...], mask: int) -> str:
@@ -416,24 +425,22 @@ def _merge_duplicates(a: Ucw) -> Ucw:
 
 def sccs(num_nodes: int, adj) -> list[list[int]]:
     """Iterative Tarjan; returns components in reverse topological order."""
-    index = [0] * num_nodes
+    index = [0] * num_nodes  # 0 until visited
     low = [0] * num_nodes
     on_stack = [False] * num_nodes
-    visited = [False] * num_nodes
     stack: list[int] = []
     comps: list[list[int]] = []
-    counter = [1]
+    counter = 1
 
     for root in range(num_nodes):
-        if visited[root]:
+        if index[root]:
             continue
         call: list[tuple[int, int]] = [(root, 0)]
         while call:
             v, pos = call.pop()
             if pos == 0:
-                visited[v] = True
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
+                index[v] = low[v] = counter
+                counter += 1
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
@@ -441,7 +448,7 @@ def sccs(num_nodes: int, adj) -> list[list[int]]:
             while pos < len(neighbors):
                 w = neighbors[pos]
                 pos += 1
-                if not visited[w]:
+                if not index[w]:
                     call.append((v, pos))
                     call.append((w, 0))
                     advanced = True
@@ -568,20 +575,12 @@ def full_counters(a: Ucw, n_states_of_system: int) -> SccInfo:
 # Symbolic (binary-coded) representation
 
 
-@dataclass
-class SymbolicUcw:
-    """An automaton whose states are binary-coded in `width` bits.  The
-    encoder allocates the code bits and builds the init, reject and delta
-    constraints from them and the letter-set guards
+def encode_symbolic(a: Ucw) -> int:
+    """The width of the automaton's binary state codes, at least one bit.
+    The fully symbolic encoder allocates that many code bits and builds the
+    init, reject and delta constraints from them and the letter-set guards
     (`encode.symbolic_nodes`)."""
-
-    automaton: Ucw
-    width: int
-
-
-def encode_symbolic(a: Ucw) -> SymbolicUcw:
-    """Binary-code the states (at least one bit)."""
-    return SymbolicUcw(a, max(1, (a.n_states - 1).bit_length()))
+    return max(1, (a.n_states - 1).bit_length())
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def build_problem(
         return encode_input_symbolic(a, n, side.semantics, scc)
     if cfg.encoding == STATE_SYMBOLIC:
         return encode_state_symbolic(a, n, side.semantics, scc)
-    return encode_fully_symbolic(encode_symbolic(a), n, side.semantics, scc)
+    return encode_fully_symbolic(a, encode_symbolic(a), n, side.semantics, scc)
 
 
 def _solve(problem: QuantifiedProblem, cfg: RunConfig) -> SolveResult:
@@ -170,12 +170,8 @@ def make_sides(spec: SynthSpec, cfg: RunConfig) -> list[SideProblem]:
 def _bounds(cfg: RunConfig) -> range | list[int]:
     if cfg.search == "linear":
         return range(1, cfg.max_bound + 1)
-    out = []
-    n = 1
-    while n <= cfg.max_bound:
-        out.append(n)
-        n *= 2
-    return out
+    # powers of two below the ceiling, then the ceiling itself
+    return [*(1 << j for j in range((cfg.max_bound - 1).bit_length())), cfg.max_bound]
 
 
 def _minimized(side: SideProblem, found: int, floor: int, cfg: RunConfig, want_system: bool):

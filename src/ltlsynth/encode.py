@@ -23,15 +23,17 @@ axis, what stays explicit, and come in two pairs with one skeleton each:
       state; the fully symbolic one also runs over a binary-coded
       automaton, whose state bits are universal as well.
 
-Variable allocation order and the order of each gate's children fix the
-emitted DIMACS numbering, so both are part of each encoding.
+Every guard is a letter set compiled by `automaton.compile_guard`, which
+also builds the AIGER circuits, and the encoders walk each state's edges
+in target order.  Variable allocation order and the order of each gate's
+children fix the emitted DIMACS numbering, so both are part of each encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automaton import SccInfo, SymbolicUcw, Ucw, prime_cover
+from .automaton import SccInfo, Ucw, compile_guard
 from .logic import FALSE, QuantifiedProblem, Store, bv_equal, bv_greater, bv_less_const
 from .system import MEALY, MOORE
 
@@ -81,15 +83,6 @@ class VarDirectory:
         out.extend(self.univ_aut)
         out.extend(self.univ_aut2)
         return out
-
-
-def compile_guard(store: Store, alphabet: tuple[str, ...], mask: int, atom_map: dict[str, int]) -> int:
-    """Store node for a letter-set guard: one OR over its prime cover's
-    cubes, each one AND of its literals in name order (atoms from atom_map)."""
-    return store.or_([
-        store.and_([atom_map[name] if positive else store.not_(atom_map[name]) for name, positive in cube])
-        for cube in prime_cover(alphabet, mask)
-    ])
 
 
 def cofactors(mask: int, w: int, width: int) -> list[int]:
@@ -151,7 +144,6 @@ def _encode_explicit(
     if n < 1:
         raise ValueError("bound must be positive")
     store = Store()
-    m = a.n_states
     b = scc.counter_bits
     symbolic = kind == INPUT_SYMBOLIC
     w = 0 if symbolic else len(a.inputs)  # the atoms each copy fixes: none, or the inputs
@@ -161,7 +153,7 @@ def _encode_explicit(
     d = VarDirectory(kind, sem, n)
 
     for t in range(n):
-        for q in range(m):
+        for q in range(a.n_states):
             d.reach[(t, q)] = store.new_var(f"reach_t{t}_q{q}")
     for t in range(n):
         for q in sorted(scc.counted):
@@ -189,10 +181,7 @@ def _encode_explicit(
         allocate_outputs()
     inner = list(range(len(outer) + len(universals) + 1, store.num_vars + 1))
 
-    # each guard at each copy's valuation, over the atoms left free; empty ones dropped
     free = a.alphabet[w:]
-    copy_guards = {e: [(s, c) for s, c in zip(copies, cofactors(g, w, len(free))) if c]
-                   for e, g in a.guards.items()}
     univ = {name: store.var(v) for name, v in d.univ_inputs.items()}
     atom_maps = {}
     for t in range(n):
@@ -206,12 +195,15 @@ def _encode_explicit(
     conjuncts = [store.var(d.reach[(0, a.initial)])]
     conjuncts += [store.or_(nodes) for nodes in trans.values()]
 
-    for q in range(m):
+    for q, row in enumerate(a.rows()):
+        # each edge's guard at each copy's valuation, over the atoms left free; empty ones dropped
+        edges = [(q2, [(s, c) for s, c in zip(copies, cofactors(g, w, len(free))) if c])
+                 for q2, g in sorted(row)]
         for t in range(n):
             parts = []
-            for q2 in a.successors(q):
+            for q2, copy_guards in edges:
                 bodies: dict[int, int] = {}  # t2 -> obligation, shared by the copies
-                for s, guard in copy_guards[(q, q2)]:
+                for s, guard in copy_guards:
                     delta = compile_guard(store, free, guard, atom_maps[(t, s)])
                     inner_parts = []
                     for t2, tr in enumerate(trans[(t, s)]):
@@ -356,10 +348,10 @@ def encode_state_symbolic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[Quant
     match = f.match()
 
     main_parts = []
-    for q in range(a.n_states):
+    for q, row in enumerate(a.rows()):
         parts = []
-        for q2 in a.successors(q):
-            delta = compile_guard(store, a.alphabet, a.guards[(q, q2)], f.atom_map)
+        for q2, g in sorted(row):
+            delta = compile_guard(store, a.alphabet, g, f.atom_map)
             if delta == FALSE:
                 continue
             body = [store.var(d.reach2[q2])]
@@ -371,16 +363,17 @@ def encode_state_symbolic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[Quant
     return f.assemble(init, store.and_(main_parts))
 
 
-def encode_fully_symbolic(sa: SymbolicUcw, n: int, sem: str, scc: SccInfo) -> tuple[QuantifiedProblem, VarDirectory]:
-    """Binary-coded automaton: one obligation over the symbolic delta."""
-    f = _SymbolicFrame(FULLY_SYMBOLIC, sa.automaton, n, sem, scc.counter_bits, [()], [()], sa.width)
+def encode_fully_symbolic(
+    a: Ucw, width: int, n: int, sem: str, scc: SccInfo
+) -> tuple[QuantifiedProblem, VarDirectory]:
+    """Automaton states coded in `width` bits (`automaton.encode_symbolic`):
+    one obligation over the symbolic delta."""
+    f = _SymbolicFrame(FULLY_SYMBOLIC, a, n, sem, scc.counter_bits, [()], [()], width)
     store, d = f.store, f.d
     rank_vec = f.vec(d.rank[()])
     rank2_vec = f.vec(d.rank2[()])
 
-    q_init, q_reject2, delta = symbolic_nodes(
-        store, sa.automaton, f.atom_map, f.vec(d.univ_aut), f.vec(d.univ_aut2)
-    )
+    q_init, q_reject2, delta = symbolic_nodes(store, a, f.atom_map, f.vec(d.univ_aut), f.vec(d.univ_aut2))
 
     reach = store.var(d.reach[()])
     reach2 = store.var(d.reach2[()])

@@ -15,7 +15,7 @@ the gates; the internal solver gets its clause form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import groupby, product
 
 FALSE = 0
 TRUE = 1
@@ -62,9 +62,6 @@ class Store:
         """Node id for variable number vid."""
         return self.var_node[vid]
 
-    def const(self, value: bool) -> int:
-        return TRUE if value else FALSE
-
     def not_(self, f: int) -> int:
         if f <= TRUE:
             return TRUE - f
@@ -74,13 +71,6 @@ class Store:
         key = (_NOT, f)
         found = self._intern.get(key)
         return self._mk(key) if found is None else found
-
-    def _complement(self, f: int) -> int | None:
-        """not_(f) if that node exists already, else None; creates nothing."""
-        node = self.nodes[f]
-        if node[0] == _NOT:
-            return node[1]
-        return self._intern.get((_NOT, f))
 
     def _gate(self, tag: str, children) -> int:
         """The and/or of children, folded and interned.  A list of at most
@@ -99,7 +89,7 @@ class Store:
                 return b
             if b == neutral or b == a:
                 return a
-            node = nodes[b]  # is b's complement (see _complement) a?
+            node = nodes[b]  # is b's complement, if built, a?
             if (node[1] if node[0] == _NOT else intern.get((_NOT, b))) == a:
                 return absorbing
             key = (tag, (a, b))
@@ -140,7 +130,8 @@ class Store:
             return self.not_(a)
         if a == b:
             return FALSE
-        if a == self._complement(b):
+        node = self.nodes[b]  # is b's complement, if built, a?  Creates nothing
+        if a == (node[1] if node[0] == _NOT else self._intern.get((_NOT, b))):
             return TRUE
         if a > b:
             a, b = b, a
@@ -276,14 +267,14 @@ class Store:
 
 
 def bv_const(store: Store, value: int, width: int) -> tuple[int, ...]:
-    return tuple(store.const(bool(value >> j & 1)) for j in range(width))
+    return tuple(TRUE if value >> j & 1 else FALSE for j in range(width))
 
 
 def bv_greater(store: Store, x: tuple[int, ...], y: tuple[int, ...], strict: bool) -> int:
     """Ripple comparator: x > y when strict, else x >= y.  Linear size."""
     if len(x) != len(y):
         raise ValueError(f"width mismatch: {len(x)} vs {len(y)}")
-    acc = store.const(not strict)
+    acc = FALSE if strict else TRUE
     for xb, yb in zip(x, y):  # LSB towards MSB
         win = store.and_([xb, store.not_(yb)])
         if acc == FALSE:  # equal bits cannot win: build no eq to fold away
@@ -760,8 +751,16 @@ def _tseitin_var_deps(
 # File formats
 
 
-def _clause_lines(clauses: list[list[int]]) -> str:
-    return "".join(" ".join(str(l) for l in c) + " 0\n" for c in clauses)
+def _dimacs(num_vars: int, lines: list[str], blocks=(), deps=()) -> str:
+    """The `p cnf` header, a quantifier line per (quantifier, variables)
+    block, a `d` line per (existential, dependencies) pair, then the clause
+    lines, in one join."""
+    return "".join([
+        f"p cnf {num_vars} {len(lines)}\n",
+        *(" ".join(map(str, [quant, *vs])) + " 0\n" for quant, vs in blocks),
+        *(" ".join(map(str, ["d", v, *ds])) + " 0\n" for v, ds in deps),
+        *lines,
+    ])
 
 
 def emit_dimacs(problem: QuantifiedProblem) -> str:
@@ -770,7 +769,7 @@ def emit_dimacs(problem: QuantifiedProblem) -> str:
     if not problem.is_sat_fragment():
         raise ValueError("problem is not purely existential")
     lines, _, num_vars = tseitin(problem.store, problem.matrix, text=True)
-    return f"p cnf {num_vars} {len(lines)}\n" + "".join(lines)
+    return _dimacs(num_vars, lines)
 
 
 def emit_qdimacs(problem: QuantifiedProblem) -> str:
@@ -780,26 +779,12 @@ def emit_qdimacs(problem: QuantifiedProblem) -> str:
     if problem.deps is not None:
         raise ValueError("problem has dependency annotations; use emit_dqdimacs")
     lines, _, num_vars = tseitin(problem.store, problem.matrix, text=True)
-
-    blocks: list[tuple[str, list[int]]] = []
-    for quant, vs in problem.prefix:
-        if not vs:
-            continue
-        if blocks and blocks[-1][0] == quant:
-            blocks[-1][1].extend(vs)
-        else:
-            blocks.append((quant, list(vs)))
-    fresh = list(range(problem.store.num_vars + 1, num_vars + 1))
-    if fresh:
-        if blocks and blocks[-1][0] == "e":
-            blocks[-1][1].extend(fresh)
-        else:
-            blocks.append(("e", fresh))
-
-    out = [f"p cnf {num_vars} {len(lines)}\n"]
-    for quant, vs in blocks:
-        out.append(f"{quant} " + " ".join(str(v) for v in vs) + " 0\n")
-    return "".join(out + lines)
+    fresh = ("e", range(problem.store.num_vars + 1, num_vars + 1))
+    # adjacent nonempty blocks of one quantifier merge into one line
+    nonempty = [block for block in [*problem.prefix, fresh] if block[1]]
+    blocks = [(quant, [v for _, vs in run for v in vs])
+              for quant, run in groupby(nonempty, key=lambda block: block[0])]
+    return _dimacs(num_vars, lines, blocks)
 
 
 def emit_dqdimacs(problem: QuantifiedProblem) -> str:
@@ -816,14 +801,8 @@ def emit_dqdimacs(problem: QuantifiedProblem) -> str:
     deps = dict(problem.deps)
     uni_deps = {u: frozenset([u]) for u in universals}
     deps.update(_tseitin_var_deps(problem.store, lit, {**deps, **uni_deps}))
-
-    out = [f"p cnf {num_vars} {len(lines)}\n"]
-    if universals:
-        out.append("a " + " ".join(str(v) for v in universals) + " 0\n")
-    for v in sorted(deps):
-        ds = " ".join(str(u) for u in sorted(deps[v]))
-        out.append(f"d {v}{' ' + ds if ds else ''} 0\n")
-    return "".join(out + lines)
+    blocks = [("a", universals)] if universals else []
+    return _dimacs(num_vars, lines, blocks, ((v, sorted(deps[v])) for v in sorted(deps)))
 
 
 @dataclass
@@ -837,15 +816,9 @@ class DimacsFile:
     clauses: list[list[int]] = field(default_factory=list)
 
     def render(self) -> str:
-        out = [f"c {c}\n" for c in self.comments]
-        out.append(f"p cnf {self.num_vars} {len(self.clauses)}\n")
-        for quant, vs in self.blocks:
-            out.append(f"{quant} " + " ".join(str(v) for v in vs) + " 0\n")
-        for v, ds in self.dep_lines:
-            body = " ".join(str(u) for u in ds)
-            out.append(f"d {v}{' ' + body if body else ''} 0\n")
-        out.append(_clause_lines(self.clauses))
-        return "".join(out)
+        lines = [" ".join(map(str, c)) + " 0\n" for c in self.clauses]
+        comments = "".join(f"c {c}\n" for c in self.comments)
+        return comments + _dimacs(self.num_vars, lines, self.blocks, self.dep_lines)
 
 
 def read_dimacs(text: str) -> DimacsFile:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .automaton import compile_guard
 from .logic import _NOT, _OR, FALSE, TRUE, Store
 
 MEALY = "mealy"
@@ -110,44 +111,32 @@ def to_dot(ts: TransitionSystem) -> str:
 def to_aiger(ts: TransitionSystem) -> str:
     """ASCII AIGER circuit: binary state code in latches, all-zero reset.
 
-    Every output bit and next-state bit is a sum of products over the latch
-    bits (plus input bits for Mealy outputs and all transitions), built from
-    two-operand and/or/not in a fresh `logic.Store`, which folds constants
-    and repeats.  Its variables 1..I+L are the inputs, then the latches, so
-    AIGER literal 2v is variable v; a children-first walk over each root's
-    cone numbers the AND gates above them, an or becoming an AND of negations.
+    Each next-state and output bit is the letter set, over the inputs and
+    the state bits #0, #1, ... (names no atom can take), of the letters
+    ii | t << I where it is true at input valuation ii in state t < n.
+    `automaton.compile_guard` builds it in a fresh `logic.Store` whose
+    variables 1..I+L are the inputs, then the latches: AIGER literal 2v is
+    variable v.  A children-first walk of each root's cone numbers the ANDs:
+    an and/or becomes a left-to-right chain of two-input ANDs, an or the AND
+    of its negations, and equal (left, right) pairs share one AND.
     """
     n_in = len(ts.inputs)
     state_bits = max(0, (ts.n - 1).bit_length())
+    alphabet = (*ts.inputs, *(f"#{j}" for j in range(state_bits)))
     store = Store()
-    bits = [store.var(store.new_var(name)) for name in ts.inputs]
-    bits += [store.var(store.new_var(f"state_bit_{j}")) for j in range(state_bits)]
-    vals = input_valuations(ts.inputs)
+    atoms = {name: store.var(store.new_var(name)) for name in alphabet}
+    steps = [(ii | t << n_in, t, i) for t in range(ts.n) for ii, i in enumerate(input_valuations(ts.inputs))]
 
-    def sum_of_products(holds, use_inputs: bool) -> int:
-        """Or, over the states t and input valuations i where holds(t, i),
-        of the and of t's latch literals and, if use_inputs, i's inputs."""
-        total = FALSE
-        for t in range(ts.n):
-            state = TRUE
-            for j, b in enumerate(bits[n_in:]):
-                state = store.and_([state, b if t >> j & 1 else store.not_(b)])
-            for i in vals if use_inputs else vals[:1]:
-                if holds(t, i):
-                    term = state
-                    for x, b in zip(ts.inputs if use_inputs else (), bits):
-                        term = store.and_([term, b if x in i else store.not_(b)])
-                    total = store.or_([total, term])
-        return total
+    def compiled(holds) -> int:
+        """The node of the letter set of the steps (t, i) where holds(t, i)."""
+        return compile_guard(store, alphabet, sum(1 << l for l, t, i in steps if holds(t, i)), atoms)
 
-    roots = [sum_of_products(lambda t, i: ts.trans[(t, i)] >> j & 1, True)
-             for j in range(state_bits)]
-    roots += [sum_of_products(lambda t, i: name in ts.label[(t, i)], ts.semantics != MOORE)
-              for name in ts.outputs]
+    roots = [compiled(lambda t, i: ts.trans[(t, i)] >> j & 1) for j in range(state_bits)]
+    roots += [compiled(lambda t, i: name in ts.label[(t, i)]) for name in ts.outputs]
 
     lit = {FALSE: 0, TRUE: 1}
-    lit.update((b, 2 * (j + 1)) for j, b in enumerate(bits))
-    gates: list[tuple[int, int, int]] = []
+    lit.update((atoms[name], 2 * (j + 1)) for j, name in enumerate(alphabet))
+    gates: dict[tuple[int, int], int] = {}  # (left, right) -> the AND's literal
     for root in roots:
         for f in store.reachable(root):
             if f in lit:
@@ -155,18 +144,19 @@ def to_aiger(ts: TransitionSystem) -> str:
             tag, kids = store.nodes[f]
             if tag == _NOT:
                 lit[f] = lit[kids] ^ 1
-            else:
-                flip = tag == _OR  # a or b = not (not a and not b)
-                gates.append((2 * (n_in + state_bits + len(gates) + 1),
-                              lit[kids[0]] ^ flip, lit[kids[1]] ^ flip))
-                lit[f] = gates[-1][0] ^ flip
+                continue
+            flip = tag == _OR  # a or b = not (not a and not b)
+            acc = lit[kids[0]] ^ flip
+            for c in kids[1:]:
+                acc = gates.setdefault((acc, lit[c] ^ flip), 2 * (n_in + state_bits + len(gates) + 1))
+            lit[f] = acc ^ flip
 
     lines = [f"aag {n_in + state_bits + len(gates)} {n_in} {state_bits} "
              f"{len(ts.outputs)} {len(gates)}"]
     lines += [str(2 * (j + 1)) for j in range(n_in)]
     lines += [f"{2 * (n_in + j + 1)} {lit[roots[j]]}" for j in range(state_bits)]
     lines += [str(lit[f]) for f in roots[state_bits:]]
-    lines += [f"{lhs} {a} {b}" for lhs, a, b in gates]
+    lines += [f"{lhs} {a} {b}" for (a, b), lhs in gates.items()]
     lines += [f"i{j} {name}" for j, name in enumerate(ts.inputs)]
     lines += [f"l{j} state_bit_{j}" for j in range(state_bits)]
     lines += [f"o{j} {name}" for j, name in enumerate(ts.outputs)]

@@ -244,10 +244,10 @@ def test_criterion_6_size_formula_audit():
     assert u == n_i + 2 * k
     audited += 1
 
-    sa = encode_symbolic(a)
-    e, u, _ = count_profile(encode_fully_symbolic(sa, 2, "moore", scc)[0])
+    width = encode_symbolic(a)
+    e, u, _ = count_profile(encode_fully_symbolic(a, width, 2, "moore", scc)[0])
     assert e == 2 + 2 * scc.counter_bits + k + n_o
-    assert u == n_i + 2 * k + 2 * sa.width
+    assert u == n_i + 2 * k + 2 * width
     audited += 1
     assert audited >= 5
 

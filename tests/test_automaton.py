@@ -350,37 +350,37 @@ def test_full_counters():
 # Symbolic encoding
 
 
-def _code_names(sa):
+def _code_names(width):
     """Names for the source and target code bits: q0, q1, ... and p0, p1, ..."""
-    return [f"q{j}" for j in range(sa.width)], [f"p{j}" for j in range(sa.width)]
+    return [f"q{j}" for j in range(width)], [f"p{j}" for j in range(width)]
 
 
 class _Coded:
-    """The encoder's init/reject/delta nodes for sa, in a store with one
+    """The encoder's init/reject/delta nodes for automaton a with state
+    codes of the given width, in a store with one
     variable per alphabet atom and code bit (`_code_names`); `holds(node,
     env)` evaluates a node with exactly the atoms in env true."""
 
-    def __init__(self, sa):
+    def __init__(self, a, width):
         self.store = Store()
-        code, code2 = _code_names(sa)
-        names = sa.automaton.alphabet + tuple(code + code2)
+        code, code2 = _code_names(width)
+        names = a.alphabet + tuple(code + code2)
         self.var = {name: self.store.new_var(name) for name in names}
         node = {name: self.store.var(v) for name, v in self.var.items()}
         self.init, self.reject, self.delta = symbolic_nodes(
-            self.store, sa.automaton, node, [node[x] for x in code], [node[x] for x in code2]
+            self.store, a, node, [node[x] for x in code], [node[x] for x in code2]
         )
 
     def holds(self, node, env) -> bool:
         return self.store.evaluate(node, {v: name in env for name, v in self.var.items()})
 
 
-def _delta_models(sa):
+def _delta_models(a, width):
     """Decode delta's satisfying assignments into (q, letter, q') triples."""
-    coded = _Coded(sa)
+    coded = _Coded(a, width)
     triples = set()
-    alphabet = list(sa.automaton.alphabet)
-    width = sa.width
-    code, code2 = _code_names(sa)
+    alphabet = list(a.alphabet)
+    code, code2 = _code_names(width)
     for q in range(1 << width):
         for q2 in range(1 << width):
             for letter in all_letters(alphabet):
@@ -394,29 +394,29 @@ def _delta_models(sa):
 
 def test_encode_symbolic_single_state():
     a = Ucw((), ("a",), 1, 0, {(0, 0): guard("true", ("a",))}, frozenset())
-    sa = encode_symbolic(a)
-    assert sa.width == 1
+    width = encode_symbolic(a)
+    assert width == 1
     # delta is satisfied exactly by code 0 -> code 0
-    assert _delta_models(sa) == {
+    assert _delta_models(a, width) == {
         (0, frozenset(), 0),
         (0, frozenset(["a"]), 0),
     }
-    coded = _Coded(sa)
+    coded = _Coded(a, width)
     assert coded.holds(coded.init, frozenset())
-    assert not coded.holds(coded.init, frozenset(_code_names(sa)[0]))
+    assert not coded.holds(coded.init, frozenset(_code_names(width)[0]))
 
 
 def test_encode_symbolic_three_states_excludes_dead_code():
     true = guard("true", ("a",))
     guards = {(0, 1): true, (1, 2): true, (2, 0): true}
     a = Ucw((), ("a",), 3, 0, guards, frozenset([2]))
-    sa = encode_symbolic(a)
-    assert sa.width == 2
-    models = _delta_models(sa)
+    width = encode_symbolic(a)
+    assert width == 2
+    models = _delta_models(a, width)
     assert all(q != 3 and q2 != 3 for q, _, q2 in models)
-    coded = _Coded(sa)
+    coded = _Coded(a, width)
     # init excludes code 3
-    code, code2 = _code_names(sa)
+    code, code2 = _code_names(width)
     assert not coded.holds(coded.init, frozenset(code))
     # reject is the primed code of state 2
     assert coded.holds(coded.reject, frozenset([code2[1]]))
@@ -425,13 +425,13 @@ def test_encode_symbolic_three_states_excludes_dead_code():
 
 def test_encode_symbolic_roundtrip_arbiter():
     a = ucw(ARBITER, ["r1", "r2"], ["g1", "g2"])
-    sa = encode_symbolic(a)
+    width = encode_symbolic(a)
     expected = set()
     for (q, q2), letters in a.guards.items():
         for letter in all_letters(list(a.alphabet)):
             if letters >> letter_index(a.alphabet, letter) & 1:
                 expected.add((q, letter, q2))
-    assert _delta_models(sa) == expected
+    assert _delta_models(a, width) == expected
 
 
 def test_ucw_to_dot_smoke():

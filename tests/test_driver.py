@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -162,6 +163,43 @@ def test_main_unrealizable_exit_code(tmp_path):
     }
     code = main([write_spec(tmp_path, doc)])
     assert code == 20
+
+
+def test_main_exponential_schedule_tries_the_ceiling(tmp_path, capsys):
+    """The default schedule ends at the ceiling even when it is no power of
+    two: the 3-client arbiter, least bound 3, is realizable with
+    --max-bound 3, not a bare UNKNOWN from bounds 1 and 2 alone."""
+    spec_path = write_spec(tmp_path, arbiter_doc(3))
+    assert main([spec_path, "--encoding", "basic", "--max-bound", "3"]) == 10
+    assert capsys.readouterr().out == "REALIZABLE (bound 3)\n"
+
+
+@pytest.mark.parametrize("ceiling, bounds", [
+    (1, [1]), (2, [1, 2]), (3, [1, 2, 3]), (7, [1, 2, 4, 7]), (8, [1, 2, 4, 8]),
+])
+def test_exponential_schedule_ends_at_the_ceiling(ceiling, bounds):
+    assert list(driver._bounds(RunConfig(max_bound=ceiling))) == bounds
+
+
+def test_sources_import_only_the_standard_library():
+    """No runtime dependency beyond the standard library: every absolute
+    import in the package's modules names a standard module or ltlsynth."""
+    src = os.path.dirname(os.path.abspath(driver.__file__))
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "ltlsynth", (name, module)
 
 
 def test_main_malformed_spec(tmp_path):

@@ -68,7 +68,7 @@ def test_specialize_guard_substitution():
     assert specialize(store, a, 0, 1, frozenset(), ov) == FALSE
     # absent edge: no guard, and the encoders never visit it
     assert specialize(store, a, 1, 0, frozenset(["r1"]), ov) == FALSE
-    assert a.successors(1) == []
+    assert a.rows()[1] == []
 
 
 def test_specialize_guard_mutex():
@@ -221,7 +221,7 @@ def test_state_symbolic_single_state_no_bits():
 def test_fully_symbolic_single_state():
     a = ucw_for("G a", [], ["a"])
     scc = analyze_sccs(a, 1)
-    problem, d = encode_fully_symbolic(encode_symbolic(a), 1, "moore", scc)
+    problem, d = encode_fully_symbolic(a, encode_symbolic(a), 1, "moore", scc)
     result = solve_internal(problem)
     assert result.status == "sat"
     ts = extract(result.model, d, a.inputs, a.outputs)
@@ -231,7 +231,7 @@ def test_fully_symbolic_single_state():
 def test_fully_symbolic_arbiter_unsat_at_one():
     a = arbiter_ucw()
     scc = analyze_sccs(a, 1)
-    problem, _ = encode_fully_symbolic(encode_symbolic(a), 1, "moore", scc)
+    problem, _ = encode_fully_symbolic(a, encode_symbolic(a), 1, "moore", scc)
     assert solve_internal(problem).status == "unsat"
 
 
@@ -355,11 +355,11 @@ def test_count_profile_closed_forms_arbiter():
     assert e == 2 * m + 2 * c * b + k + n_o
     assert u == n_i + 2 * k
 
-    sa = encode_symbolic(a)
-    p_full, _ = encode_fully_symbolic(sa, n, "mealy", scc)
+    width = encode_symbolic(a)
+    p_full, _ = encode_fully_symbolic(a, width, n, "mealy", scc)
     e, u, _ = count_profile(p_full)
     assert e == 2 + 2 * b + k + n_o
-    assert u == n_i + 2 * k + 2 * sa.width
+    assert u == n_i + 2 * k + 2 * width
 
 
 def test_count_profile_growth_with_inputs():

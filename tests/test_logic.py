@@ -419,6 +419,24 @@ def test_emit_qdimacs_forall_exists():
     assert model is not None
 
 
+@pytest.mark.parametrize("prefix, text", [
+    # an empty universal block between two existential ones: one existential block
+    ([("e", [1]), ("a", []), ("e", [2])],
+     "p cnf 3 4\ne 1 2 3 0\n3 -1 0\n3 -2 0\n-3 1 2 0\n3 0\n"),
+    # a prefix ending in a universal block: the Tseitin variable opens an existential one
+    ([("e", [1]), ("a", [2])],
+     "p cnf 3 4\ne 1 0\na 2 0\ne 3 0\n3 -1 0\n3 -2 0\n-3 1 2 0\n3 0\n"),
+    # two adjacent existential blocks merge, and the Tseitin variable joins them
+    ([("a", [1]), ("e", [2]), ("e", [3])],
+     "p cnf 4 5\na 1 0\ne 2 3 4 0\n4 -1 0\n4 -2 0\n4 -3 0\n-4 1 2 3 0\n4 0\n"),
+], ids=["empty-universal-block", "ends-universal", "adjacent-existential"])
+def test_emit_qdimacs_block_rules(prefix, text):
+    s = Store()
+    n_vars = sum(len(vs) for _, vs in prefix)
+    matrix = s.or_([s.var(s.new_var(f"x{j}")) for j in range(n_vars)])
+    assert emit_qdimacs(QuantifiedProblem(s, matrix, prefix)) == text
+
+
 def test_emit_fragment_mismatch():
     s = Store()
     u = s.new_var("u")

@@ -110,6 +110,8 @@ def test_aiger_arbiter_shape_and_simulation():
     text = to_aiger(ts)
     header = text.splitlines()[0].split()
     assert header[3] == "1"  # one latch
+    # next state !s and outputs !s (g1) and s (g2): wires, no AND gate
+    assert header[5] == "0"
     rows = [
         {"r1": True, "r2": False},
         {"r1": True, "r2": True},
@@ -122,6 +124,18 @@ def test_aiger_arbiter_shape_and_simulation():
     inputs = [frozenset(k for k, v in row.items() if v) for row in rows]
     expected = [o for _, o in run(ts, inputs)]
     assert sim == expected
+
+
+def test_aiger_input_named_like_a_state_bit():
+    """An input may carry any atom name, even the latches' symbol names:
+    a 2-state Mealy toggle on input state_bit_0 that outputs its state."""
+    vals = input_valuations(["state_bit_0"])
+    trans = {(t, i): t ^ len(i) for t in range(2) for i in vals}
+    label = {(t, i): frozenset(["o"]) if t else frozenset() for t in range(2) for i in vals}
+    ts = TransitionSystem(2, MEALY, ("state_bit_0",), ("o",), trans, label)
+    seq = [frozenset(["state_bit_0"]), frozenset(), frozenset(["state_bit_0"]), frozenset()]
+    rows = [{"state_bit_0": bool(i)} for i in seq]
+    assert simulate_aag(to_aiger(ts), rows) == [o for _, o in run(ts, seq)]
 
 
 def _random_system(rng: random.Random) -> TransitionSystem:
