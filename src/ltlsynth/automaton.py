@@ -22,7 +22,7 @@ is.  Evaluation is a bit test, merging is |, and equal sets compare equal.
 
 from __future__ import annotations
 
-from collections.abc import KeysView
+from collections.abc import Iterator, KeysView
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -102,13 +102,18 @@ def prime_cover(alphabet: tuple[str, ...], mask: int) -> tuple[tuple[tuple[str, 
     left = mask
     while left:
         letter = (left & -left).bit_length() - 1
-        care = {name: bool(letter >> j & 1) for j, name in enumerate(alphabet)}
-        for name in alphabet:
-            wider = {k: v for k, v in care.items() if k != name}
-            if cube_mask(alphabet, wider) & ~mask == 0:
-                care = wider
-        left &= ~cube_mask(alphabet, care)
-        cubes.append(tuple(sorted(care.items())))
+        cube = 1 << letter  # the cube's letters
+        kept = []
+        for j, name in enumerate(alphabet):
+            # cube's letters all have bit j as in letter: dropping atom j adds their flips
+            positive = bool(letter >> j & 1)
+            wider = cube | (cube >> (1 << j) if positive else cube << (1 << j))
+            if wider & ~mask:
+                kept.append((name, positive))
+            else:
+                cube = wider
+        left &= ~cube
+        cubes.append(tuple(sorted(kept)))
     return tuple(cubes)
 
 
@@ -430,45 +435,43 @@ def sccs(num_nodes: int, adj) -> list[list[int]]:
     on_stack = [False] * num_nodes
     stack: list[int] = []
     comps: list[list[int]] = []
+    call: list[tuple[int, Iterator[int]]] = []  # (v, v's neighbours not yet read)
     counter = 1
+
+    def enter(v: int):
+        nonlocal counter
+        index[v] = low[v] = counter
+        counter += 1
+        stack.append(v)
+        on_stack[v] = True
+        call.append((v, iter(adj(v))))
 
     for root in range(num_nodes):
         if index[root]:
             continue
-        call: list[tuple[int, int]] = [(root, 0)]
+        enter(root)
         while call:
-            v, pos = call.pop()
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = adj(v)
-            while pos < len(neighbors):
-                w = neighbors[pos]
-                pos += 1
+            v, todo = call[-1]
+            for w in todo:
                 if not index[w]:
-                    call.append((v, pos))
-                    call.append((w, 0))
-                    advanced = True
+                    enter(w)
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if call:
-                parent = call[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:  # every neighbour read: v's visit ends
+                call.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+                if call:
+                    parent = call[-1][0]
+                    low[parent] = min(low[parent], low[v])
     return comps
 
 

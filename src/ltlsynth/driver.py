@@ -336,3 +336,7 @@ def main(argv=None) -> int:
 
 def cli():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    cli()

@@ -130,29 +130,31 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
         reason[var] = why
         trail.append(el)
 
-    # load clauses
-    units: list[int] = []
+    def attach(cls: list[int]) -> int:
+        """Watch a clause of two or more literals on its first two; returns
+        the reason code that clause gives its first literal."""
+        if len(cls) == 2:
+            watches[cls[0]].append(~cls[1])
+            watches[cls[1]].append(~cls[0])
+            return ~cls[1]
+        db.append(cls)
+        watches[cls[0]].append(len(db) - 1)
+        watches[cls[1]].append(len(db) - 1)
+        return len(db) - 1
+
+    # load clauses; units are assigned as read, propagation starts once all are watched
     for raw in clauses:
         cls = sorted({2 * l if l > 0 else 1 - 2 * l for l in raw})
         if any(a ^ 1 == b for a, b in zip(cls, islice(cls, 1, None))):
             continue  # tautology: v and -v are neighbours once sorted
         if not cls:
             return result("unsat")
-        if len(cls) == 1:
-            units.append(cls[0])
-            continue
-        if len(cls) == 2:
-            watches[cls[0]].append(~cls[1])
-            watches[cls[1]].append(~cls[0])
-            continue
-        db.append(cls)
-        watches[cls[0]].append(len(db) - 1)
-        watches[cls[1]].append(len(db) - 1)
-    for el in units:
-        if val[el] == 2:
-            return result("unsat")
-        if val[el] == 0:
-            assign(el, -1)
+        if len(cls) > 1:
+            attach(cls)
+        elif val[cls[0]] == 2:
+            return result("unsat")  # a unit contradicting an earlier one
+        elif not val[cls[0]]:
+            assign(cls[0], -1)
 
     def propagate() -> list[int] | None:
         """The literals of a falsified clause, or None once the trail is
@@ -300,20 +302,8 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
         del trail_lim[target:]
         qhead = len(trail)
 
-    def luby(i: int) -> int:
-        """i-th element (1-based) of the Luby restart sequence."""
-        x = i - 1
-        size, seq = 1, 0
-        while size < x + 1:
-            seq += 1
-            size = 2 * size + 1
-        while size - 1 != x:
-            size = (size - 1) >> 1
-            seq -= 1
-            x %= size
-        return 1 << seq
-
-    restart_budget = 128 * luby(1)
+    u = v = 1  # Knuth's reluctant-doubling pair: v runs through the Luby sequence
+    restart_budget = 128
 
     while True:
         confl = propagate()
@@ -326,22 +316,13 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
             learnt, back = analyze(confl)
             learnts += 1
             cancel_until(back)
-            if len(learnt) == 1:
-                assign(learnt[0], -1)
-            elif len(learnt) == 2:
-                watches[learnt[0]].append(~learnt[1])
-                watches[learnt[1]].append(~learnt[0])
-                assign(learnt[0], ~learnt[1])
-            else:
-                db.append(learnt)
-                watches[learnt[0]].append(len(db) - 1)
-                watches[learnt[1]].append(len(db) - 1)
-                assign(learnt[0], len(db) - 1)
+            assign(learnt[0], attach(learnt) if len(learnt) > 1 else -1)
             var_inc /= 0.95
             restart_budget -= 1
             if restart_budget <= 0:
                 restarts += 1
-                restart_budget = 128 * luby(restarts + 1)
+                u, v = (u + 1, 1) if u & -u == v else (u, 2 * v)
+                restart_budget = 128 * v
                 cancel_until(0)
             continue
         if len(trail) == nv:

@@ -18,7 +18,9 @@ from ltlsynth.automaton import (
     full_counters,
     letter_index,
     ltl_to_ucw,
+    prime_cover,
     rejecting_cycle,
+    sccs,
     ucw_accepts_lasso,
     ucw_to_dot,
 )
@@ -328,6 +330,22 @@ def test_analyze_sccs_matches_networkx():
         assert len(set().union(*ids)) == len(ids)
 
 
+@pytest.mark.parametrize("adj, expected", [
+    ([[]], [[0]]),
+    ([[0]], [[0]]),
+    ([[1], [2], [0]], [[2, 1, 0]]),
+    ([[1, 2], [3], [3, 1], [], [4, 0]], [[3], [1], [2], [0], [4]]),
+    ([[1], [2, 4], [3, 1], [2], [5], [6], [4, 7], []], [[7], [6, 5, 4], [3, 2, 1], [0]]),
+    ([[3, 1], [0, 2], [1], [4], [5], [3], [5, 0]], [[5, 4, 3], [2, 1, 0], [6]]),
+    ([[2], [0, 3], [1], [4], [6, 5], [3], [4]], [[5, 6, 4, 3], [1, 2, 0]]),
+])
+def test_sccs_exact_order(adj, expected):
+    """The components and their member order, not only the sets:
+    `rejecting_cycle` returns the first match, and the counter analysis
+    reads the components in reverse topological order."""
+    assert sccs(len(adj), adj.__getitem__) == expected
+
+
 def test_counted_monotone_under_adding_rejecting():
     rng = random.Random(6)
     for _ in range(20):
@@ -439,6 +457,32 @@ def test_ucw_to_dot_smoke():
     text = ucw_to_dot(a)
     assert "doublecircle" in text
     assert text == ucw_to_dot(a)
+
+
+def _greedy_cover(alphabet, mask):
+    """prime_cover's greedy written with a literal dict per trial cube and
+    `cube_mask` for each cube's letters."""
+    cubes = []
+    left = mask
+    while left:
+        letter = (left & -left).bit_length() - 1
+        care = {name: bool(letter >> j & 1) for j, name in enumerate(alphabet)}
+        for name in alphabet:
+            wider = {k: v for k, v in care.items() if k != name}
+            if cube_mask(alphabet, wider) & ~mask == 0:
+                care = wider
+        left &= ~cube_mask(alphabet, care)
+        cubes.append(tuple(sorted(care.items())))
+    return tuple(cubes)
+
+
+def test_prime_cover_matches_dict_greedy():
+    rng = random.Random(23)
+    names = ["r1", "g1", "a", "z", "b"]
+    for _ in range(2000):
+        alphabet = tuple(rng.sample(names, rng.randrange(len(names) + 1)))
+        mask = rng.getrandbits(1 << len(alphabet))
+        assert prime_cover(alphabet, mask) == _greedy_cover(alphabet, mask), (alphabet, mask)
 
 
 def test_ucw_to_dot_labels_prime_cover():

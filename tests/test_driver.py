@@ -165,6 +165,18 @@ def test_main_unrealizable_exit_code(tmp_path):
     assert code == 20
 
 
+def test_module_run_uninstalled_decides(tmp_path):
+    """`python -m ltlsynth.driver SPEC` from a source checkout runs the CLI:
+    a `false` guarantee is unrealizable at environment bound 1."""
+    doc = {"semantics": "moore", "inputs": [], "outputs": ["o"], "guarantees": ["false"]}
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-m", "ltlsynth.driver", write_spec(tmp_path, doc)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 20, proc.stderr
+    assert "UNREALIZABLE (environment bound 1)" in proc.stdout.splitlines()
+
+
 def test_main_exponential_schedule_tries_the_ceiling(tmp_path, capsys):
     """The default schedule ends at the ceiling even when it is no power of
     two: the 3-client arbiter, least bound 3, is realizable with

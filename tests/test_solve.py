@@ -199,6 +199,27 @@ def test_sat_trajectory_pin_arbiter3():
     }
 
 
+def test_sat_restart_schedule_pin_arbiter4_environment():
+    """The exact search on the clause form of the 4-client arbiter's
+    environment side, basic encoding, n=2: its 7 restarts use the Luby
+    terms 1, 1, 2, 1, 1, 2, 4, so the pin covers the restart schedule
+    beyond its first term.  Update the counters only on purpose."""
+    spec = load_spec(json.dumps(arbiter_doc(4)))
+    side = make_sides(spec, RunConfig())[1]
+    assert side.role == "environment"
+    problem, _ = build_problem(side, 2, RunConfig(encoding="basic"))
+    clauses, _, nv = tseitin(problem.store, problem.matrix, one_sided=True)
+    result = sat_solve(clauses, nv)
+    assert result.status == "unsat"
+    assert result.stats == {
+        "conflicts": 1603,
+        "decisions": 6173,
+        "propagations": 111784,
+        "restarts": 7,
+        "learnt": 1602,
+    }
+
+
 def test_solve_internal_keeps_cdcl_stats():
     s = Store()
     x, y = s.new_var("x"), s.new_var("y")
