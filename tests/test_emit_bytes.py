@@ -5,7 +5,10 @@ its fragment needs; the SHA-256 of the text must match `emit_digests.json`.
 The cases run from the suite specs up to the 4-client arbiter's system side
 at bounds 4 and 8, the largest files the benchmark's `emit` workload writes,
 and the suite specs again without the counter reduction
-(`--no-scc-reduction`), whose ranks are compared along every edge.
+(`--no-scc-reduction`), whose ranks are compared along every edge.  The
+3-client arbiter's environment side at bound 7 pins the explicit
+encodings on a component with 8 rejecting states, whose 56 ranks keep
+binary counters.
 The digests pin the output of full biconditional Tseitin definitions, so a
 change to node construction, encoding or Tseitin that moves a byte fails
 here, naming the case.  Regenerate the file only for an intended change:
@@ -30,33 +33,37 @@ EMITTERS = {"basic": emit_dimacs, "input": emit_qdimacs, "state": emit_dqdimacs,
 
 
 def _cases():
-    """(case name, side, bound, scc_reduction) for every suite spec on both
-    sides at n = 1..3, and unreduced at n = 1, 2; for arbiter k = 2, 3: the
-    system side at n = 2, 3 and the environment side at n = 1, 2; and for
-    arbiter k = 4: the system side at n = 4, 8."""
+    """(case name, side, bound, scc_reduction, encodings) for every suite
+    spec on both sides at n = 1..3, and unreduced at n = 1, 2; for arbiter
+    k = 2, 3: the system side at n = 2, 3 and the environment side at
+    n = 1, 2; for arbiter k = 4: the system side at n = 4, 8; all on every
+    encoding.  Then arbiter k = 3's environment side at n = 7 on the two
+    explicit encodings."""
     for bench in SUITE:
         for side in make_sides(bench.spec, RunConfig()):
             for n in (1, 2, 3):
-                yield f"{bench.name}/{side.role}", side, n, True
+                yield f"{bench.name}/{side.role}", side, n, True, EMITTERS
             for n in (1, 2):
-                yield f"{bench.name}/{side.role}/unreduced", side, n, False
+                yield f"{bench.name}/{side.role}/unreduced", side, n, False, EMITTERS
     for k in (2, 3):
         spec = load_spec(json.dumps(arbiter_doc(k)))
         system, environment = make_sides(spec, RunConfig())
         for side, bounds in ((system, (2, 3)), (environment, (1, 2))):
             for n in bounds:
-                yield f"arbiter{k}/{side.role}", side, n, True
+                yield f"arbiter{k}/{side.role}", side, n, True, EMITTERS
     system = make_sides(load_spec(json.dumps(arbiter_doc(4))), RunConfig(counter_strategy="off"))[0]
     for n in (4, 8):
-        yield f"arbiter4/{system.role}", system, n, True
+        yield f"arbiter4/{system.role}", system, n, True, EMITTERS
+    # arbiter k = 3's environment side again: 8 rejecting states in one component
+    yield "arbiter3/environment", environment, 7, True, ("basic", "input")
 
 
 def digests() -> dict[str, str]:
     out = {}
-    for name, side, n, scc_reduction in _cases():
-        for encoding, emitter in EMITTERS.items():
+    for name, side, n, scc_reduction, encodings in _cases():
+        for encoding in encodings:
             problem, _ = build_problem(side, n, RunConfig(encoding=encoding, scc_reduction=scc_reduction))
-            text = emitter(problem)
+            text = EMITTERS[encoding](problem)
             out[f"{name}/{encoding}/n{n}"] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
