@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .automaton import SccInfo, Ucw, compile_guard
-from .logic import FALSE, QuantifiedProblem, Store, bv_equal, bv_greater, bv_less_const
+from .logic import FALSE, QuantifiedProblem, Store, bv_equal, bv_greater, bv_less_const, order_greater
 from .system import MEALY, MOORE
 
 BASIC = "basic"
@@ -157,7 +157,11 @@ def _encode_explicit(
             d.reach[(t, q)] = store.new_var(f"reach_t{t}_q{q}")
     for t in range(n):
         for q in sorted(scc.counted):
-            d.rank[(t, q)] = tuple(store.new_var(f"rank_t{t}_q{q}_b{j}") for j in range(b))
+            if scc.order_width(q):  # "rank >= j" for j = 1..B
+                names = [f"rank_t{t}_q{q}_ge{j}" for j in range(1, scc.order_width(q) + 1)]
+            else:
+                names = [f"rank_t{t}_q{q}_b{j}" for j in range(b)]
+            d.rank[(t, q)] = tuple(map(store.new_var, names))
     rank = {key: tuple(map(store.var, ids)) for key, ids in d.rank.items()}
 
     def allocate_outputs():
@@ -210,8 +214,9 @@ def _encode_explicit(
                         if t2 not in bodies:
                             body = [store.var(d.reach[(t2, q2)])]
                             if scc.needs_compare(q, q2):  # strictly into rejecting states
-                                body.append(bv_greater(store, rank[(t2, q2)], rank[(t, q)],
-                                                       q2 in a.rejecting))
+                                greater = order_greater if scc.order_width(q) else bv_greater
+                                body.append(greater(store, rank[(t2, q2)], rank[(t, q)],
+                                                    q2 in a.rejecting))
                             bodies[t2] = store.and_(body)
                         inner_parts.append(store.implies(tr, bodies[t2]))
                     parts.append(store.implies(delta, store.and_(inner_parts)))

@@ -285,6 +285,21 @@ def bv_greater(store: Store, x: tuple[int, ...], y: tuple[int, ...], strict: boo
     return acc
 
 
+def order_greater(store: Store, x: tuple[int, ...], y: tuple[int, ...], strict: bool) -> int:
+    """Order-encoded comparator: x > y when strict, else x >= y, where
+    x[j - 1] means "x >= j" and a rank reads as the largest such j (0 for
+    none).  Non-strict is AND_j (y_j -> x_j); strict is x_1 and
+    AND_{j<B} (y_j -> x_{j+1}) and not y_B, for B = len(x).  Every
+    assignment that satisfies it compares as asked, monotone or not, and
+    every monotone pair that compares as asked satisfies it."""
+    if len(x) != len(y):
+        raise ValueError(f"width mismatch: {len(x)} vs {len(y)}")
+    if not strict:
+        return store.and_([store.implies(yj, xj) for xj, yj in zip(x, y)])
+    steps = [store.implies(yj, xj) for xj, yj in zip(x[1:], y)]
+    return store.and_([x[0], *steps, store.not_(y[-1])])
+
+
 def bv_equal(store: Store, x: tuple[int, ...], y: tuple[int, ...]) -> int:
     if len(x) != len(y):
         raise ValueError(f"width mismatch: {len(x)} vs {len(y)}")

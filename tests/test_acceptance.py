@@ -227,14 +227,14 @@ def test_criterion_6_size_formula_audit():
     m, n_i, n_o = a.n_states, len(a.inputs), len(a.outputs)
     for n in (1, 2):
         scc = analyze_sccs(a, n)
-        b, c, k = scc.counter_bits, len(scc.counted), (n - 1).bit_length()
+        ranks = sum(map(scc.rank_width, scc.counted))  # rank variables per system state
 
         e, u, _ = count_profile(encode_basic(a, n, "moore", scc)[0])
-        assert e == n * m + n * c * b + n * (1 << n_i) * n + n * n_o and u == 0
+        assert e == n * m + n * ranks + n * (1 << n_i) * n + n * n_o and u == 0
         audited += 1
 
         e, u, _ = count_profile(encode_input_symbolic(a, n, "moore", scc)[0])
-        assert e == n * m + n * c * b + n * n + n * n_o and u == n_i
+        assert e == n * m + n * ranks + n * n + n * n_o and u == n_i
         audited += 1
 
     scc = analyze_sccs(a, 2)
@@ -259,7 +259,7 @@ def test_criterion_6_size_formula_audit():
     two = ltl_to_ucw(f, ["i1", "i2"], ["o"])
     n = 2
     scc1, scc2 = analyze_sccs(one, n), analyze_sccs(two, n)
-    fixed = n * one.n_states + n * len(scc1.counted) * scc1.counter_bits
+    fixed = n * one.n_states + n * sum(map(scc1.rank_width, scc1.counted))
     eb1, _, _ = count_profile(encode_basic(one, n, "mealy", scc1)[0])
     eb2, _, _ = count_profile(encode_basic(two, n, "mealy", scc2)[0])
     assert eb2 - fixed == 2 * (eb1 - fixed)

@@ -298,8 +298,9 @@ def test_basic_model_projects_to_valid_annotation():
     lam = {}
     for (t, q), var in d.reach.items():
         if values.get(var, False):
-            bits = d.rank[(t, q)]
-            lam[(t, q)] = sum(1 << j for j, v in enumerate(bits) if values.get(v, False))
+            # "rank >= j" variables: the rank is the largest j whose variable is true
+            ge = d.rank[(t, q)]
+            lam[(t, q)] = max((j for j, v in enumerate(ge, 1) if values.get(v, False)), default=0)
         else:
             lam[(t, q)] = None
     assert check_annotation(graph, lam) is None
@@ -338,15 +339,16 @@ def test_count_profile_closed_forms_arbiter():
     scc = analyze_sccs(a, n)
     b = scc.counter_bits
     c = len(scc.counted)
+    ranks = sum(map(scc.rank_width, scc.counted))  # the explicit encoders' rank variables per state
 
     p_basic, _ = encode_basic(a, n, "mealy", scc)
     e, u, _ = count_profile(p_basic)
-    assert e == n * m + n * c * b + n * (1 << n_i) * n + n * (1 << n_i) * n_o
+    assert e == n * m + n * ranks + n * (1 << n_i) * n + n * (1 << n_i) * n_o
     assert u == 0
 
     p_input, _ = encode_input_symbolic(a, n, "mealy", scc)
     e, u, _ = count_profile(p_input)
-    assert e == n * m + n * c * b + n * n + n * n_o
+    assert e == n * m + n * ranks + n * n + n * n_o
     assert u == n_i
 
     p_state, _ = encode_state_symbolic(a, n, "mealy", scc)
@@ -377,7 +379,7 @@ def test_count_profile_growth_with_inputs():
         counts[tag] = (eb, ub, ei, ui)
     m = one.n_states
     scc = analyze_sccs(one, n)
-    fixed = n * m + n * len(scc.counted) * scc.counter_bits
+    fixed = n * m + n * sum(map(scc.rank_width, scc.counted))
     assert counts["two"][0] - fixed == 2 * (counts["one"][0] - fixed)
     assert counts["two"][2] == counts["one"][2]
     assert counts["two"][3] == counts["one"][3] + 1

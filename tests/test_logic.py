@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ltlsynth.automaton import analyze_sccs
 from ltlsynth.driver import RunConfig, build_problem, make_sides
 from ltlsynth.ltl import load_spec
 from ltlsynth.logic import (
@@ -22,6 +23,7 @@ from ltlsynth.logic import (
     emit_dimacs,
     emit_dqdimacs,
     emit_qdimacs,
+    order_greater,
     read_dimacs,
     tseitin,
 )
@@ -281,14 +283,18 @@ def test_one_sided_tseitin_halves_arbiter_cnf():
 
 def test_clause_form_shrinks_arbiter_cnf():
     """Moore 4-client arbiter, basic encoding, n=4: one definition variable
-    per gate made 12,153 variables (596 of them the encoding's); the clause
-    form names only the shared gates, and has 2,792."""
+    per gate makes 11,173 variables (516 of them the encoding's: reach,
+    ranks, trans and outputs); the clause form names only the shared
+    gates, and has 1,852."""
     spec = load_spec(json.dumps(arbiter_doc(4)))
     [side] = make_sides(spec, RunConfig(counter_strategy="off"))
     problem, _ = build_problem(side, 4, RunConfig(encoding="basic"))
-    assert problem.store.num_vars == 596
+    a, n = side.automaton, 4
+    scc = analyze_sccs(a, n)
+    ranks = sum(map(scc.rank_width, scc.counted))
+    assert problem.store.num_vars == n * (a.n_states + ranks + (1 << len(a.inputs)) * n + len(a.outputs)) == 516
     _, _, num_vars = tseitin(problem.store, problem.matrix, one_sided=True)
-    assert num_vars <= 12153 // 3
+    assert num_vars <= 11173 // 3
 
 
 def test_gate_creates_no_negations():
@@ -390,6 +396,44 @@ def test_bv_width_mismatch():
     s = Store()
     with pytest.raises(ValueError):
         bv_greater(s, bv_const(s, 0, 2), bv_const(s, 0, 3), True)
+
+
+def _order_rank(bits) -> int:
+    """An order-encoded rank: the largest j whose "rank >= j" bit is set."""
+    return max((j for j, bit in enumerate(bits, 1) if bit), default=0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_order_greater_decodes_to_the_comparison(width):
+    """Every assignment of both vectors, monotone or not: a satisfying one
+    compares as asked once each rank reads as its largest true "rank >= j",
+    and the monotone encoding of every pair of ranks that compares as asked
+    satisfies the formula, so the formula is satisfiable at exactly the
+    pairs of ranks 0..width that compare."""
+    s = Store()
+    xids = [s.new_var(f"x{j}") for j in range(1, width + 1)]
+    yids = [s.new_var(f"y{j}") for j in range(1, width + 1)]
+    xv, yv = tuple(map(s.var, xids)), tuple(map(s.var, yids))
+    ranks = range(width + 1)
+    for strict, holds in ((True, lambda r, t: r > t), (False, lambda r, t: r >= t)):
+        node = order_greater(s, xv, yv, strict)
+        satisfied = set()
+        for xbits in itertools.product((False, True), repeat=width):
+            for ybits in itertools.product((False, True), repeat=width):
+                env = dict(zip(xids, xbits)) | dict(zip(yids, ybits))
+                if s.evaluate(node, env):
+                    satisfied.add((_order_rank(xbits), _order_rank(ybits)))
+        assert satisfied == {(r, t) for r in ranks for t in ranks if holds(r, t)}, strict
+        for r in ranks:
+            for t in ranks:
+                env = {v: j < r for j, v in enumerate(xids)} | {v: j < t for j, v in enumerate(yids)}
+                assert s.evaluate(node, env) == holds(r, t), (strict, r, t)
+
+
+def test_order_greater_width_mismatch():
+    s = Store()
+    with pytest.raises(ValueError):
+        order_greater(s, bv_const(s, 0, 2), bv_const(s, 0, 3), True)
 
 
 def test_emit_dimacs_trivial():
