@@ -534,9 +534,10 @@ def ucw_accepts_lasso(a: Ucw, prefix, loop) -> bool:
 
 # The largest rank bound B = n*|F & C| at which component C's ranks are
 # order-encoded, one variable per "rank >= j" for j = 1..B; above it they
-# stay binary.  Order ranks grow linearly in B: on the arbiter's environment
-# side, `basic` built and solved k = 4, n = 3 (B = 48) in 6.4 s against
-# 31.5 s binary, and k = 5, n = 2 (B = 64) in 10.3 s against 6.6 s.
+# stay binary, as order ranks grow linearly in B.  On the arbiter's
+# environment side, `basic` built and solved k = 4, n = 3 (B = 48) in 8.4 s
+# with order ranks against 33.1 s binary, and k = 5, n = 2 (B = 64) in
+# 12.1 s with twice the clauses against 8.1 s (2-vCPU VM, CPython 3.11.7).
 ORDER_RANKS_MAX = 48
 
 
@@ -546,15 +547,15 @@ class SccInfo:
 
     component maps each counted state to its component; ranks are compared
     only along edges within one component.  `counted` is the set of its keys.
-    rank_bound maps each component C to n*|F & C|, the largest rank its
-    least annotation needs: a path inside C meets each (system state,
-    rejecting state of C) at most once.  Binary ranks have counter_bits
-    bits, enough for n*|F|.
+    rank_bound[C] is n*|F & C|, the largest rank component C's least
+    annotation needs: a path inside C meets each (system state, rejecting
+    state of C) at most once.  Binary ranks have counter_bits bits, enough
+    for n*|F|.
     """
 
     component: dict[int, int]
     counter_bits: int
-    rank_bound: dict[int, int]
+    rank_bound: list[int]
 
     @property
     def counted(self) -> KeysView[int]:
@@ -583,25 +584,20 @@ def counter_width(a: Ucw, n_states_of_system: int) -> int:
     return max(1, bound.bit_length())
 
 
-def _scc_info(a: Ucw, n_states_of_system: int, component: dict[int, int]) -> SccInfo:
-    bound: dict[int, int] = dict.fromkeys(component.values(), 0)
-    for q in a.rejecting & component.keys():
-        bound[component[q]] += n_states_of_system
-    return SccInfo(component, counter_width(a, n_states_of_system), bound)
-
-
 def analyze_sccs(a: Ucw, n_states_of_system: int) -> SccInfo:
     """Counters only for states whose component contains a rejecting state."""
     adj = [[q2 for q2, g in row if g] for row in a.rows()]
-    component = {q: cid for cid, comp in enumerate(sccs(a.n_states, lambda v: adj[v]))
-                 if not a.rejecting.isdisjoint(comp) for q in comp}
-    return _scc_info(a, n_states_of_system, component)
+    comps = [comp for comp in sccs(a.n_states, lambda v: adj[v]) if not a.rejecting.isdisjoint(comp)]
+    component = {q: cid for cid, comp in enumerate(comps) for q in comp}
+    bound = [n_states_of_system * len(a.rejecting.intersection(comp)) for comp in comps]
+    return SccInfo(component, counter_width(a, n_states_of_system), bound)
 
 
 def full_counters(a: Ucw, n_states_of_system: int) -> SccInfo:
     """Unreduced variant: every state counted, all in one component, so
     ranks are compared along every edge."""
-    return _scc_info(a, n_states_of_system, dict.fromkeys(range(a.n_states), 0))
+    return SccInfo(dict.fromkeys(range(a.n_states), 0), counter_width(a, n_states_of_system),
+                   [n_states_of_system * len(a.rejecting)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ encoding roles back to variable numbers for extraction.
 Shared structure: reachability flags per (system state, automaton state),
 rank counters compared along automaton edges (strictly into rejecting
 states), a transition relation with at least one successor everywhere, and
-output variables feeding the edge guards.  The variants differ along one
-axis, what stays explicit, and come in two pairs with one skeleton each:
+output variables feeding the edge guards.  The explicit pair order-encodes
+a component's ranks while its bound is small (`SccInfo.order_width`,
+compared by `order_greater`); every other rank is a binary tuple of
+`counter_bits` bits compared by `bv_greater`.  The variants differ along
+one axis, what stays explicit, and come in two pairs with one skeleton each:
 
   explicit system states (`_encode_explicit`): the basic encoding
       enumerates the input valuations, compiles each guard's cofactor at
@@ -140,6 +143,11 @@ def _encode_explicit(
     and join the outer block.
     The basic prefix has an empty universal block, so it stays a SAT
     fragment and emits as one existential block.
+    Ranks are compared only within a component C (`SccInfo.needs_compare`),
+    so they need values up to B = n*|F & C| only.  While B is at most
+    `ORDER_RANKS_MAX` a rank is B variables, the j-th meaning "rank >= j";
+    a model's rank is the largest j whose variable is true, so no clause
+    ties the levels together.  Above it a rank keeps `counter_bits` bits.
     """
     if n < 1:
         raise ValueError("bound must be positive")

@@ -10,6 +10,7 @@ import pytest
 
 from ltlsynth import ltl
 from ltlsynth.automaton import (
+    ORDER_RANKS_MAX,
     Ucw,
     analyze_sccs,
     cube_mask,
@@ -362,6 +363,24 @@ def test_full_counters():
     info = full_counters(a, 2)
     assert info.counted == frozenset(range(a.n_states))
     assert all(info.needs_compare(q, q2) for q in range(a.n_states) for q2 in range(a.n_states))
+
+
+def test_order_width_is_the_per_component_size_rule():
+    """A counted state's rank has B = n*|F & C| order variables while B is
+    at most ORDER_RANKS_MAX, else counter_bits binary bits.  The 3-client
+    arbiter's environment side has its 8 rejecting states in one component;
+    its system side has 6, each in a component of its own, so B = n there,
+    and n*6 without the reduction."""
+    _, system, environment = arbiter_sides(3)
+    assert len(environment.rejecting) == 8 and len(system.rejecting) == 6
+    n = ORDER_RANKS_MAX // 8  # the largest bound with order ranks on the environment side
+    for bound, width in ((n, 8 * n), (n + 1, 0)):
+        info = analyze_sccs(environment, bound)
+        assert {info.order_width(q) for q in info.counted} == {width}
+        assert {info.rank_width(q) for q in info.counted} == {width or info.counter_bits}
+    assert {analyze_sccs(system, n + 1).order_width(q) for q in system.rejecting} == {n + 1}
+    unreduced = full_counters(system, n + 1)
+    assert {unreduced.order_width(q) for q in unreduced.counted} == {6 * (n + 1)}
 
 
 # ---------------------------------------------------------------------------
