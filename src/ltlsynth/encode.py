@@ -51,7 +51,7 @@ class VarDirectory:
     """Role -> variable map for one encoded instance.
 
     Key shapes per kind:
-      basic:  reach[(t,q)], rank[(t,q)]=tuple of bits, trans[(t,i_idx,t2)],
+      basic:  reach[(t,q)], rank[(t,q)]=tuple of order levels or bits, trans[(t,i_idx,t2)],
               out[(name,t,i_idx)] (Mealy) or out[(name,t)] (Moore)
       input:  reach[(t,q)], rank[(t,q)], trans[(t,t2)], out[(name,t)]
       state:  reach[q], rank[q], reach2[q], rank2[q], trans[j], out[name]
