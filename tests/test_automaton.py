@@ -383,6 +383,30 @@ def test_order_width_is_the_per_component_size_rule():
     assert {unreduced.order_width(q) for q in unreduced.counted} == {6 * (n + 1)}
 
 
+@lru_cache(maxsize=None)
+def _suite_and_arbiter_automata():
+    """Both sides of every suite spec and of the 2- and 3-client arbiter."""
+    automata = []
+    for bench in SUITE:
+        f = bench.spec.formula()
+        automata.append(ltl_to_ucw(f, bench.spec.inputs, bench.spec.outputs))
+        automata.append(ltl_to_ucw(ltl.negate(f), bench.spec.outputs, bench.spec.inputs))
+    for k in (2, 3):
+        automata.extend(arbiter_sides(k)[1:])
+    return automata
+
+
+@pytest.mark.parametrize("analysis", [analyze_sccs, full_counters])
+def test_component_bounds_sum_to_the_binary_range(analysis):
+    """Every rejecting state lies in exactly one counted component, so the
+    component bounds sum to n*|F|, the range the binary width covers."""
+    for a in _suite_and_arbiter_automata():
+        for n in (1, 2, 3, 5):
+            info = analysis(a, n)
+            assert sum(info.rank_bound) == n * len(a.rejecting)
+            assert info.counter_bits == max(1, (n * len(a.rejecting)).bit_length())
+
+
 # ---------------------------------------------------------------------------
 # Symbolic encoding
 
