@@ -549,17 +549,22 @@ class SccInfo:
     only along edges within one component.  `counted` is the set of its keys.
     rank_bound[C] is n*|F & C|, the largest rank component C's least
     annotation needs: a path inside C meets each (system state, rejecting
-    state of C) at most once.  Binary ranks have counter_bits bits, enough
-    for n*|F|.
+    state of C) at most once.  Every rejecting state lies in exactly one
+    counted component, so the bounds sum to n*|F|, and binary ranks have
+    counter_bits bits, enough for that.
     """
 
     component: dict[int, int]
-    counter_bits: int
     rank_bound: list[int]
 
     @property
     def counted(self) -> KeysView[int]:
         return self.component.keys()
+
+    @property
+    def counter_bits(self) -> int:
+        """Bits needed for ranks up to n*|F| (a run repeats beyond that)."""
+        return max(1, sum(self.rank_bound).bit_length())
 
     def needs_compare(self, q: int, q2: int) -> bool:
         return q in self.component and self.component[q] == self.component.get(q2)
@@ -576,28 +581,19 @@ class SccInfo:
         return self.order_width(q) or self.counter_bits
 
 
-def counter_width(a: Ucw, n_states_of_system: int) -> int:
-    """Bits needed for ranks up to n*|F| (a run repeats beyond that)."""
-    if n_states_of_system < 1:
-        raise ValueError("system bound must be positive")
-    bound = n_states_of_system * len(a.rejecting)
-    return max(1, bound.bit_length())
-
-
 def analyze_sccs(a: Ucw, n_states_of_system: int) -> SccInfo:
     """Counters only for states whose component contains a rejecting state."""
     adj = [[q2 for q2, g in row if g] for row in a.rows()]
     comps = [comp for comp in sccs(a.n_states, lambda v: adj[v]) if not a.rejecting.isdisjoint(comp)]
     component = {q: cid for cid, comp in enumerate(comps) for q in comp}
     bound = [n_states_of_system * len(a.rejecting.intersection(comp)) for comp in comps]
-    return SccInfo(component, counter_width(a, n_states_of_system), bound)
+    return SccInfo(component, bound)
 
 
 def full_counters(a: Ucw, n_states_of_system: int) -> SccInfo:
     """Unreduced variant: every state counted, all in one component, so
     ranks are compared along every edge."""
-    return SccInfo(dict.fromkeys(range(a.n_states), 0), counter_width(a, n_states_of_system),
-                   [n_states_of_system * len(a.rejecting)])
+    return SccInfo(dict.fromkeys(range(a.n_states), 0), [n_states_of_system * len(a.rejecting)])
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from .encode import (
     encode_fully_symbolic,
     encode_input_symbolic,
     encode_state_symbolic,
+    extract,
 )
-from .extract import extract
 from .ltl import SynthSpec, load_spec_file, negate
 from .logic import QuantifiedProblem, emit_dimacs, emit_dqdimacs, emit_qdimacs
 from .solve import (

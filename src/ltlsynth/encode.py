@@ -2,7 +2,9 @@
 
 Each encoder turns (automaton, system bound, semantics, counter info) into
 a QuantifiedProblem over a fresh Store plus a VarDirectory mapping the
-encoding roles back to variable numbers for extraction.
+encoding roles back to variable numbers, which `extract` reads a model
+through.  Variables are bare numbers: the directory, and `Model.copies` for
+expansion copies, are the only descriptions of what a variable means.
 
 Shared structure: reachability flags per (system state, automaton state),
 rank counters compared along automaton edges (strictly into rejecting
@@ -38,7 +40,8 @@ from dataclasses import dataclass, field
 
 from .automaton import SccInfo, Ucw, compile_guard
 from .logic import FALSE, QuantifiedProblem, Store, bv_equal, bv_greater, bv_less_const, order_greater
-from .system import MEALY, MOORE
+from .solve import Model
+from .system import MEALY, MOORE, TransitionSystem, input_valuations
 
 BASIC = "basic"
 INPUT_SYMBOLIC = "input"
@@ -48,7 +51,8 @@ FULLY_SYMBOLIC = "full"
 
 @dataclass
 class VarDirectory:
-    """Role -> variable map for one encoded instance.
+    """Role -> variable map for one encoded instance: with `Model.copies`,
+    the only record of what each variable of the encoding means.
 
     Key shapes per kind:
       basic:  reach[(t,q)], rank[(t,q)]=tuple of order levels or bits, trans[(t,i_idx,t2)],
@@ -88,6 +92,49 @@ class VarDirectory:
         return out
 
 
+class ExtractionError(RuntimeError):
+    """Model inconsistent with the encoding contract; an encoder bug."""
+
+
+def extract(model: Model, d: VarDirectory, inputs, outputs) -> TransitionSystem:
+    """The machine in a model of any encoding: at each (state, input
+    valuation), the inputs and state-code bits set as its universal context,
+    `Model.value_of` reads the trans/out variables.  The successor is the
+    least true one-hot trans variable, or the transition bits as a code.
+    """
+    explicit = d.kind in (BASIC, INPUT_SYMBOLIC)
+    trans = {}
+    label = {}
+    for t in range(d.n):
+        for ii, i in enumerate(input_valuations(inputs)):
+            env = {v: (name in i) for name, v in d.univ_inputs.items()}
+            for j, v in enumerate(d.univ_state):
+                env[v] = bool(t >> j & 1)
+            if explicit:
+                copy = (ii,) if d.kind == BASIC else ()
+                successor = next(
+                    (t2 for t2 in range(d.n) if model.value_of(d.trans[(t, *copy, t2)], env)),
+                    None,
+                )
+                if successor is None:
+                    raise ExtractionError(f"no successor chosen at state {t}, input {set(i)}")
+                out = {
+                    name: d.out[(name, t) if d.semantics == MOORE else (name, t, *copy)]
+                    for name in outputs
+                }
+            else:
+                successor = sum(1 << j for j, v in d.trans.items() if model.value_of(v, env))
+                if successor >= d.n:
+                    raise ExtractionError(f"successor code {successor} out of range at state {t}")
+                out = d.out
+            trans[(t, i)] = successor
+            label[(t, i)] = frozenset(
+                name for name in outputs if model.value_of(out[name], env)
+            )
+    return TransitionSystem(d.n, d.semantics, tuple(inputs), tuple(outputs), trans, label)
+
+
+
 def cofactors(mask: int, w: int, width: int) -> list[int]:
     """A letter set's cofactor at each valuation ii of its low w atoms: the
     letters whose low w atoms spell ii, as a letter set over the `width`
@@ -125,10 +172,6 @@ def symbolic_nodes(store: Store, a: Ucw, atom_map: dict[str, int], code, code2) 
 # Explicit system states: basic (SAT) and input-symbolic (QBF)
 
 
-def _copy_tag(s: tuple) -> str:
-    return "".join(f"_i{ii}" for ii in s)
-
-
 def _encode_explicit(
     kind: str, a: Ucw, n: int, sem: str, scc: SccInfo
 ) -> tuple[QuantifiedProblem, VarDirectory]:
@@ -152,7 +195,6 @@ def _encode_explicit(
     if n < 1:
         raise ValueError("bound must be positive")
     store = Store()
-    b = scc.counter_bits
     symbolic = kind == INPUT_SYMBOLIC
     w = 0 if symbolic else len(a.inputs)  # the atoms each copy fixes: none, or the inputs
     # key suffixes of the trans/out copies: one per valuation, or a single ()
@@ -162,33 +204,29 @@ def _encode_explicit(
 
     for t in range(n):
         for q in range(a.n_states):
-            d.reach[(t, q)] = store.new_var(f"reach_t{t}_q{q}")
+            d.reach[(t, q)] = store.new_var()
     for t in range(n):
         for q in sorted(scc.counted):
-            if scc.order_width(q):  # "rank >= j" for j = 1..B
-                names = [f"rank_t{t}_q{q}_ge{j}" for j in range(1, scc.order_width(q) + 1)]
-            else:
-                names = [f"rank_t{t}_q{q}_b{j}" for j in range(b)]
-            d.rank[(t, q)] = tuple(map(store.new_var, names))
+            d.rank[(t, q)] = tuple(store.new_var() for _ in range(scc.rank_width(q)))
     rank = {key: tuple(map(store.var, ids)) for key, ids in d.rank.items()}
 
     def allocate_outputs():
         for name in a.outputs:
             for t in range(n):
                 for s in out_copies:
-                    d.out[(name, t, *s)] = store.new_var(f"out_{name}_t{t}{_copy_tag(s)}")
+                    d.out[(name, t, *s)] = store.new_var()
 
     outer_outputs = symbolic and sem == MOORE
     if outer_outputs:
         allocate_outputs()
     outer = list(range(1, store.num_vars + 1))
     if symbolic:
-        d.univ_inputs = {name: store.new_var(f"in_{name}") for name in a.inputs}
+        d.univ_inputs = {name: store.new_var() for name in a.inputs}
     universals = list(d.univ_inputs.values())
     for t in range(n):
         for s in copies:
             for t2 in range(n):
-                d.trans[(t, *s, t2)] = store.new_var(f"trans_t{t}{_copy_tag(s)}_t{t2}")
+                d.trans[(t, *s, t2)] = store.new_var()
     if not outer_outputs:
         allocate_outputs()
     inner = list(range(len(outer) + len(universals) + 1, store.num_vars + 1))
@@ -250,10 +288,6 @@ def encode_input_symbolic(a: Ucw, n: int, sem: str, scc: SccInfo) -> tuple[Quant
 # Symbolic system states: state-symbolic and fully symbolic (DQBF)
 
 
-def _location_name(loc) -> str:
-    return "" if loc == () else f"_q{loc}"
-
-
 class _SymbolicFrame:
     """Variables and constraints shared by the two DQBF encodings.
 
@@ -273,31 +307,29 @@ class _SymbolicFrame:
         self.k = k = (n - 1).bit_length()
         self.d = d = VarDirectory(kind, sem, n)
 
-        d.univ_inputs = {name: store.new_var(f"in_{name}") for name in a.inputs}
-        d.univ_state = [store.new_var(f"st_{j}") for j in range(k)]
-        d.univ_state2 = [store.new_var(f"st2_{j}") for j in range(k)]
-        d.univ_aut = [store.new_var(f"aq_{j}") for j in range(aut_width)]
-        d.univ_aut2 = [store.new_var(f"aq2_{j}") for j in range(aut_width)]
+        d.univ_inputs = {name: store.new_var() for name in a.inputs}
+        d.univ_state = [store.new_var() for _ in range(k)]
+        d.univ_state2 = [store.new_var() for _ in range(k)]
+        d.univ_aut = [store.new_var() for _ in range(aut_width)]
+        d.univ_aut2 = [store.new_var() for _ in range(aut_width)]
         self.universals = list(range(1, store.num_vars + 1))
 
         t_set = frozenset(d.univ_state)
         ti_set = t_set | frozenset(d.univ_inputs.values())
         self.deps: dict[int, frozenset[int]] = {}
         self.existentials: list[int] = []
-        for tag, reach, rank, dep in (
-            ("", d.reach, d.rank, t_set | frozenset(d.univ_aut)),
-            ("2", d.reach2, d.rank2, frozenset(d.univ_state2) | frozenset(d.univ_aut2)),
+        for reach, rank, dep in (
+            (d.reach, d.rank, t_set | frozenset(d.univ_aut)),
+            (d.reach2, d.rank2, frozenset(d.univ_state2) | frozenset(d.univ_aut2)),
         ):
             for loc in locations:
-                reach[loc] = self._allocate(f"reach{tag}{_location_name(loc)}", dep)
+                reach[loc] = self._allocate(dep)
             for loc in counted:
-                rank[loc] = tuple(
-                    self._allocate(f"rank{tag}{_location_name(loc)}_b{j}", dep) for j in range(b)
-                )
+                rank[loc] = tuple(self._allocate(dep) for _ in range(b))
         for j in range(k):
-            d.trans[j] = self._allocate(f"trans_b{j}", ti_set)
+            d.trans[j] = self._allocate(ti_set)
         for name in a.outputs:
-            d.out[name] = self._allocate(f"out_{name}", ti_set if sem == MEALY else t_set)
+            d.out[name] = self._allocate(ti_set if sem == MEALY else t_set)
 
         self.t_vec = self.vec(d.univ_state)
         self.t2_vec = self.vec(d.univ_state2)
@@ -305,8 +337,8 @@ class _SymbolicFrame:
         self.atom_map = {name: store.var(v) for name, v in d.univ_inputs.items()}
         self.atom_map.update({name: store.var(d.out[name]) for name in a.outputs})
 
-    def _allocate(self, name: str, dep: frozenset[int]) -> int:
-        v = self.store.new_var(name)
+    def _allocate(self, dep: frozenset[int]) -> int:
+        v = self.store.new_var()
         self.deps[v] = dep
         self.existentials.append(v)
         return v
@@ -414,3 +446,4 @@ def count_profile(problem: QuantifiedProblem) -> tuple[int, int, int]:
     n_univ = len(problem.universals())
     n_nodes = len(problem.store.reachable(problem.matrix))
     return n_exist, n_univ, n_nodes
+

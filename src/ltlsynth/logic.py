@@ -35,8 +35,7 @@ class Store:
     def __init__(self):
         self.nodes: list[tuple] = [(_CONST, False), (_CONST, True)]
         self._intern: dict[tuple, int] = {self.nodes[0]: FALSE, self.nodes[1]: TRUE}
-        self.var_name: list[str] = [""]  # 1-indexed
-        self.var_node: list[int] = [-1]
+        self.var_node: list[int] = [-1]  # 1-indexed
 
     # -- construction -------------------------------------------------
 
@@ -47,16 +46,15 @@ class Store:
             nodes.append(node)
         return nid
 
-    def new_var(self, name: str) -> int:
+    def new_var(self) -> int:
         """Allocate a fresh variable; returns its 1-based number."""
-        self.var_name.append(name)
-        vid = len(self.var_name) - 1
+        vid = len(self.var_node)
         self.var_node.append(self._mk((_VAR, vid)))
         return vid
 
     @property
     def num_vars(self) -> int:
-        return len(self.var_name) - 1
+        return len(self.var_node) - 1
 
     def var(self, vid: int) -> int:
         """Node id for variable number vid."""
@@ -438,7 +436,7 @@ class QuantifiedProblem:
             if not i & low:
                 T, F = next(blocks)
             for e, key in first.get(i, ()):
-                copy = store.new_var(f"{store.var_name[e]}@{''.join('1' if b else '0' for b in key)}")
+                copy = store.new_var()
                 copies[(e, key)] = copy
                 memo[store.var(e)][i] = store.var(copy)
             r = memo[root].get(i & mask[root])

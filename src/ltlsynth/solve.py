@@ -45,6 +45,7 @@ from .logic import (
     emit_dimacs,
     emit_dqdimacs,
     emit_qdimacs,
+    read_dimacs,
     tseitin,
 )
 
@@ -393,7 +394,8 @@ def external_solve(problem: QuantifiedProblem, cmd: str) -> SolveResult:
 
     cmd is split into `solver_argv` tokens, and the placeholder {file} is
     replaced in each token by the emitted file's path; exit code 10 means
-    SAT and 20 means UNSAT, and a `v` line model is parsed when present.
+    SAT and 20 means UNSAT, and a model is read from the lines whose first
+    token is `v`.  Output bytes that are not UTF-8 read as U+FFFD.
     A printed DIMACS model must satisfy every emitted clause; the QBF
     formats' models are not read further.  A solver that prints no model
     gives a sat result without one: a verdict, but no system to extract.
@@ -412,7 +414,7 @@ def external_solve(problem: QuantifiedProblem, cmd: str) -> SolveResult:
             handle.write(text)
         try:
             proc = subprocess.run([token.replace("{file}", path) for token in argv],
-                                  capture_output=True, text=True)
+                                  capture_output=True, text=True, errors="replace")
         except OSError as exc:
             return SolveResult("unknown", detail=f"spawn failed: {exc}")
         if proc.returncode == 20:
@@ -422,15 +424,15 @@ def external_solve(problem: QuantifiedProblem, cmd: str) -> SolveResult:
             detail = f"exit code {proc.returncode}" + (f"; stderr: {stderr}" if stderr else "")
             return SolveResult("unknown", detail=detail)
         try:
-            lits = [int(token) for line in proc.stdout.splitlines() if line.startswith("v")
-                    for token in line[1:].split()]
+            lits = [int(token) for fields in map(str.split, proc.stdout.splitlines())
+                    if fields[:1] == ["v"] for token in fields[1:]]
         except ValueError as exc:
             return SolveResult("unknown", detail=f"malformed model: {exc}")
         assignment = {abs(lit): lit > 0 for lit in lits if lit}
         if lits and suffix == ".cnf":
-            for line in text.splitlines()[1:]:
-                if not any(assignment.get(abs(lit), False) == (lit > 0)
-                           for lit in map(int, line.split()[:-1])):
+            for clause in read_dimacs(text).clauses:
+                if not any(assignment.get(abs(lit), False) == (lit > 0) for lit in clause):
+                    line = " ".join(map(str, [*clause, 0]))
                     return SolveResult("unknown", detail=f"model falsifies clause {line!r}")
         return SolveResult("sat", Model(assignment) if assignment else None)
     finally:

@@ -124,7 +124,7 @@ def to_aiger(ts: TransitionSystem) -> str:
     state_bits = max(0, (ts.n - 1).bit_length())
     alphabet = (*ts.inputs, *(f"#{j}" for j in range(state_bits)))
     store = Store()
-    atoms = {name: store.var(store.new_var(name)) for name in alphabet}
+    atoms = {name: store.var(store.new_var()) for name in alphabet}
     steps = [(ii | t << n_in, t, i) for t in range(ts.n) for ii, i in enumerate(input_valuations(ts.inputs))]
 
     def compiled(holds) -> int:

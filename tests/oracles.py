@@ -312,7 +312,7 @@ def eager_expand(problem):
     """(expanded root, copies) by substituting every universal assignment.
 
     The reference for `QuantifiedProblem.expand`: the same copy
-    allocation order and names, and a memo that lives for one assignment
+    allocation order, and a memo that lives for one assignment
     only, so every node is rebuilt once per full assignment and no
     three-valued shortcut is taken.  Its expanded formula and clause form
     must equal expand's node for node, up to node ids: expand skips the
@@ -334,8 +334,7 @@ def eager_expand(problem):
             key = tuple(bits[p] for p in pos)
             copy = copies.get((e, key))
             if copy is None:
-                name = "".join("1" if b else "0" for b in key)
-                copy = copies[(e, key)] = store.new_var(f"{store.var_name[e]}@{name}")
+                copy = copies[(e, key)] = store.new_var()
             mapping[e] = store.var(copy)
         conjuncts.append(_substitute(store, problem.matrix, mapping) if mapping else problem.matrix)
     return store.and_(conjuncts), copies

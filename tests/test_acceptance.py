@@ -275,7 +275,7 @@ def test_criterion_7_solver_cross_validation():
     for _ in range(500):
         s = Store()
         total = rng.randrange(2, 11)
-        vids = [s.new_var(f"v{j}") for j in range(total)]
+        vids = [s.new_var() for j in range(total)]
         prefix = []
         at = 0
         while at < total:
@@ -298,15 +298,15 @@ def test_criterion_7_solver_cross_validation():
 
     def dep_instance(target):
         s = Store()
-        u1, u2 = s.new_var("u1"), s.new_var("u2")
-        e = s.new_var("e")
+        u1, u2 = s.new_var(), s.new_var()
+        e = s.new_var()
         dep = frozenset([u1 if target == "u1" else u2])
         matrix = s.iff(s.var(e), s.var(u1 if target == "u1" else u2))
         return QuantifiedProblem(s, matrix, [("a", [u1, u2]), ("e", [e])], deps={e: dep})
 
     # e <-> u2 with dep {u1} is the violation; its dep {u2} twin is fine
     s = Store()
-    u1, u2, e = s.new_var("u1"), s.new_var("u2"), s.new_var("e")
+    u1, u2, e = s.new_var(), s.new_var(), s.new_var()
     violating = QuantifiedProblem(
         s, s.iff(s.var(e), s.var(u2)), [("a", [u1, u2]), ("e", [e])],
         deps={e: frozenset([u1])},
@@ -334,7 +334,7 @@ def test_criterion_8_format_fidelity():
     agreed = 0
     for _ in range(20):
         s = Store()
-        vids = [s.new_var(f"x{j}") for j in range(rng.randrange(3, 7))]
+        vids = [s.new_var() for j in range(rng.randrange(3, 7))]
         clauses = []
         for _ in range(rng.randrange(3, 14)):
             clauses.append(

@@ -426,7 +426,7 @@ class _Coded:
         self.store = Store()
         code, code2 = _code_names(width)
         names = a.alphabet + tuple(code + code2)
-        self.var = {name: self.store.new_var(name) for name in names}
+        self.var = {name: self.store.new_var() for name in names}
         node = {name: self.store.var(v) for name, v in self.var.items()}
         self.init, self.reject, self.delta = symbolic_nodes(
             self.store, a, node, [node[x] for x in code], [node[x] for x in code2]

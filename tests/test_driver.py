@@ -214,6 +214,16 @@ def test_sources_import_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "ltlsynth", (name, module)
 
 
+def test_sources_parse_as_python_3_10():
+    """README and pyproject promise Python 3.10+: every module of the
+    package parses under the 3.10 grammar."""
+    src = os.path.dirname(os.path.abspath(driver.__file__))
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as handle:
+                ast.parse(handle.read(), filename=name, feature_version=(3, 10))
+
+
 def test_main_malformed_spec(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
@@ -356,6 +366,34 @@ def test_main_bad_solver_model_is_unknown(tmp_path, capsys, model, reason):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert out.startswith(f"UNKNOWN ({reason}")
+
+
+@pytest.mark.parametrize("stdout, stderr, code, reason", [
+    (b"s SATISFIABLE\nv 1 \xff\xfe 0\n", b"", 10,
+     "malformed model: invalid literal for int() with base 10: '\ufffd\ufffd'"),
+    (b"", b"\xff oops\n", 3, "exit code 3; stderr: \ufffd oops"),
+], ids=["model", "stderr"])
+def test_main_non_utf8_solver_output_is_unknown(tmp_path, capsys, stdout, stderr, code, reason):
+    """Bytes that are not UTF-8 read as U+FFFD: UNKNOWN with the reason, no traceback."""
+    script = tmp_path / "bad.py"
+    script.write_text(f"import sys\nsys.stdout.buffer.write({stdout!r})\n"
+                      f"sys.stderr.buffer.write({stderr!r})\nsys.exit({code})\n")
+    cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{file}}"
+    exit_code = main([write_spec(tmp_path, ARBITER_DOC), "--encoding", "basic", "--max-bound", "2",
+                      "--solver-cmd", cmd])
+    out, err = capsys.readouterr()
+    assert (exit_code, err) == (0, "")
+    assert out.startswith(f"UNKNOWN ({reason}")
+
+
+def test_main_solver_reads_only_value_lines(tmp_path, capsys):
+    """A stdout line is a model line only when its first token is `v`, so
+    a `verbosity` line leaves the sat verdict standing."""
+    script = tmp_path / "chatty.py"
+    script.write_text("import sys\nprint('verbosity 1')\nprint('s SATISFIABLE')\nsys.exit(10)\n")
+    cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))} {{file}}"
+    code = main([write_spec(tmp_path, G_O), "--encoding", "basic", "--solver-cmd", cmd])
+    assert (code, capsys.readouterr().out) == (10, "REALIZABLE (bound 1)\n")
 
 
 def test_main_verdict_only_solver_is_trusted(tmp_path, capsys):

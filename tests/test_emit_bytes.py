@@ -84,8 +84,8 @@ def _rebuilt(problem: QuantifiedProblem) -> tuple[QuantifiedProblem, dict[int, i
     order, which visits a gate's last child first where the encoders build
     the first child first."""
     old, store = problem.store, Store()
-    for name in old.var_name[1:]:
-        store.new_var(name)
+    for _ in range(old.num_vars):
+        store.new_var()
     gate = {"a": store.and_, "o": store.or_}
     new = {FALSE: FALSE, TRUE: TRUE}
     for n in old.reachable(problem.matrix):

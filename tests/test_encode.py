@@ -19,9 +19,9 @@ from ltlsynth.encode import (
     encode_input_symbolic,
     compile_guard,
     encode_state_symbolic,
+    extract,
 )
 from ltlsynth.driver import RunConfig, build_problem, make_sides
-from ltlsynth.extract import extract
 from ltlsynth.logic import _AND, _NOT, _OR, _XOR, FALSE, Store
 from ltlsynth.ltl import load_spec, parse_ltl
 from ltlsynth.solve import solve_internal
@@ -62,7 +62,7 @@ def test_specialize_guard_substitution():
         frozenset(),
     )
     store = Store()
-    ov = {"g1": store.var(store.new_var("o_g1"))}
+    ov = {"g1": store.var(store.new_var())}
     node = specialize(store, a, 0, 1, frozenset(["r1"]), ov)
     assert node == ov["g1"]
     assert specialize(store, a, 0, 1, frozenset(), ov) == FALSE
@@ -81,7 +81,7 @@ def test_specialize_guard_mutex():
         frozenset(),
     )
     store = Store()
-    ov = {"g1": store.var(store.new_var("o1")), "g2": store.var(store.new_var("o2"))}
+    ov = {"g1": store.var(store.new_var()), "g2": store.var(store.new_var())}
     node = specialize(store, a, 0, 0, frozenset(), ov)
     # the prime cover of !(g1 && g2): !g2 first (it holds on letter 0), then !g1
     assert node == store.or_([store.not_(ov["g2"]), store.not_(ov["g1"])])
@@ -104,7 +104,7 @@ def test_specialized_guard_matches_letter_set(n_in, n_out):
         assert cofactors(g, 0, n_in + n_out) == [g]
         a = Ucw(inputs, outputs, 1, 0, {(0, 0): g}, frozenset())
         store = Store()
-        ov = {name: store.var(store.new_var(name)) for name in outputs}
+        ov = {name: store.var(store.new_var()) for name in outputs}
         for ii in range(1 << n_in):
             i = frozenset(name for j, name in enumerate(inputs) if ii >> j & 1)
             node = specialize(store, a, 0, 0, i, ov)
@@ -119,7 +119,7 @@ def test_compile_guard_is_one_or_of_cube_ands():
     a = Ucw((), alphabet, 1, 0, {(0, 0): guard("(a && b && c) || (!a && !b) || (!a && !c)", alphabet)},
             frozenset())
     store = Store()
-    atoms = {name: store.var(store.new_var(name)) for name in alphabet}
+    atoms = {name: store.var(store.new_var()) for name in alphabet}
     node = compile_guard(store, alphabet, a.guards[(0, 0)], atoms)
     na, nb, nc = (store.not_(atoms[name]) for name in "abc")
     cubes = (store.and_([na, nb]), store.and_([na, nc]), store.and_([atoms["a"], atoms["b"], atoms["c"]]))

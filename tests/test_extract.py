@@ -2,7 +2,7 @@ import pytest
 
 from ltlsynth.automaton import analyze_sccs, ltl_to_ucw
 from ltlsynth.encode import encode_basic, encode_input_symbolic, encode_state_symbolic
-from ltlsynth.extract import ExtractionError, extract
+from ltlsynth.encode import ExtractionError, extract
 from ltlsynth.ltl import parse_ltl
 from ltlsynth.solve import Model, solve_internal
 from ltlsynth.system import input_valuations

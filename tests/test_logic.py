@@ -34,7 +34,7 @@ from suite import SUITE, arbiter_doc
 
 def test_hash_consing_shares_nodes():
     s = Store()
-    a, b = s.new_var("a"), s.new_var("b")
+    a, b = s.new_var(), s.new_var()
     f1 = s.and_([s.var(a), s.or_([s.var(b), s.not_(s.var(a))])])
     before = len(s.nodes)
     f2 = s.and_([s.var(a), s.or_([s.var(b), s.not_(s.var(a))])])
@@ -44,7 +44,7 @@ def test_hash_consing_shares_nodes():
 
 def test_constant_folding():
     s = Store()
-    a = s.var(s.new_var("a"))
+    a = s.var(s.new_var())
     assert s.and_([a, TRUE]) == a
     assert s.and_([a, FALSE]) == FALSE
     assert s.or_([a, TRUE]) == TRUE
@@ -80,7 +80,7 @@ def test_tseitin_equisatisfiable_and_witnessed():
     rng = random.Random(5)
     for _ in range(120):
         s = Store()
-        vids = [s.new_var(f"x{j}") for j in range(rng.randrange(1, 6))]
+        vids = [s.new_var() for j in range(rng.randrange(1, 6))]
         nodes = [s.var(v) for v in vids]
         root = _rand_formula(s, rng, nodes, 3)
         clauses, lit, num_vars = tseitin(s, root)
@@ -100,11 +100,11 @@ def test_tseitin_equisatisfiable_and_witnessed():
 
 def test_tseitin_trivial_cases():
     s = Store()
-    v = s.new_var("x")
+    v = s.new_var()
     clauses, _, n = tseitin(s, s.var(v))
     assert clauses == [[1]] and n == 1
 
-    a, b = s.new_var("a"), s.new_var("b")
+    a, b = s.new_var(), s.new_var()
     root = s.and_([s.var(a), s.var(b)])
     clauses, lit, n = tseitin(s, root)
     t = lit[root]
@@ -118,7 +118,7 @@ def test_tseitin_evaluation_agreement_with_witness_extension():
     rng = random.Random(9)
     for _ in range(60):
         s = Store()
-        vids = [s.new_var(f"x{j}") for j in range(3)]
+        vids = [s.new_var() for j in range(3)]
         nodes = [s.var(v) for v in vids]
         root = _rand_formula(s, rng, nodes, 3)
         if root in (TRUE, FALSE):
@@ -138,7 +138,7 @@ def test_one_sided_tseitin_equisatisfiable_and_witnessed():
     rng = random.Random(13)
     for _ in range(1000):
         s = Store()
-        vids = [s.new_var(f"x{j}") for j in range(rng.randrange(1, 7))]
+        vids = [s.new_var() for j in range(rng.randrange(1, 7))]
         root = _rand_formula(s, rng, [s.var(v) for v in vids], 4)
         clauses, lit, num_vars = tseitin(s, root, one_sided=True)
         # definition variables only for named gates, numbered above the store's
@@ -159,7 +159,7 @@ def test_one_sided_tseitin_equisatisfiable_and_witnessed():
 
 def test_one_sided_tseitin_polarity_halves():
     s = Store()
-    a, b, c = (s.var(s.new_var(name)) for name in "abc")
+    a, b, c = (s.var(s.new_var()) for _ in "abc")
     conj = s.and_([a, b])
     root = s.or_([s.not_(conj), s.xor2(conj, c)])
     clauses, lit, num_vars = tseitin(s, root, one_sided=True)
@@ -177,7 +177,7 @@ def test_clause_form_inlines_nested_implications():
     """r -> (d -> (t -> (a and b))), the shape of every encoding's
     constraints, needs no definition variable and no unit clause."""
     s = Store()
-    r, d, t, a, b = (s.var(s.new_var(name)) for name in "rdtab")
+    r, d, t, a, b = (s.var(s.new_var()) for _ in "rdtab")
     root = s.implies(r, s.implies(d, s.implies(t, s.and_([a, b]))))
     clauses, lit, num_vars = tseitin(s, root, one_sided=True)
     assert clauses == [[-1, -2, -3, 4], [-1, -2, -3, 5]]
@@ -186,7 +186,7 @@ def test_clause_form_inlines_nested_implications():
 
 def test_clause_form_shares_named_gates():
     s = Store()
-    a, b, c, d = (s.var(s.new_var(name)) for name in "abcd")
+    a, b, c, d = (s.var(s.new_var()) for _ in "abcd")
     shared = s.and_([a, b])
     root = s.and_([s.or_([shared, c]), s.or_([s.not_(shared), d])])
     clauses, lit, num_vars = tseitin(s, root, one_sided=True)
@@ -203,8 +203,8 @@ def test_clause_form_of_deep_chain_is_linear():
     level would repeat each context, 2,005,001 literals in all."""
     s = Store()
     depth = 2000
-    xs = [s.var(s.new_var(f"x{j}")) for j in range(depth + 1)]
-    ys = [s.var(s.new_var(f"y{j}")) for j in range(depth)]
+    xs = [s.var(s.new_var()) for j in range(depth + 1)]
+    ys = [s.var(s.new_var()) for j in range(depth)]
     f = xs[depth]
     for j in reversed(range(depth)):
         f = s.or_([xs[j], s.and_([ys[j], f])])
@@ -222,8 +222,8 @@ def test_deep_chain_evaluates_and_emits():
     recursion limit: evaluate, emit_dimacs and the clause form take it."""
     s = Store()
     depth = 5000
-    xs = [s.new_var(f"x{j}") for j in range(depth + 1)]
-    ys = [s.new_var(f"y{j}") for j in range(depth)]
+    xs = [s.new_var() for j in range(depth + 1)]
+    ys = [s.new_var() for j in range(depth)]
     f = s.var(xs[depth])
     for j in reversed(range(depth)):
         f = s.or_([s.var(xs[j]), s.and_([s.var(ys[j]), f])])
@@ -252,9 +252,9 @@ def test_deep_matrix_expands_and_solves():
     whole chain, and the solver finds x = u and e_j true at u = 0."""
     s = Store()
     depth = 5000
-    u = s.new_var("u")
-    x = s.new_var("x")
-    es = [s.new_var(f"e{j}") for j in range(depth)]
+    u = s.new_var()
+    x = s.new_var()
+    es = [s.new_var() for j in range(depth)]
     f = s.iff(s.var(u), s.var(x))
     for e in reversed(es):
         f = s.and_([s.or_([s.var(e), s.var(u)]), f])
@@ -299,7 +299,7 @@ def test_clause_form_shrinks_arbiter_cnf():
 
 def test_gate_creates_no_negations():
     s = Store()
-    xs = [s.var(s.new_var(f"x{j}")) for j in range(4)]
+    xs = [s.var(s.new_var()) for j in range(4)]
     before = len(s.nodes)
     s.and_(xs)
     s.or_(xs[:3])
@@ -321,14 +321,14 @@ def test_binary_gates_match_the_loop():
         fast, loop = Store(), Store()
         pool = [TRUE, FALSE]
         for j in range(3):
-            assert fast.new_var(f"v{j}") == loop.new_var(f"v{j}")
+            assert fast.new_var() == loop.new_var()
             pool.append(fast.var(j + 1))
         for step in range(60):
             op, mode = rng.choice(("and", "or", "implies")), rng.choice(modes)
             a = rng.choice(pool)
             if mode in ("fresh", "fresh-equal"):  # a variable whose not is never built first
-                v = fast.new_var(f"f{step}")
-                assert loop.new_var(f"f{step}") == v
+                v = fast.new_var()
+                assert loop.new_var() == v
                 b = fast.var(v)
                 if mode == "fresh-equal":
                     a = b
@@ -379,8 +379,8 @@ def test_bv_less_const():
 
 def test_bv_greater_symbolic_truth_table():
     s = Store()
-    xids = [s.new_var(f"x{j}") for j in range(2)]
-    yids = [s.new_var(f"y{j}") for j in range(2)]
+    xids = [s.new_var() for j in range(2)]
+    yids = [s.new_var() for j in range(2)]
     xv, yv = tuple(map(s.var, xids)), tuple(map(s.var, yids))
     strict = bv_greater(s, xv, yv, True)
     loose = bv_greater(s, xv, yv, False)
@@ -411,8 +411,8 @@ def test_order_greater_decodes_to_the_comparison(width):
     satisfies the formula, so the formula is satisfiable at exactly the
     pairs of ranks 0..width that compare."""
     s = Store()
-    xids = [s.new_var(f"x{j}") for j in range(1, width + 1)]
-    yids = [s.new_var(f"y{j}") for j in range(1, width + 1)]
+    xids = [s.new_var() for j in range(1, width + 1)]
+    yids = [s.new_var() for j in range(1, width + 1)]
     xv, yv = tuple(map(s.var, xids)), tuple(map(s.var, yids))
     ranks = range(width + 1)
     for strict, holds in ((True, lambda r, t: r > t), (False, lambda r, t: r >= t)):
@@ -438,15 +438,15 @@ def test_order_greater_width_mismatch():
 
 def test_emit_dimacs_trivial():
     s = Store()
-    x = s.new_var("x")
+    x = s.new_var()
     p = QuantifiedProblem(s, s.var(x), [("e", [x])])
     assert emit_dimacs(p) == "p cnf 1 1\n1 0\n"
 
 
 def test_emit_qdimacs_forall_exists():
     s = Store()
-    u = s.new_var("u")
-    e = s.new_var("e")
+    u = s.new_var()
+    e = s.new_var()
     p = QuantifiedProblem(s, s.iff(s.var(e), s.var(u)), [("a", [u]), ("e", [e])])
     text = emit_qdimacs(p)
     lines = text.splitlines()
@@ -477,14 +477,14 @@ def test_emit_qdimacs_forall_exists():
 def test_emit_qdimacs_block_rules(prefix, text):
     s = Store()
     n_vars = sum(len(vs) for _, vs in prefix)
-    matrix = s.or_([s.var(s.new_var(f"x{j}")) for j in range(n_vars)])
+    matrix = s.or_([s.var(s.new_var()) for j in range(n_vars)])
     assert emit_qdimacs(QuantifiedProblem(s, matrix, prefix)) == text
 
 
 def test_emit_fragment_mismatch():
     s = Store()
-    u = s.new_var("u")
-    e = s.new_var("e")
+    u = s.new_var()
+    e = s.new_var()
     qbf = QuantifiedProblem(s, s.var(e), [("a", [u]), ("e", [e])])
     with pytest.raises(ValueError):
         emit_dimacs(qbf)
@@ -501,8 +501,8 @@ def test_emit_fragment_mismatch():
 
 def test_dqdimacs_tseitin_deps_are_cone_unions():
     s = Store()
-    u1, u2 = s.new_var("u1"), s.new_var("u2")
-    e1, e2 = s.new_var("e1"), s.new_var("e2")
+    u1, u2 = s.new_var(), s.new_var()
+    e1, e2 = s.new_var(), s.new_var()
     matrix = s.and_([
         s.or_([s.var(e1), s.var(u1)]),
         s.or_([s.var(e2), s.var(u2)]),
@@ -531,7 +531,7 @@ def test_round_trip_byte_identical():
     rng = random.Random(3)
     for _ in range(40):
         s = Store()
-        vids = [s.new_var(f"x{j}") for j in range(4)]
+        vids = [s.new_var() for j in range(4)]
         nodes = [s.var(v) for v in vids]
         root = _rand_formula(s, rng, nodes, 3)
         if root in (TRUE, FALSE):
@@ -568,7 +568,7 @@ def test_emitted_clauses_match_tseitin_on_suite():
 def test_emitted_clauses_match_tseitin_on_random_formulas():
     rng = random.Random(17)
     s = Store()
-    vids = [s.new_var(f"x{j}") for j in range(4)]
+    vids = [s.new_var() for j in range(4)]
     nodes = [s.var(v) for v in vids]
     xors = nodes[0]
     for k in range(12):
@@ -586,7 +586,7 @@ def test_emitted_clauses_match_tseitin_on_random_formulas():
 
 def test_free_variable_check_with_and_without_shortcut():
     s = Store()
-    x, y, z = s.new_var("x"), s.new_var("y"), s.new_var("z")
+    x, y, z = s.new_var(), s.new_var(), s.new_var()
     matrix = s.and_([s.var(x), s.var(y)])
     QuantifiedProblem(s, matrix, [("e", [x, y, z])])  # every store variable bound
     QuantifiedProblem(s, matrix, [("e", [x]), ("a", [y])])  # z unbound, not in the matrix
@@ -598,15 +598,15 @@ def test_free_variable_check_with_and_without_shortcut():
 
 def test_problem_validates_binding():
     s = Store()
-    x = s.new_var("x")
-    y = s.new_var("y")
+    x = s.new_var()
+    y = s.new_var()
     with pytest.raises(ValueError):
         QuantifiedProblem(s, s.and_([s.var(x), s.var(y)]), [("e", [x])])
     with pytest.raises(ValueError):
         QuantifiedProblem(s, s.var(x), [("e", [x]), ("a", [x])])
 
     # deps must name exactly the existentials
-    u, e1, e2 = s.new_var("u"), s.new_var("e1"), s.new_var("e2")
+    u, e1, e2 = s.new_var(), s.new_var(), s.new_var()
     prefix = [("a", [u]), ("e", [e1, e2])]
     matrix = s.and_([s.var(e2), s.iff(s.var(e1), s.var(u))])
     with pytest.raises(ValueError):
@@ -619,7 +619,7 @@ def test_problem_validates_binding():
 
 def test_problem_dependencies():
     s = Store()
-    e1, u1, e2, u2, e3 = (s.new_var(name) for name in ("e1", "u1", "e2", "u2", "e3"))
+    e1, u1, e2, u2, e3 = (s.new_var() for _ in ("e1", "u1", "e2", "u2", "e3"))
     matrix = s.and_([s.var(v) for v in (e1, u1, e2, u2, e3)])
     prefix = [("e", [e1]), ("a", [u1]), ("e", [e2]), ("a", [u2]), ("e", [e3])]
     p = QuantifiedProblem(s, matrix, prefix)
@@ -632,7 +632,7 @@ def test_problem_dependencies():
 
 def test_expand_without_universals_is_identity():
     s = Store()
-    a, b = s.new_var("a"), s.new_var("b")
+    a, b = s.new_var(), s.new_var()
     root = s.or_([s.var(a), s.not_(s.var(b))])
     before = len(s.nodes)
     assert QuantifiedProblem(s, root, [("e", [a, b])]).expand() == (root, {})
@@ -666,13 +666,13 @@ def test_block_tables_fold_like_substitution():
     decided = 0
     for _ in range(60):
         s = Store()
-        universals = [s.new_var(f"u{j}") for j in range(rng.randrange(1, 7))]
-        pool = [s.var(v) for v in universals + [s.new_var("e0"), s.new_var("e1")]]
+        universals = [s.new_var() for j in range(rng.randrange(1, 7))]
+        pool = [s.var(v) for v in universals + [s.new_var(), s.new_var()]]
         decided += _assert_tables_fold_like_substitution(s, _rand_formula(s, rng, pool, 4), universals)
     assert decided
     # more universals than one block covers: the tables are redone per block
     s = Store()
-    universals = [s.new_var(f"u{j}") for j in range(_TABLE_BITS + 2)]
-    pool = [s.var(v) for v in universals[:3] + universals[-1:] + [s.new_var("e0")]]
+    universals = [s.new_var() for j in range(_TABLE_BITS + 2)]
+    pool = [s.var(v) for v in universals[:3] + universals[-1:] + [s.new_var()]]
     roots = [_rand_formula(s, rng, pool, 4) for _ in range(3)]
     assert _assert_tables_fold_like_substitution(s, s.and_(roots), universals)

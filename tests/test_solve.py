@@ -223,7 +223,7 @@ def test_sat_restart_schedule_pin_arbiter3_environment():
 
 def test_solve_internal_keeps_cdcl_stats():
     s = Store()
-    x, y = s.new_var("x"), s.new_var("y")
+    x, y = s.new_var(), s.new_var()
     matrix = s.and_([s.or_([s.var(x), s.var(y)]), s.or_([s.not_(s.var(x)), s.var(y)])])
     p = QuantifiedProblem(s, matrix, [("e", [x, y])])
     clauses, _, nv = tseitin(s, matrix, one_sided=True)
@@ -243,8 +243,8 @@ def test_solve_internal_keeps_cdcl_stats():
 
 def _qbf_identity():
     s = Store()
-    u = s.new_var("u")
-    e = s.new_var("e")
+    u = s.new_var()
+    e = s.new_var()
     return s, u, e, QuantifiedProblem(s, s.iff(s.var(e), s.var(u)), [("a", [u]), ("e", [e])])
 
 
@@ -258,8 +258,8 @@ def test_qbf_skolem_tracks_universal():
 
 def test_qbf_outer_existential_cannot_match():
     s = Store()
-    x = s.new_var("x")
-    u = s.new_var("u")
+    x = s.new_var()
+    u = s.new_var()
     p = QuantifiedProblem(s, s.iff(s.var(x), s.var(u)), [("e", [x]), ("a", [u])])
     assert solve_internal(p).status == "unsat"
 
@@ -267,7 +267,7 @@ def test_qbf_outer_existential_cannot_match():
 def _random_qbf(rng):
     s = Store()
     total = rng.randrange(2, 9)
-    vids = [s.new_var(f"v{j}") for j in range(total)]
+    vids = [s.new_var() for j in range(total)]
     prefix = []
     at = 0
     while at < total:
@@ -301,8 +301,8 @@ def test_qbf_agrees_with_naive_evaluator():
 
 def _dqbf_two_universals(dep_on):
     s = Store()
-    u1, u2 = s.new_var("u1"), s.new_var("u2")
-    e = s.new_var("e")
+    u1, u2 = s.new_var(), s.new_var()
+    e = s.new_var()
     target = u1 if dep_on == "u1" else u2
     p = QuantifiedProblem(
         s,
@@ -337,8 +337,8 @@ def test_dqbf_linear_dependencies_match_qbf():
 
 def test_expansion_cap():
     s = Store()
-    universals = [s.new_var(f"u{j}") for j in range(8)]
-    e = s.new_var("e")
+    universals = [s.new_var() for j in range(8)]
+    e = s.new_var()
     matrix = s.or_([s.var(e)] + [s.var(u) for u in universals])
     p = QuantifiedProblem(
         s, matrix, [("a", universals), ("e", [e])], deps={e: frozenset(universals)}
@@ -347,7 +347,7 @@ def test_expansion_cap():
         solve_internal(p, cap=16)
 
     # the cap bounds expansion copies only; a SAT problem has none
-    x = s.new_var("x")
+    x = s.new_var()
     assert solve_internal(QuantifiedProblem(s, s.var(x), [("e", [x])]), cap=0).status == "sat"
 
 
@@ -355,8 +355,8 @@ def test_expansion_cap_counts_universal_assignments():
     """A QBF whose existential sits outside every universal has no copies
     to make, but expansion still walks all 2^24 universal assignments."""
     s = Store()
-    x = s.new_var("x")
-    universals = [s.new_var(f"u{j}") for j in range(24)]
+    x = s.new_var()
+    universals = [s.new_var() for j in range(24)]
     matrix = s.or_([s.var(x)] + [s.var(u) for u in universals])
     p = QuantifiedProblem(s, matrix, [("e", [x]), ("a", universals)])
     with pytest.raises(ExpansionLimitError, match=f"expansion needs {1 << 24} copies, cap is {1 << 22}"):
@@ -369,9 +369,9 @@ def test_expansion_cap_counts_copies():
     copies, where 2^12 x 6 = 24,576 would be counted per universal
     assignment."""
     s = Store()
-    universals = [s.new_var(f"u{j}") for j in range(12)]
+    universals = [s.new_var() for j in range(12)]
     pairs = [universals[j : j + 2] for j in range(0, 12, 2)]
-    es = [s.new_var(f"e{j}") for j in range(6)]
+    es = [s.new_var() for j in range(6)]
     matrix = s.and_([s.iff(s.var(e), s.xor2(s.var(u), s.var(w))) for e, (u, w) in zip(es, pairs)])
     deps = {e: frozenset(pair) for e, pair in zip(es, pairs)}
     p = QuantifiedProblem(s, matrix, [("a", universals), ("e", es)], deps=deps)
@@ -408,7 +408,7 @@ def _assert_expands_like_eager(problem):
     ours, ref = pickle.loads(blob), pickle.loads(blob)
     (root, copies), (ref_root, ref_copies) = ours.expand(), eager_expand(ref)
     assert copies == ref_copies
-    assert ours.store.var_name == ref.store.var_name
+    assert ours.store.num_vars == ref.store.num_vars
     assert _cone(ours.store, root) == _cone(ref.store, ref_root)
     ours_cnf, ref_cnf = tseitin(ours.store, root, True), tseitin(ref.store, ref_root, True)
     assert (ours_cnf[0], ours_cnf[2]) == (ref_cnf[0], ref_cnf[2])
@@ -465,7 +465,7 @@ def test_expansion_leaves_no_cyclic_garbage():
 
 def test_solve_internal_dispatch():
     s = Store()
-    x = s.new_var("x")
+    x = s.new_var()
     p = QuantifiedProblem(s, s.var(x), [("e", [x])])
     result = solve_internal(p)
     assert result.status == "sat" and result.model.assignment[x] is True
@@ -480,14 +480,14 @@ def test_solve_internal_dispatch():
 
 def test_external_trivial_sat_unsat():
     s = Store()
-    x = s.new_var("x")
+    x = s.new_var()
     sat_p = QuantifiedProblem(s, s.var(x), [("e", [x])])
     result = external_solve(sat_p, STUB)
     assert result.status == "sat"
     assert result.model.assignment.get(x) is True
 
     s2 = Store()
-    y = s2.new_var("y")
+    y = s2.new_var()
     unsat_p = QuantifiedProblem(
         s2, s2.and_([s2.var(y), s2.not_(s2.var(y))]), [("e", [y])]
     )
@@ -501,7 +501,7 @@ def test_external_differential_against_internal():
     rng = random.Random(31)
     for _ in range(10):
         s = Store()
-        vids = [s.new_var(f"x{j}") for j in range(4)]
+        vids = [s.new_var() for j in range(4)]
         clauses = []
         for _ in range(rng.randrange(2, 9)):
             clauses.append(
@@ -521,7 +521,7 @@ def test_external_differential_against_internal():
 
 def test_external_spawn_failure_is_unknown():
     s = Store()
-    x = s.new_var("x")
+    x = s.new_var()
     p = QuantifiedProblem(s, s.var(x), [("e", [x])])
     result = external_solve(p, "/nonexistent/solver {file}")
     assert result.status == "unknown"
@@ -530,7 +530,7 @@ def test_external_spawn_failure_is_unknown():
 
 def test_external_requires_placeholder():
     s = Store()
-    x = s.new_var("x")
+    x = s.new_var()
     p = QuantifiedProblem(s, s.var(x), [("e", [x])])
     with pytest.raises(ValueError):
         external_solve(p, "solver")
