@@ -221,6 +221,23 @@ def test_sat_restart_schedule_pin_arbiter3_environment():
     }
 
 
+@pytest.mark.parametrize("encoding, stats", [
+    ("input", (28, 370, 3251, 0, 28)),
+    ("state", (237, 7961, 36002, 1, 237)),
+    ("full", (367, 13486, 80522, 2, 367)),
+])
+def test_sat_trajectory_pin_arbiter3_expanded(encoding, stats):
+    """The exact search on the Moore 3-client arbiter, system side, n=3,
+    along the universal-expansion routes: `input` is a QBF, `state` and
+    `full` are DQBFs.  Update the counters only on purpose."""
+    spec = load_spec(json.dumps(arbiter_doc(3)))
+    side = make_sides(spec, RunConfig(counter_strategy="off"))[0]
+    problem, _ = build_problem(side, 3, RunConfig(encoding=encoding))
+    result = solve_internal(problem)
+    assert result.status == "sat"
+    assert result.stats == dict(zip(("conflicts", "decisions", "propagations", "restarts", "learnt"), stats))
+
+
 def test_solve_internal_keeps_cdcl_stats():
     s = Store()
     x, y = s.new_var(), s.new_var()
