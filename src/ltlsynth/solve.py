@@ -10,14 +10,18 @@ watch lists: each of its two literals lists the other one (as in MiniSat
 It never moves its watches, and when it is read as a reason or a
 conflict its literals come in the order a stored copy would have then,
 so the search is step for step that of a solver storing every clause.
-The order heap holds each variable's current
-(-activity, var) entry at most once: backtracking re-pushes only the
-variables without one, and entries left behind by bumps are dropped when
-popped.  `solve_internal` decides every fragment by full universal
-expansion (`QuantifiedProblem.expand`): every existential is copied once
-per assignment of exactly its dependency set, and the conjunction of the
-matrix over all universal assignments goes to the SAT core in clause
-form: only shared gates get definition variables, each with the halves
+Loading encodes and sorts each clause, merges a repeated literal and drops
+a tautology; one scan of the sorted literals finds a repeated variable,
+and only such a clause is deduplicated through a set.  Loaded and learnt
+clauses are watched by the same attach step.  While asserts are on, every
+input clause is tested against the final model.  The order heap holds
+each variable's current (-activity, var) entry at most once:
+backtracking re-pushes only the variables without one, and entries left
+behind by bumps are dropped when popped.  `solve_internal` decides
+every fragment by full universal expansion (`QuantifiedProblem.expand`):
+every existential is copied once per assignment of exactly its
+dependency set, and the conjunction of the matrix over all universal
+assignments goes to the SAT core in clause form: only shared gates get definition variables, each with the halves
 its polarities need, and every other gate is written straight into its
 parent's clauses (`tseitin(..., one_sided=True)`).  Each subterm
 is rebuilt once per assignment of the universals in its own cone, except
@@ -87,6 +91,9 @@ class SolveResult:
 def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = None) -> SolveResult:
     """Complete CDCL decision; the returned model covers every variable.
 
+    Each clause is encoded and sorted; a repeated literal is merged and a
+    tautology dropped, and only a clause that repeats a variable pays for
+    a set.  With asserts on, a model is checked against every clause.
     The result's `stats` counts conflicts, decisions, propagations (trail
     literals whose watches were visited), restarts and learnt clauses.
     """
@@ -145,9 +152,18 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
 
     # load clauses; units are assigned as read, propagation starts once all are watched
     for raw in clauses:
-        cls = sorted({2 * l if l > 0 else 1 - 2 * l for l in raw})
-        if any(a ^ 1 == b for a, b in zip(cls, islice(cls, 1, None))):
-            continue  # tautology: v and -v are neighbours once sorted
+        cls = [2 * l if l > 0 else 1 - 2 * l for l in raw]
+        cls.sort()
+        prev = 0  # odd code of the previous literal's variable
+        for el in cls:
+            if el <= prev:  # a variable repeats: merge equal literals
+                cls = sorted(set(cls))
+                if any(a ^ 1 == b for a, b in zip(cls, islice(cls, 1, None))):
+                    cls = None  # tautology: v and -v are neighbours once sorted
+                break
+            prev = el | 1
+        if cls is None:
+            continue
         if not cls:
             return result("unsat")
         if len(cls) > 1:
@@ -328,9 +344,9 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
             continue
         if len(trail) == nv:
             model = {v: val[2 * v] == 1 for v in range(1, nv + 1)}
-            if __debug__:
-                ok = all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses if c)
-                assert ok, "SAT model fails a clause"
+            if __debug__:  # no input clause is empty here: intake returned unsat
+                true_lits = {v if b else -v for v, b in model.items()}
+                assert not any(map(true_lits.isdisjoint, clauses)), "SAT model fails a clause"
             return result("sat", Model(model))
         while True:
             _, var = heapq.heappop(heap)

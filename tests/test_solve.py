@@ -38,6 +38,75 @@ def test_sat_model_is_total():
     assert set(result.model.assignment) == {1, 2, 3, 4, 5}
 
 
+def _solve_and_attached(cnf, nv=None):
+    """sat_solve's result and the encoded clauses it attaches, in order."""
+    attached = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "attach":
+            attached.append(list(frame.f_locals["cls"]))
+
+    sys.setprofile(hook)
+    try:
+        result = sat_solve(cnf, nv)
+    finally:
+        sys.setprofile(None)
+    return result, attached
+
+
+def test_sat_intake_merges_repeats_and_drops_tautologies():
+    """Literal v is encoded as 2v and -v as 2v+1; a clause is attached
+    sorted, with each literal once, and a tautology is not attached."""
+    assert sat_solve([[3, 3]]) == sat_solve([[3]])
+    assert sat_solve([[2, -2]]) == sat_solve([], 2)
+    assert sat_solve([[1, 1, -1]]) == sat_solve([], 1)
+    assert sat_solve([[1], []]).status == "unsat"
+    assert sat_solve([[1, 1], [2, -2], []]).status == "unsat"
+    result, attached = _solve_and_attached([[2, -2], [1, 1, -1], [3, -1, 3, 2], [-2, 1, -2]])
+    assert result.status == "sat"
+    assert attached == [[3, 4, 6], [2, 5]]
+
+
+def _normal_form(cnf):
+    """Each clause with its repeated literals merged; tautologies dropped."""
+    out = []
+    for clause in cnf:
+        lits = list(dict.fromkeys(clause))
+        if not any(-l in lits for l in lits):
+            out.append(lits)
+    return out
+
+
+def test_sat_intake_matches_normal_form():
+    """A clause that repeats a literal is read as the clause without the
+    repeat, and a tautology is skipped: on shuffled CNFs with both, the
+    status, counters, model and attached clauses are those of the normal
+    form."""
+    rng = random.Random(23)
+    merged = dropped = 0
+    statuses = set()
+    for _ in range(300):
+        nv = rng.randrange(2, 11)
+        cnf = []
+        for _ in range(rng.randrange(1, 4 * nv)):
+            clause = [rng.choice([1, -1]) * rng.randrange(1, nv + 1) for _ in range(rng.randrange(1, 5))]
+            draw = rng.random()
+            if draw < 0.2:
+                clause.append(clause[0])
+            elif draw < 0.3:
+                clause.append(-clause[0])
+            rng.shuffle(clause)
+            cnf.append(clause)
+        normal = _normal_form(cnf)
+        dropped += len(cnf) - len(normal)
+        merged += sum(len(set(c)) < len(c) for c in cnf if not any(-l in c for l in c))
+        ours = _solve_and_attached(cnf, nv)
+        assert ours == _solve_and_attached(normal, nv), cnf
+        statuses.add(ours[0].status)
+    assert statuses == {"sat", "unsat"}
+    assert merged >= 100 and dropped >= 100, (merged, dropped)
+
+
 def _random_cnf(rng, num_vars, num_clauses, width=3):
     return [
         [
