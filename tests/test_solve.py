@@ -60,7 +60,6 @@ def test_sat_intake_merges_repeats_and_drops_tautologies():
     assert sat_solve([[3, 3]]) == sat_solve([[3]])
     assert sat_solve([[2, -2]]) == sat_solve([], 2)
     assert sat_solve([[1, 1, -1]]) == sat_solve([], 1)
-    assert sat_solve([[1], []]).status == "unsat"
     assert sat_solve([[1, 1], [2, -2], []]).status == "unsat"
     result, attached = _solve_and_attached([[2, -2], [1, 1, -1], [3, -1, 3, 2], [-2, 1, -2]])
     assert result.status == "sat"
