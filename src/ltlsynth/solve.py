@@ -21,9 +21,10 @@ behind by bumps are dropped when popped.  `solve_internal` decides
 every fragment by full universal expansion (`QuantifiedProblem.expand`):
 every existential is copied once per assignment of exactly its
 dependency set, and the conjunction of the matrix over all universal
-assignments goes to the SAT core in clause form: only shared gates get definition variables, each with the halves
-its polarities need, and every other gate is written straight into its
-parent's clauses (`tseitin(..., one_sided=True)`).  Each subterm
+assignments goes to the SAT core in clause form: only shared gates get
+definition variables, each with the halves its polarities need, and
+every other gate is written straight into its parent's clauses
+(`tseitin(..., one_sided=True)`).  Each subterm
 is rebuilt once per assignment of the universals in its own cone, except
 where three-valued tables of the universals alone already show it
 constant, and the result is identical, node for node, to substituting

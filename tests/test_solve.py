@@ -303,7 +303,8 @@ def test_sat_trajectory_pin_arbiter3_expanded(encoding, stats):
     problem, _ = build_problem(side, 3, RunConfig(encoding=encoding))
     result = solve_internal(problem)
     assert result.status == "sat"
-    assert result.stats == dict(zip(("conflicts", "decisions", "propagations", "restarts", "learnt"), stats))
+    names = ("conflicts", "decisions", "propagations", "restarts", "learnt")
+    assert result.stats == dict(zip(names, stats))
 
 
 def test_solve_internal_keeps_cdcl_stats():
