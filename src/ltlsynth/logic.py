@@ -1,9 +1,12 @@
 """Propositional formula DAG, CNF conversion, and solver file formats.
 
-Formulas live in a Store: an append-only arena of hash-consed nodes
-addressed by integer ids.  Children always precede parents, constants are
-folded at construction time, and syntactically equal builds return the
-same node id.  An and/or of two operands, and an implication, are folded
+Formulas live in a Store: an append-only arena of hash-consed and, or and
+xor gates over variables.  A formula is a reference 2k + s to node k,
+negated when s is 1, so negation flips the low bit and builds no node:
+the convention of AIGER literals.  Node 0 is the constant, so FALSE is 0
+and TRUE is 1.  Children always precede parents, constants are folded at
+construction time, and syntactically equal builds return the same
+reference.  An and/or of two operands, and an implication, are folded
 and interned in one step, without the n-ary loop.  Variables are numbered
 densely from 1 in allocation order, which doubles as the DIMACS numbering.
 Cones are walked, and expanded, with explicit stacks, so no formula is too
@@ -23,7 +26,6 @@ TRUE = 1
 # node tags
 _CONST = "c"
 _VAR = "v"
-_NOT = "n"
 _AND = "a"
 _OR = "o"
 _XOR = "x"
@@ -33,18 +35,22 @@ class Store:
     """Arena of hash-consed formula nodes plus the variable table."""
 
     def __init__(self):
-        self.nodes: list[tuple] = [(_CONST, False), (_CONST, True)]
-        self._intern: dict[tuple, int] = {self.nodes[0]: FALSE, self.nodes[1]: TRUE}
+        self.nodes: list[tuple] = [(_CONST, False)]  # node k has references 2k and 2k + 1
+        self._intern: dict[tuple, int] = {self.nodes[0]: FALSE}  # node -> its plain reference
+        # f -> f ^ 1 for each negation taken, both ways: one shared int per
+        # complement, where f ^ 1 makes a new one at every call
+        self._comp: dict[int, int] = {FALSE: TRUE, TRUE: FALSE}
         self.var_node: list[int] = [-1]  # 1-indexed
 
     # -- construction -------------------------------------------------
 
     def _mk(self, node: tuple) -> int:
         nodes = self.nodes
-        nid = self._intern.setdefault(node, len(nodes))
-        if nid == len(nodes):
+        new = 2 * len(nodes)
+        ref = self._intern.setdefault(node, new)
+        if ref == new:
             nodes.append(node)
-        return nid
+        return ref
 
     def new_var(self) -> int:
         """Allocate a fresh variable; returns its 1-based number."""
@@ -57,18 +63,15 @@ class Store:
         return len(self.var_node) - 1
 
     def var(self, vid: int) -> int:
-        """Node id for variable number vid."""
+        """Reference to variable number vid."""
         return self.var_node[vid]
 
     def not_(self, f: int) -> int:
-        if f <= TRUE:
-            return TRUE - f
-        node = self.nodes[f]
-        if node[0] == _NOT:
-            return node[1]
-        key = (_NOT, f)
-        found = self._intern.get(key)
-        return self._mk(key) if found is None else found
+        nf = self._comp.get(f)
+        if nf is None:
+            nf = self._comp[f] = f ^ 1
+            self._comp[nf] = f
+        return nf
 
     def _gate(self, tag: str, children) -> int:
         """The and/or of children, folded and interned.  A list of at most
@@ -76,32 +79,25 @@ class Store:
         the loop."""
         absorbing = FALSE if tag == _AND else TRUE
         neutral = TRUE - absorbing
-        nodes, intern = self.nodes, self._intern
         if children.__class__ is list and len(children) < 3:
             if len(children) < 2:
                 return children[0] if children else neutral
             a, b = children
-            if a == absorbing or b == absorbing:
+            if a == absorbing or b == absorbing or a ^ 1 == b:
                 return absorbing
             if a == neutral:
                 return b
             if b == neutral or b == a:
                 return a
-            node = nodes[b]  # is b's complement, if built, a?
-            if (node[1] if node[0] == _NOT else intern.get((_NOT, b))) == a:
-                return absorbing
             key = (tag, (a, b))
         else:
             seen: set[int] = set()
             kept: list[int] = []
             for c in children:
-                if c == absorbing:
+                if c == absorbing or c ^ 1 in seen:
                     return absorbing
                 if c == neutral or c in seen:
                     continue
-                node = nodes[c]  # is c's complement in seen?  Not when none is kept
-                if kept and (node[1] if node[0] == _NOT else intern.get((_NOT, c))) in seen:
-                    return absorbing
                 seen.add(c)
                 kept.append(c)
             if not kept:
@@ -118,28 +114,21 @@ class Store:
         return self._gate(_OR, children)
 
     def xor2(self, a: int, b: int) -> int:
-        if a == FALSE:
-            return b
-        if b == FALSE:
-            return a
-        if a == TRUE:
-            return self.not_(b)
-        if b == TRUE:
-            return self.not_(a)
+        if a <= TRUE:
+            return self.not_(b) if a else b
+        if b <= TRUE:
+            return self.not_(a) if b else a
         if a == b:
             return FALSE
-        node = self.nodes[b]  # is b's complement, if built, a?  Creates nothing
-        if a == (node[1] if node[0] == _NOT else self._intern.get((_NOT, b))):
+        if a ^ 1 == b:
             return TRUE
         if a > b:
             a, b = b, a
         return self._mk((_XOR, a, b))
 
     def implies(self, a: int, b: int) -> int:
-        """or_([not_(a), b]) in one step, interning not a just as it does.
-
-        The complement check is b == a: not b is not a only for b == a,
-        as no node negates a not."""
+        """or_([not_(a), b]) in one step; b complements not a only when
+        b == a."""
         na = self.not_(a)
         if na == TRUE or b == TRUE or b == a:
             return TRUE
@@ -156,27 +145,27 @@ class Store:
 
     def evaluate(self, root: int, assignment: dict[int, bool]) -> bool:
         """Evaluate under a total assignment of the variables in root's cone."""
-        value: dict[int, bool] = {}
-        for n in self.reachable(root):
-            node = self.nodes[n]
+        value: dict[int, bool] = {}  # by reference
+        for f in self.reachable(root):
+            node = self.nodes[f >> 1]
             tag = node[0]
             if tag == _CONST:
-                v = node[1]
+                v = False
             elif tag == _VAR:
                 v = assignment[node[1]]
-            elif tag == _NOT:
-                v = not value[node[1]]
             elif tag == _AND:
                 v = all(value[c] for c in node[1])
             elif tag == _OR:
                 v = any(value[c] for c in node[1])
             else:
                 v = value[node[1]] != value[node[2]]
-            value[n] = v
+            value[f], value[f + 1] = v, not v
         return value[root]
 
-    def _rebuild(self, n: int, i: int, mask: list[int], memo: list, known: tuple) -> int:
-        """Node n rebuilt at expansion index i, kept as memo[n][i & mask[n]].
+    def _rebuild(self, f: int, i: int, mask: list[int], memo: list, known: tuple) -> int:
+        """Reference f rebuilt at expansion index i.  The rebuild of f's
+        node is kept as memo[f][i & mask[f]], a dict that f shares with its
+        complement, and f's sign is applied to it on return.
 
         An and/or stops at its first absorbing child, as a fresh walk would.
         known = (T, F, j) holds the Kleene tables of `_block_tables` and i's
@@ -187,17 +176,17 @@ class Store:
         resumes the parent's walk over its children, else is None.
         """
         T, F, j = known
-        nodes = self.nodes
+        nodes, not_ = self.nodes, self.not_
         frames: list[tuple] = []
         r = None
         while True:
-            if r is None:  # start on n
-                node = nodes[n]
+            if r is None:  # start on f
+                node = nodes[f >> 1]
                 tag = node[0]
                 stop = FALSE if tag == _AND else TRUE if tag == _OR else None
                 kids = iter(node[1] if stop is not None else node[1:])
                 parts: list[int] = []
-            elif r != stop:  # resume n; an r equal to stop is n's rebuild
+            elif r != stop:  # resume f; an r equal to stop is its node's rebuild
                 parts.append(r)
                 r = None
             if r is None:
@@ -207,45 +196,44 @@ class Store:
                         r = TRUE if T[c] >> j & 1 else FALSE if F[c] >> j & 1 else None
                         if r is None:
                             break  # rebuild c first
+                    elif c & 1:
+                        r = not_(r)
                     if r == stop:
                         break
                     parts.append(r)
                 else:
-                    if tag == _NOT:
-                        r = self.not_(parts[0])
-                    elif tag == _XOR:
-                        r = self.xor2(parts[0], parts[1])
-                    else:
-                        r = self._gate(tag, parts)
+                    r = self.xor2(parts[0], parts[1]) if tag == _XOR else self._gate(tag, parts)
                 if r is None:
-                    frames.append((n, tag, stop, kids, parts))
-                    n = c
+                    frames.append((f, tag, stop, kids, parts))
+                    f = c
                     continue
-            memo[n][i & mask[n]] = r
+            memo[f][i & mask[f]] = r
+            if f & 1:
+                r = not_(r)
             if not frames:
                 return r
-            n, tag, stop, kids, parts = frames.pop()
+            f, tag, stop, kids, parts = frames.pop()
 
     def reachable(self, root: int) -> list[int]:
-        """All node ids in root's cone, each once, children before parents."""
+        """The plain reference of every node in root's cone, each once,
+        children before parents."""
         nodes = self.nodes
         seen = bytearray(len(nodes))
         order: list[int] = []
-        stack = [root]  # ~n marks n's children as done
+        stack = [root]  # references, and ~f once plain f's children are done
         while stack:
-            n = stack.pop()
-            if n < 0:
-                order.append(~n)
+            f = stack.pop()
+            if f < 0:
+                order.append(~f)
                 continue
+            n = f >> 1
             if seen[n]:
                 continue
             seen[n] = 1
-            stack.append(~n)
+            stack.append(~(f & ~1))
             node = nodes[n]
             tag = node[0]
-            if tag == _NOT:
-                stack.append(node[1])
-            elif tag in (_AND, _OR):
+            if tag in (_AND, _OR):
                 stack.extend(node[1])
             elif tag == _XOR:
                 stack.append(node[1])
@@ -254,9 +242,9 @@ class Store:
 
     def variables_in(self, root: int) -> set[int]:
         return {
-            self.nodes[n][1]
-            for n in self.reachable(root)
-            if self.nodes[n][0] == _VAR
+            self.nodes[f >> 1][1]
+            for f in self.reachable(root)
+            if self.nodes[f >> 1][0] == _VAR
         }
 
 
@@ -399,36 +387,41 @@ class QuantifiedProblem:
         bit = {u: 1 << (m - 1 - j) for j, u in enumerate(universals)}
         deps = self.dependencies()
         emask = {e: sum(bit[u] for u in ds) for e, ds in deps.items() if ds}
-        mask = [0] * len(store.nodes)
-        memo: list = [None] * len(store.nodes)
+        nodes = store.nodes
+        # by reference, where a node's two references share one entry
+        mask = [0] * (2 * len(nodes))
+        memo: list = [None] * (2 * len(nodes))
         # resets[h]: the memos to clear at each i whose lowest set bit is h-1
         resets: list[list[dict]] = [[] for _ in range(m + 1)]
         first: dict[int, list] = {}  # index -> the (dependent, key) pairs it shows first
         for e in emask:
-            memo[store.var(e)] = {}  # filled as copies are made
+            f = store.var(e)
+            memo[f] = memo[f + 1] = {}  # filled as copies are made
             for key in product((False, True), repeat=len(deps[e])):
                 first.setdefault(sum(bit[u] for u, b in zip(deps[e], key) if b), []).append((e, key))
         order = store.reachable(root)
-        for n in order:
-            node = store.nodes[n]
+        for f in order:
+            node = nodes[f >> 1]
             if node[0] == _VAR:
                 v = node[1]
-                mask[n] = bit.get(v, emask.get(v, 0))
+                mask[f] = mask[f + 1] = bit.get(v, emask.get(v, 0))
                 if v not in emask:
-                    memo[n] = {0: n} if v not in bit else {0: FALSE, bit[v]: TRUE}
+                    memo[f] = memo[f + 1] = {0: store.var(v)} if v not in bit else {0: FALSE, bit[v]: TRUE}
             elif node[0] == _CONST:
-                memo[n] = {0: n}
+                memo[f] = memo[f + 1] = {0: FALSE}
             else:
-                for c in node[1] if node[0] in (_AND, _OR) else node[1:]:
-                    mask[n] |= mask[c]
-                memo[n] = {}
-                shift = ((1 << m) - 1 & ~mask[n]).bit_length()
+                b = 0
+                for c in node[1] if node[0] != _XOR else node[1:]:
+                    b |= mask[c]
+                mask[f] = mask[f + 1] = b
+                memo[f] = memo[f + 1] = {}
+                shift = ((1 << m) - 1 & ~b).bit_length()
                 for h in range(shift + 1, m + 1):
-                    resets[h].append(memo[n])
+                    resets[h].append(memo[f])
 
         copies: dict[tuple[int, tuple[bool, ...]], int] = {}
         conjuncts: list[int] = []
-        blocks = _block_tables(store.nodes, order, bit, m)
+        blocks = _block_tables(nodes, order, bit, m)
         low = (1 << min(m, _TABLE_BITS)) - 1
         for i in range(1 << m):
             for table in resets[(i & -i).bit_length()]:
@@ -444,6 +437,8 @@ class QuantifiedProblem:
                 j = i & low
                 r = (TRUE if T[root] >> j & 1 else FALSE if F[root] >> j & 1
                      else store._rebuild(root, i, mask, memo, (T, F, j)))
+            elif root & 1:
+                r = store.not_(r)
             conjuncts.append(r)
         return store.and_(conjuncts), copies
 
@@ -457,60 +452,63 @@ _TABLE_BITS = 10
 def _block_tables(nodes: list[tuple], order: list[int], bit: dict[int, int], m: int):
     """Three-valued (Kleene) truth tables of the nodes in order, by block.
 
-    order lists a cone children first and bit gives each of the m
-    universals its bit of an index i as in `QuantifiedProblem.expand`.
-    With w = min(m, _TABLE_BITS), a block is the 2^w indices that share
-    their bits above the lowest w.  Once per block, from the first on, this
-    yields lists (T, F) by node id: bit j of T[n] (of F[n]) is set when n
-    is TRUE (FALSE) at index block + j whatever the existentials are.  The
-    lists are updated in place between blocks, and only for the nodes with
-    a universal among the bits that changed.  Existentials are unknown,
-    and a node's tables stay 0 when its cone has no universal.
+    order lists a cone's plain references children first and bit gives
+    each of the m universals its bit of an index i as in
+    `QuantifiedProblem.expand`.  With w = min(m, _TABLE_BITS), a block is
+    the 2^w indices that share their bits above the lowest w.  Once per
+    block, from the first on, this yields lists (T, F) by reference: bit j
+    of T[f] (of F[f]) is set when f is TRUE (FALSE) at index block + j
+    whatever the existentials are, so a negation swaps its node's T and F.
+    The lists are updated in place between blocks, and only for the nodes
+    with a universal among the bits that changed.  Existentials are
+    unknown, and a node's tables stay 0 when its cone has no universal.
     """
     w = min(m, _TABLE_BITS)
     low, full = (1 << w) - 1, (1 << (1 << w)) - 1
-    T, F = [0] * len(nodes), [0] * len(nodes)
-    umask = [0] * len(nodes)  # bits of the universals in each node's cone
-    for n in order:
-        node = nodes[n]
+    T, F = [0] * (2 * len(nodes)), [0] * (2 * len(nodes))
+    umask = [0] * (2 * len(nodes))  # bits of the universals in each node's cone, by reference
+    for r in order:
+        node = nodes[r >> 1]
+        b = 0
         if node[0] == _VAR:
-            umask[n] = bit.get(node[1], 0)
+            b = bit.get(node[1], 0)
         elif node[0] != _CONST:
-            for c in node[1] if node[0] in (_AND, _OR) else node[1:]:
-                umask[n] |= umask[c]
-    todo = live = [n for n in order if umask[n]]
+            for c in node[1] if node[0] != _XOR else node[1:]:
+                b |= umask[c]
+        umask[r] = umask[r + 1] = b
+    todo = live = [r for r in order if umask[r]]
     redo: dict[int, list[int]] = {}  # lowest set bit of a block -> the nodes to recompute
     block = 0
     while True:
-        for n in todo:
-            node = nodes[n]
+        for r in todo:
+            node = nodes[r >> 1]
             tag = node[0]
             if tag == _VAR:
-                b = umask[n]
+                b = umask[r]
                 if b & low:  # bit k of t is this universal's bit in k
                     t = full // ((1 << 2 * b) - 1) * (((1 << b) - 1) << b)
                 else:
                     t = full if block & b else 0
-                T[n], F[n] = t, full ^ t
-            elif tag == _NOT:
-                T[n], F[n] = F[node[1]], T[node[1]]
+                f = full ^ t
             elif tag == _XOR:
                 a, b = node[1], node[2]
-                T[n] = T[a] & F[b] | F[a] & T[b]
-                F[n] = T[a] & T[b] | F[a] & F[b]
+                t = T[a] & F[b] | F[a] & T[b]
+                f = T[a] & T[b] | F[a] & F[b]
             else:  # an or is an and with T and F swapped
                 P, Q = (T, F) if tag == _AND else (F, T)
                 t, f = full, 0
                 for c in node[1]:
                     t &= P[c]
                     f |= Q[c]
-                P[n], Q[n] = t, f
+                if tag == _OR:
+                    t, f = f, t
+            T[r], F[r], T[r + 1], F[r + 1] = t, f, f, t
         yield T, F
         block += low + 1
         h = block & -block
         todo = redo.get(h)
         if todo is None:
-            todo = redo[h] = [n for n in live if umask[n] & ~low & (2 * h - 1)]
+            todo = redo[h] = [r for r in live if umask[r] & ~low & (2 * h - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -522,66 +520,61 @@ def _block_tables(nodes: list[tuple], order: list[int], bit: dict[int, int], m: 
 _INLINE_LIMIT = 8
 
 
-def tseitin(
-    store: Store, root: int, one_sided: bool = False, text: bool = False
-) -> tuple[list, dict[int, int], int]:
-    """Equisatisfiable CNF: full definitions, or a clause form.
+def tseitin(store: Store, root: int, one_sided: bool = False) -> tuple[list, dict[int, int], int]:
+    """Equisatisfiable CNF: full definitions as DIMACS lines, or a clause form.
 
-    Returns (clauses, node->literal map, total variable count).  Original
-    variables keep their numbers; definition variables are numbered above
-    them.  A constant root yields the trivial or the empty clause.
+    Returns (clauses, reference->literal map, total variable count).
+    Original variables keep their numbers; definition variables are
+    numbered above them.  A constant root yields the trivial or the empty
+    clause.
 
     By default every internal and/or/xor node gets a variable t and the
-    full biconditional t <-> node, as the emitted files carry it; not nodes
-    become negated literals, and the map covers every node of root's cone,
-    children first.  One walk numbers the gates and writes each gate's
-    definition clauses as DIMACS lines ("-3 1 0\n") from the literal texts
-    of its children, kept in lists by node id (an or is an and with the
-    texts swapped); with text, those lines are the clauses, and without,
-    they are read back into lists of ints.
+    full biconditional t <-> node, as the emitted files carry it, and the
+    map covers the plain reference of every node of root's cone, children
+    first.  One walk numbers the gates and writes each gate's definition
+    clauses as DIMACS lines ("-3 1 0\n") from the literal texts of its
+    children, kept in lists by reference (an or is an and with the texts
+    swapped).
 
     With one_sided, the result is a clause form (Plaisted and Greenbaum,
-    1986; Jackson and Sheridan, 2004).  A gate gets a variable when it is
-    shared (two parents in root's cone, a not counting as no parent of its
-    own) or sits below a xor, with only the halves of t <-> node that its
-    uses need: t -> node where it occurs positively, node -> t where
-    negatively.  Every other gate is written straight into its parent's
-    clauses, unless that would multiply two conjunctions out or copy a
-    clause of `_INLINE_LIMIT` literals; such a gate is named too (see
-    `_ClauseForm`).  The map covers the named gates, whose variables are
-    numbered in the order the walk meets them, and a model of the
-    clauses, restricted to the store's variables, satisfies root.
+    1986; Jackson and Sheridan, 2004) as lists of ints.  A gate gets a
+    variable when it is shared (two parents in root's cone) or sits below
+    a xor, with only the halves of t <-> node that its uses need: t -> node
+    where it occurs positively, node -> t where negatively.  Every other
+    gate is written straight into its parent's clauses, unless that would
+    multiply two conjunctions out or copy a clause of `_INLINE_LIMIT`
+    literals; such a gate is named too (see `_ClauseForm`).  The map covers
+    the named gates, whose variables are numbered in the order the walk
+    meets them, and a model of the clauses, restricted to the store's
+    variables, satisfies root.
     """
     if root == TRUE:
         return [], {root: 0}, store.num_vars
     if root == FALSE:
-        return [" 0\n" if text else []], {root: 0}, store.num_vars
+        return [[] if one_sided else " 0\n"], {root: 0}, store.num_vars
     if one_sided:
         form = _ClauseForm(store, root)
-        return form.clauses, form.lit, form.num_vars
+        return form.clauses, {2 * k: t for k, t in form.lit.items()}, form.num_vars
 
     nodes = store.nodes
     lit: dict[int, int] = {}
-    pos: list = [None] * len(nodes)  # each node's literal as text, by node id
-    neg: list = [None] * len(nodes)  # and its negation
+    pos: list = [None] * (2 * len(nodes))  # each reference's literal as text
+    neg: list = [None] * (2 * len(nodes))  # and its negation
     lines: list[str] = []
     t = store.num_vars
-    for n in store.reachable(root):
-        node = nodes[n]
+    for r in store.reachable(root):
+        node = nodes[r >> 1]
         tag = node[0]
-        if tag == _NOT:
-            c = node[1]
-            lit[n], pos[n], neg[n] = -lit[c], neg[c], pos[c]
-            continue
         if tag == _VAR:
-            lit[n] = v = node[1]
+            v = node[1]
         elif tag == _CONST:
             raise AssertionError("constants fold away below the root")
         else:
             t += 1
-            lit[n] = v = t
-        p = pos[n] = str(v)
-        m = neg[n] = "-" + p
+            v = t
+        lit[r] = v
+        p = pos[r] = neg[r + 1] = str(v)
+        m = neg[r] = pos[r + 1] = "-" + p
         if tag == _XOR:
             a, b = node[1], node[2]
             lines += (f"{m} {pos[a]} {pos[b]} 0\n", f"{m} {neg[a]} {neg[b]} 0\n",
@@ -596,42 +589,39 @@ def tseitin(
                 lines += [f"{m} {P[c]} 0\n" for c in kids]
                 lines.append(f"{p} {' '.join([N[c] for c in kids])} 0\n")
     lines.append(f"{pos[root]} 0\n")
-    if text:
-        return lines, lit, t
-    return [[int(x) for x in line.split()[:-1]] for line in lines], lit, t
+    return lines, lit, t
 
 
 class _ClauseForm:
     """The clause form of one root, written by a walk with an explicit stack.
 
-    A work item (g, positive, context) asks for the clauses of
-    `context or g` (`context or not g` when not positive), g a gate and
-    context the literals already in the clause.  A gate in conjunction
-    position (and when positive, or when negative) passes the context to
-    each child; one in disjunction position adds its children's literals,
-    flattens its private disjunction-position children into the same
-    clause, and inlines at most one private conjunction-position child,
-    naming the rest.  Naming a gate in a polarity queues the matching
-    definition half, the item (g, positive, [not t]) or (g, negative, [t]).
-    Each gate is thus walked at most once per polarity.
+    A work item (g, context) asks for the clauses of `context or g`, g a
+    reference to a gate, plain or negated, and context the literals already
+    in the clause.  A gate in conjunction position (a plain and, or a
+    negated or) passes the context to each child; one in disjunction
+    position adds its children's literals, flattens its private
+    disjunction-position children into the same clause, and inlines at
+    most one private conjunction-position child, naming the rest.  A
+    negated gate's children are the negations of the node's.  Naming a
+    reference g queues the matching definition half, the item (g, [not t])
+    for a plain g and (g, [t]) for a negated one.  Each gate is thus walked
+    at most once per polarity.
     """
 
     def __init__(self, store: Store, root: int):
         nodes = self.nodes = store.nodes
         self.num_vars = store.num_vars
-        self.lit: dict[int, int] = {}  # named gate -> its variable
-        self.queued: set[tuple[int, bool]] = set()  # definition halves asked for
+        self.lit: dict[int, int] = {}  # node index of a named gate -> its variable
+        self.queued: set[int] = set()  # definition halves asked for, by reference
         self.clauses: list[list[int]] = []
-        positive = True
-        if nodes[root][0] == _NOT:
-            root, positive = nodes[root][1], False
-        if nodes[root][0] == _VAR:
-            self.clauses.append([nodes[root][1] if positive else -nodes[root][1]])
+        node = nodes[root >> 1]
+        if node[0] == _VAR:
+            self.clauses.append([-node[1] if root & 1 else node[1]])
             return
         # parents per gate below root, a xor parent counting twice: below a
         # xor both polarities occur, so the gate is named as a shared one is
-        parents = self.parents = {}
-        stack = [root]
+        parents = self.parents = bytearray(len(nodes))  # by node index, counted up to 2
+        stack = [root >> 1]
         while stack:
             node = nodes[stack.pop()]
             if node[0] == _XOR:
@@ -639,94 +629,88 @@ class _ClauseForm:
             else:
                 weight, kids = 1, node[1]
             for c in kids:
-                if nodes[c][0] == _NOT:
-                    c = nodes[c][1]
+                c >>= 1
                 if nodes[c][0] != _VAR:
-                    k = parents.get(c)
-                    if k is None:
+                    k = parents[c]
+                    if not k:
                         stack.append(c)
-                        k = 0
-                    parents[c] = k + weight
+                    parents[c] = 2 if k else weight
 
-        self.todo: list[tuple[int, bool, list[int]]] = [(root, positive, [])]
+        self.todo: list[tuple[int, list[int]]] = [(root, [])]
         while self.todo:
             self._write(*self.todo.pop())
 
-    def _named(self, g: int, positive: bool) -> int:
-        """g's literal in the given polarity; queues the definition half."""
-        t = self.lit.get(g)
+    def _named(self, g: int) -> int:
+        """The literal of gate reference g; queues the definition half."""
+        t = self.lit.get(g >> 1)
         if t is None:
             self.num_vars += 1
-            t = self.lit[g] = self.num_vars
-        if (g, positive) not in self.queued:
-            self.queued.add((g, positive))
-            self.todo.append((g, positive, [-t] if positive else [t]))
-        return t if positive else -t
+            t = self.lit[g >> 1] = self.num_vars
+        if g not in self.queued:
+            self.queued.add(g)
+            self.todo.append((g, [t] if g & 1 else [-t]))
+        return -t if g & 1 else t
 
-    def _literal(self, c: int, positive: bool) -> int:
-        """The literal of a variable or named gate c (not a not); 0 when c
-        is a private gate."""
-        node = self.nodes[c]
+    def _literal(self, c: int) -> int:
+        """The literal of a reference c to a variable or a named gate; 0
+        when c is a private gate."""
+        k = c >> 1
+        node = self.nodes[k]
         if node[0] == _VAR:
-            return node[1] if positive else -node[1]
-        if c in self.lit or self.parents[c] > 1:
-            return self._named(c, positive)
+            return -node[1] if c & 1 else node[1]
+        if k in self.lit or self.parents[k] > 1:
+            return self._named(c)
         return 0
 
     def _operand(self, c: int) -> int:
         """The literal of a xor operand, defined both ways if a gate."""
-        positive = True
-        if self.nodes[c][0] == _NOT:
-            c, positive = self.nodes[c][1], False
-        if self.nodes[c][0] != _VAR:
-            self._named(c, not positive)
-        return self._literal(c, positive)
+        if self.nodes[c >> 1][0] != _VAR:
+            self._named(c ^ 1)
+        return self._literal(c)
 
-    def _write(self, g: int, positive: bool, context: list[int]):
+    def _write(self, g: int, context: list[int]):
         nodes = self.nodes
-        node = nodes[g]
+        node = nodes[g >> 1]
         tag = node[0]
         if tag == _XOR:
             a, b = self._operand(node[1]), self._operand(node[2])
-            if not positive:
+            if g & 1:
                 b = -b
             self.clauses.append(context + [a, b])
             self.clauses.append(context + [-a, -b])
             return
-        if (tag == _AND) == positive:  # conjunction position
+        s = g & 1
+        if (tag == _AND) != s:  # conjunction position
             for c in node[1]:
-                p = positive
-                if nodes[c][0] == _NOT:
-                    c, p = nodes[c][1], not p
-                lit = self._literal(c, p)
+                c ^= s
+                lit = self._literal(c)
                 if lit:
                     self.clauses.append(context + [lit])
                 else:
-                    self.todo.append((c, p, context))
+                    self.todo.append((c, context))
             return
         clause = list(context)
         inline = None
-        flat = [(g, positive)]
+        flat = [g]
         while flat:
-            f, fpos = flat.pop()
-            for c in nodes[f][1]:
-                p = fpos
-                if nodes[c][0] == _NOT:
-                    c, p = nodes[c][1], not p
-                lit = self._literal(c, p)
+            f = flat.pop()
+            s = f & 1
+            for c in nodes[f >> 1][1]:
+                c ^= s
+                lit = self._literal(c)
                 if lit:
                     clause.append(lit)
-                elif nodes[c][0] != _XOR and (nodes[c][0] == _OR) == p:
-                    flat.append((c, p))  # disjunction position: same clause
+                elif nodes[c >> 1][0] != _XOR and (nodes[c >> 1][0] == _OR) != c & 1:
+                    flat.append(c)  # disjunction position: same clause
                 elif inline is None:
-                    inline = (c, p)
+                    inline = c
                 else:
-                    clause.append(self._named(c, p))
+                    clause.append(self._named(c))
         if inline is not None:
             if len(clause) < _INLINE_LIMIT:
-                self.todo.append((inline[0], inline[1], clause))
+                self.todo.append((inline, clause))
                 return
-            clause.append(self._named(*inline))
+            clause.append(self._named(inline))
         self.clauses.append(clause)
 
 
@@ -739,24 +723,19 @@ def _tseitin_var_deps(
     first."""
     cone: dict[int, frozenset[int]] = {}
     out: dict[int, frozenset[int]] = {}
-    for n in lit:
-        node = store.nodes[n]
+    for r in lit:
+        node = store.nodes[r >> 1]
         tag = node[0]
         if tag == _CONST:
-            cone[n] = frozenset()
+            cone[r] = frozenset()
         elif tag == _VAR:
-            cone[n] = var_deps.get(node[1], frozenset())
-        elif tag == _NOT:
-            cone[n] = cone[node[1]]
-        elif tag in (_AND, _OR):
-            acc: frozenset[int] = frozenset()
-            for c in node[1]:
-                acc |= cone[c]
-            cone[n] = acc
+            cone[r] = var_deps.get(node[1], frozenset())
         else:
-            cone[n] = cone[node[1]] | cone[node[2]]
-        if tag in (_AND, _OR, _XOR):
-            out[lit[n]] = cone[n]
+            acc: frozenset[int] = frozenset()
+            for c in node[1] if tag != _XOR else node[1:]:
+                acc |= cone[c & ~1]
+            cone[r] = acc
+            out[lit[r]] = acc
     return out
 
 
@@ -778,20 +757,20 @@ def _dimacs(num_vars: int, lines: list[str], blocks=(), deps=()) -> str:
 
 def emit_dimacs(problem: QuantifiedProblem) -> str:
     """Plain CNF text for purely existential problems: the header, then
-    the clause lines of one `tseitin(..., text=True)` walk."""
+    the clause lines of one `tseitin` walk."""
     if not problem.is_sat_fragment():
         raise ValueError("problem is not purely existential")
-    lines, _, num_vars = tseitin(problem.store, problem.matrix, text=True)
+    lines, _, num_vars = tseitin(problem.store, problem.matrix)
     return _dimacs(num_vars, lines)
 
 
 def emit_qdimacs(problem: QuantifiedProblem) -> str:
     """Prenex QBF text; Tseitin variables join the innermost existentials.
 
-    The clause lines come from one `tseitin(..., text=True)` walk."""
+    The clause lines come from one `tseitin` walk."""
     if problem.deps is not None:
         raise ValueError("problem has dependency annotations; use emit_dqdimacs")
-    lines, _, num_vars = tseitin(problem.store, problem.matrix, text=True)
+    lines, _, num_vars = tseitin(problem.store, problem.matrix)
     fresh = ("e", range(problem.store.num_vars + 1, num_vars + 1))
     # adjacent nonempty blocks of one quantifier merge into one line
     nonempty = [block for block in [*problem.prefix, fresh] if block[1]]
@@ -803,12 +782,12 @@ def emit_qdimacs(problem: QuantifiedProblem) -> str:
 def emit_dqdimacs(problem: QuantifiedProblem) -> str:
     """QDIMACS extended with explicit `d` dependency lines per existential.
 
-    The clause lines come from one `tseitin(..., text=True)` walk, and the
+    The clause lines come from one `tseitin` walk, and the
     `d` lines of its definition variables from that walk's literal map,
     without walking the cone again."""
     if problem.deps is None:
         raise ValueError("problem has no dependency annotations; use emit_qdimacs")
-    lines, lit, num_vars = tseitin(problem.store, problem.matrix, text=True)
+    lines, lit, num_vars = tseitin(problem.store, problem.matrix)
 
     universals = problem.universals()
     deps = dict(problem.deps)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automaton import compile_guard
-from .logic import _NOT, _OR, FALSE, TRUE, Store
+from .logic import _OR, FALSE, Store
 
 MEALY = "mealy"
 MOORE = "moore"
@@ -116,7 +116,8 @@ def to_aiger(ts: TransitionSystem) -> str:
     ii | t << I where it is true at input valuation ii in state t < n.
     `automaton.compile_guard` builds it in a fresh `logic.Store` whose
     variables 1..I+L are the inputs, then the latches: AIGER literal 2v is
-    variable v.  A children-first walk of each root's cone numbers the ANDs:
+    variable v, and a reference's low bit negates it as a literal's does.
+    A children-first walk of each root's cone numbers the ANDs:
     an and/or becomes a left-to-right chain of two-input ANDs, an or the AND
     of its negations, and equal (left, right) pairs share one AND.
     """
@@ -134,28 +135,30 @@ def to_aiger(ts: TransitionSystem) -> str:
     roots = [compiled(lambda t, i: ts.trans[(t, i)] >> j & 1) for j in range(state_bits)]
     roots += [compiled(lambda t, i: name in ts.label[(t, i)]) for name in ts.outputs]
 
-    lit = {FALSE: 0, TRUE: 1}
+    lit = {FALSE: 0}  # plain reference -> AIGER literal
     lit.update((atoms[name], 2 * (j + 1)) for j, name in enumerate(alphabet))
+
+    def aiger(f: int) -> int:
+        """Reference f's AIGER literal: its plain one's, with f's sign bit."""
+        return lit[f & ~1] ^ f & 1
+
     gates: dict[tuple[int, int], int] = {}  # (left, right) -> the AND's literal
     for root in roots:
         for f in store.reachable(root):
             if f in lit:
                 continue
-            tag, kids = store.nodes[f]
-            if tag == _NOT:
-                lit[f] = lit[kids] ^ 1
-                continue
+            tag, kids = store.nodes[f >> 1]
             flip = tag == _OR  # a or b = not (not a and not b)
-            acc = lit[kids[0]] ^ flip
+            acc = aiger(kids[0]) ^ flip
             for c in kids[1:]:
-                acc = gates.setdefault((acc, lit[c] ^ flip), 2 * (n_in + state_bits + len(gates) + 1))
+                acc = gates.setdefault((acc, aiger(c) ^ flip), 2 * (n_in + state_bits + len(gates) + 1))
             lit[f] = acc ^ flip
 
     lines = [f"aag {n_in + state_bits + len(gates)} {n_in} {state_bits} "
              f"{len(ts.outputs)} {len(gates)}"]
     lines += [str(2 * (j + 1)) for j in range(n_in)]
-    lines += [f"{2 * (n_in + j + 1)} {lit[roots[j]]}" for j in range(state_bits)]
-    lines += [str(lit[f]) for f in roots[state_bits:]]
+    lines += [f"{2 * (n_in + j + 1)} {aiger(roots[j])}" for j in range(state_bits)]
+    lines += [str(aiger(f)) for f in roots[state_bits:]]
     lines += [f"{lhs} {a} {b}" for (a, b), lhs in gates.items()]
     lines += [f"i{j} {name}" for j, name in enumerate(ts.inputs)]
     lines += [f"l{j} state_bit_{j}" for j in range(state_bits)]

@@ -11,7 +11,7 @@ import itertools
 import random
 
 from ltlsynth import ltl
-from ltlsynth.logic import _AND, _CONST, _NOT, _VAR, _XOR, FALSE, TRUE
+from ltlsynth.logic import _AND, _CONST, _VAR, _XOR, FALSE, TRUE
 from ltlsynth.ltl import LtlFormula
 
 
@@ -315,11 +315,9 @@ def eager_expand(problem):
     allocation order, and a memo that lives for one assignment
     only, so every node is rebuilt once per full assignment and no
     three-valued shortcut is taken.  Its expanded formula and clause form
-    must equal expand's node for node, up to node ids: expand skips the
-    rebuilds that only fold to a constant, so it never creates the
-    unreachable nodes those leave here.  With no universals the final
-    and_ can intern the matrix's negation, which `expand` skips by
-    returning the matrix itself.
+    must equal expand's node for node, up to references: expand skips
+    the rebuilds that only fold to a constant, so it never creates the
+    unreachable nodes those leave here.
     """
     store = problem.store
     universals = problem.universals()
@@ -342,32 +340,35 @@ def eager_expand(problem):
 
 def _substitute(store, root, mapping):
     """root with variables replaced per mapping; and/or stop at an absorbing child."""
-    memo = {}
+    memo = {}  # by node index; a negated reference takes the complement
 
-    def go(n):
-        if n in memo:
-            return memo[n]
-        node = store.nodes[n]
-        tag = node[0]
-        if tag == _CONST:
-            r = n
-        elif tag == _VAR:
-            r = mapping.get(node[1], n)
-        elif tag == _NOT:
-            r = store.not_(go(node[1]))
-        elif tag == _XOR:
-            r = store.xor2(go(node[1]), go(node[2]))
-        else:
-            r = FALSE if tag == _AND else TRUE  # the absorbing value
-            parts = []
-            for c in node[1]:
-                m = go(c)
-                if m == r:
-                    break
-                parts.append(m)
+    def go(f):
+        n = f >> 1
+        if n not in memo:
+            node = store.nodes[n]
+            tag = node[0]
+            if tag == _CONST:
+                r = FALSE
+            elif tag == _VAR:
+                r = mapping.get(node[1], store.var(node[1]))
+            elif tag == _XOR:
+                r = store.xor2(go(node[1]), go(node[2]))
             else:
-                r = store.and_(parts) if tag == _AND else store.or_(parts)
-        memo[n] = r
-        return r
+                r = FALSE if tag == _AND else TRUE  # the absorbing value
+                parts = []
+                for c in node[1]:
+                    m = go(c)
+                    if m == r:
+                        break
+                    parts.append(m)
+                else:
+                    r = store.and_(parts) if tag == _AND else store.or_(parts)
+            memo[n] = r
+        return store.not_(memo[n]) if f & 1 else memo[n]
 
     return go(root)
+
+
+def clause_lists(lines):
+    """The DIMACS clause lines of a full `tseitin` as lists of ints."""
+    return [[int(x) for x in line.split()[:-1]] for line in lines]

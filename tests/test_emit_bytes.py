@@ -23,7 +23,7 @@ import sys
 
 from ltlsynth.driver import RunConfig, build_problem, make_sides
 from ltlsynth.ltl import load_spec
-from ltlsynth.logic import (FALSE, TRUE, QuantifiedProblem, Store, emit_dimacs, emit_dqdimacs,
+from ltlsynth.logic import (FALSE, QuantifiedProblem, Store, emit_dimacs, emit_dqdimacs,
                             emit_qdimacs)
 from suite import SUITE, arbiter_doc
 
@@ -79,34 +79,37 @@ def test_emitted_bytes_match_pinned_digests():
 
 def _rebuilt(problem: QuantifiedProblem) -> tuple[QuantifiedProblem, dict[int, int]]:
     """The same problem built again in a fresh store, and the map from the
-    old node ids to the new ones.  The variables come first, in the same
-    order; then the matrix's gates, children first, in `Store.reachable`
-    order, which visits a gate's last child first where the encoders build
-    the first child first."""
+    old plain references to the new ones.  The variables come first, in the
+    same order; then the matrix's gates, children first, in
+    `Store.reachable` order, which visits a gate's last child first where
+    the encoders build the first child first."""
     old, store = problem.store, Store()
     for _ in range(old.num_vars):
         store.new_var()
     gate = {"a": store.and_, "o": store.or_}
-    new = {FALSE: FALSE, TRUE: TRUE}
-    for n in old.reachable(problem.matrix):
-        node = old.nodes[n]
+    new = {FALSE: FALSE}
+
+    def ref(f):
+        return store.not_(new[f & ~1]) if f & 1 else new[f]
+
+    for f in old.reachable(problem.matrix):
+        node = old.nodes[f >> 1]
         if node[0] == "v":
-            new[n] = store.var(node[1])
-        elif node[0] == "n":
-            new[n] = store.not_(new[node[1]])
+            new[f] = store.var(node[1])
         elif node[0] == "x":
-            new[n] = store.xor2(new[node[1]], new[node[2]])
+            new[f] = store.xor2(ref(node[1]), ref(node[2]))
         elif node[0] in gate:
-            new[n] = gate[node[0]]([new[c] for c in node[1]])
-    return QuantifiedProblem(store, new[problem.matrix], problem.prefix, problem.deps), new
+            new[f] = gate[node[0]]([ref(c) for c in node[1]])
+    return QuantifiedProblem(store, ref(problem.matrix), problem.prefix, problem.deps), new
 
 
 def test_emitted_bytes_ignore_construction_order():
     """Each suite spec on both sides, and arbiter k = 2, 3 on both sides, at
     n = 2 on every encoding, built by the encoder and again in another
-    order: the emitted text is the same although the node ids are not.  An
-    encoder passing a gate, whose id follows construction order, to
-    `Store.xor2`, which orders its operands by id, would fail here."""
+    order: the emitted text is the same although the references are not.
+    An encoder passing a gate, whose reference follows construction order,
+    to `Store.xor2`, which orders its operands by reference, would fail
+    here."""
     sides = [side for bench in SUITE for side in make_sides(bench.spec, RunConfig())]
     for k in (2, 3):
         sides += make_sides(load_spec(json.dumps(arbiter_doc(k))), RunConfig())

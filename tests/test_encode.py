@@ -22,7 +22,7 @@ from ltlsynth.encode import (
     extract,
 )
 from ltlsynth.driver import RunConfig, build_problem, make_sides
-from ltlsynth.logic import _AND, _NOT, _OR, _XOR, FALSE, Store
+from ltlsynth.logic import _AND, _OR, _XOR, FALSE, Store
 from ltlsynth.ltl import load_spec, parse_ltl
 from ltlsynth.solve import solve_internal
 from ltlsynth.verify import build_run_graph, check_annotation, model_check
@@ -123,18 +123,18 @@ def test_compile_guard_is_one_or_of_cube_ands():
     node = compile_guard(store, alphabet, a.guards[(0, 0)], atoms)
     na, nb, nc = (store.not_(atoms[name]) for name in "abc")
     cubes = (store.and_([na, nb]), store.and_([na, nc]), store.and_([atoms["a"], atoms["b"], atoms["c"]]))
-    assert store.nodes[node] == (_OR, cubes)
-    assert store.nodes[cubes[2]] == (_AND, (atoms["a"], atoms["b"], atoms["c"]))
+    assert store.nodes[node >> 1] == (_OR, cubes)
+    assert store.nodes[cubes[2] >> 1] == (_AND, (atoms["a"], atoms["b"], atoms["c"]))
 
 
 def _depth(store, root):
     """Levels on the longest path from root down to a leaf."""
     depth = {}
-    for n in store.reachable(root):
-        node = store.nodes[n]
-        kids = node[1] if node[0] in (_AND, _OR) else node[1:] if node[0] in (_NOT, _XOR) else ()
-        depth[n] = 1 + max((depth[c] for c in kids), default=0)
-    return depth[root]
+    for f in store.reachable(root):
+        node = store.nodes[f >> 1]
+        kids = node[1] if node[0] in (_AND, _OR) else node[1:] if node[0] == _XOR else ()
+        depth[f] = 1 + max((depth[c & ~1] for c in kids), default=0)
+    return depth[root & ~1]
 
 
 def _parity_doc():

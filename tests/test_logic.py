@@ -28,7 +28,7 @@ from ltlsynth.logic import (
     tseitin,
 )
 from ltlsynth.solve import sat_solve, solve_internal
-from oracles import _substitute, dpll
+from oracles import _substitute, clause_lists, dpll
 from suite import SUITE, arbiter_doc
 
 
@@ -83,7 +83,7 @@ def test_tseitin_equisatisfiable_and_witnessed():
         vids = [s.new_var() for j in range(rng.randrange(1, 6))]
         nodes = [s.var(v) for v in vids]
         root = _rand_formula(s, rng, nodes, 3)
-        clauses, lit, num_vars = tseitin(s, root)
+        clauses = clause_lists(tseitin(s, root)[0])
 
         truth = False
         for bits in itertools.product([False, True], repeat=len(vids)):
@@ -101,12 +101,13 @@ def test_tseitin_equisatisfiable_and_witnessed():
 def test_tseitin_trivial_cases():
     s = Store()
     v = s.new_var()
-    clauses, _, n = tseitin(s, s.var(v))
-    assert clauses == [[1]] and n == 1
+    lines, _, n = tseitin(s, s.var(v))
+    assert lines == ["1 0\n"] and n == 1
 
     a, b = s.new_var(), s.new_var()
     root = s.and_([s.var(a), s.var(b)])
-    clauses, lit, n = tseitin(s, root)
+    lines, lit, n = tseitin(s, root)
+    clauses = clause_lists(lines)
     t = lit[root]
     assert [t] in clauses
     assert sorted(map(sorted, clauses)) == sorted(
@@ -123,7 +124,8 @@ def test_tseitin_evaluation_agreement_with_witness_extension():
         root = _rand_formula(s, rng, nodes, 3)
         if root in (TRUE, FALSE):
             continue
-        clauses, lit, num_vars = tseitin(s, root)
+        lines, lit, num_vars = tseitin(s, root)
+        clauses = clause_lists(lines)
         defs = {n: l for n, l in lit.items() if l > len(vids)}
         for bits in itertools.product([False, True], repeat=3):
             assignment = dict(zip(vids, bits))
@@ -239,7 +241,7 @@ def test_deep_chain_evaluates_and_emits():
     doc = read_dimacs(emit_dimacs(QuantifiedProblem(s, f, [("e", xs + ys)])))
     full, _, num_vars = tseitin(s, f)
     assert doc.num_vars == num_vars == s.num_vars + 2 * depth
-    assert doc.clauses == full
+    assert doc.clauses == clause_lists(full)
     clauses, _, num_vars = tseitin(s, f, one_sided=True)
     result = sat_solve(clauses + [[-x] for x in xs[1:]], num_vars)
     assert result.status == "sat" and result.model.assignment[xs[0]]
@@ -310,6 +312,35 @@ def test_gate_creates_no_negations():
     assert s.and_([nx, xs[2], xs[1]]) == FALSE
 
 
+def test_negation_builds_no_node():
+    """A negation is a reference's low bit.  On the 3-client arbiter's
+    system side at n=3, the constant is the one node outside the matrix's
+    cone on every encoding; and a gate's complement folds on the
+    two-operand and the n-ary paths, in xor2 and in implies, adding no
+    node."""
+    spec = load_spec(json.dumps(arbiter_doc(3)))
+    side = make_sides(spec, RunConfig())[0]
+    assert side.role == "system"
+    for encoding in ("basic", "input", "state", "full"):
+        problem, _ = build_problem(side, 3, RunConfig(encoding=encoding))
+        store = problem.store
+        outside = set(range(0, 2 * len(store.nodes), 2)) - set(store.reachable(problem.matrix))
+        assert outside == {FALSE}, (encoding, len(outside))
+
+    s = Store()
+    a, b, c = (s.var(s.new_var()) for _ in "abc")
+    g = s.and_([a, b])
+    before = len(s.nodes)
+    ng = s.not_(g)
+    assert s.not_(ng) == g and ng != g
+    for gate, absorbing in ((s.and_, FALSE), (s.or_, TRUE)):
+        assert gate([g, ng]) == gate([ng, g]) == absorbing
+        assert gate([c, g, ng]) == gate([a, c, ng, g]) == absorbing
+    assert s.xor2(g, ng) == s.xor2(ng, g) == TRUE
+    assert s.implies(g, g) == s.implies(ng, ng) == TRUE
+    assert len(s.nodes) == before
+
+
 def test_binary_gates_match_the_loop():
     """and_/or_ on two operands and implies return the node, and leave the
     store, that the n-ary loop does: two stores are built in lockstep, one
@@ -326,7 +357,7 @@ def test_binary_gates_match_the_loop():
         for step in range(60):
             op, mode = rng.choice(("and", "or", "implies")), rng.choice(modes)
             a = rng.choice(pool)
-            if mode in ("fresh", "fresh-equal"):  # a variable whose not is never built first
+            if mode in ("fresh", "fresh-equal"):  # a variable never negated before
                 v = fast.new_var()
                 assert loop.new_var() == v
                 b = fast.var(v)
@@ -334,7 +365,7 @@ def test_binary_gates_match_the_loop():
                     a = b
             elif mode == "equal":
                 b = a
-            elif mode in ("complement", "not"):  # builds the not first
+            elif mode in ("complement", "not"):  # negates first
                 c = a if mode == "complement" else rng.choice(pool)
                 b = fast.not_(c)
                 assert loop.not_(c) == b
@@ -551,8 +582,8 @@ def _assert_text_matches_clauses(problem):
     else:
         emitter = emit_dimacs if problem.is_sat_fragment() else emit_qdimacs
     doc = read_dimacs(emitter(problem))
-    clauses, _, num_vars = tseitin(problem.store, problem.matrix)
-    assert doc.clauses == clauses
+    lines, _, num_vars = tseitin(problem.store, problem.matrix)
+    assert doc.clauses == clause_lists(lines)
     assert doc.num_vars == num_vars
 
 
@@ -652,12 +683,13 @@ def _assert_tables_fold_like_substitution(s, root, universals):
         T, F = next(blocks)
         for j in range(size):
             mapping = {u: TRUE if block + j & b else FALSE for u, b in bit.items()}
-            for n in order:
-                t, f = T[n] >> j & 1, F[n] >> j & 1
-                assert not (t and f)
-                if t or f:
-                    assert _substitute(s, n, mapping) == (TRUE if t else FALSE)
-                    decided += 1
+            for f in order:
+                for r in (f, f + 1):  # plain and negated
+                    t, f = T[r] >> j & 1, F[r] >> j & 1
+                    assert not (t and f)
+                    if t or f:
+                        assert _substitute(s, r, mapping) == (TRUE if t else FALSE)
+                        decided += 1
     return decided
 
 

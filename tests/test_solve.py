@@ -9,10 +9,10 @@ from itertools import product
 import pytest
 
 from ltlsynth.driver import RunConfig, build_problem, make_sides
-from ltlsynth.logic import _AND, _NOT, _OR, _XOR, FALSE, TRUE, QuantifiedProblem, Store, tseitin
+from ltlsynth.logic import _AND, _OR, _XOR, FALSE, TRUE, QuantifiedProblem, Store, tseitin
 from ltlsynth.ltl import load_spec
 from ltlsynth.solve import ExpansionLimitError, external_solve, sat_solve, solve_internal
-from oracles import dpll, eager_expand, eval_qbf_naive
+from oracles import clause_lists, dpll, eager_expand, eval_qbf_naive
 from suite import arbiter_doc
 
 STUB = f"{sys.executable} {os.path.join(os.path.dirname(__file__), 'external_stub.py')} {{file}}"
@@ -255,8 +255,8 @@ def test_sat_trajectory_pin_arbiter3():
     spec = load_spec(json.dumps(arbiter_doc(3)))
     side = make_sides(spec, RunConfig(counter_strategy="off"))[0]
     problem, _ = build_problem(side, 3, RunConfig(encoding="basic"))
-    clauses, _, nv = tseitin(problem.store, problem.matrix)
-    result = sat_solve(clauses, nv)
+    lines, _, nv = tseitin(problem.store, problem.matrix)
+    result = sat_solve(clause_lists(lines), nv)
     assert result.status == "sat"
     assert result.stats == {
         "conflicts": 31,
@@ -471,24 +471,25 @@ def test_expansion_cap_counts_copies():
 
 
 def _cone(store, root):
-    """root's cone in `reachable` order, each child named by its place there."""
+    """root's cone in `reachable` order, each child named by its place
+    there and its sign, as the reference 2 * place + sign."""
     order = store.reachable(root)
-    place = {n: k for k, n in enumerate(order)}
+    place = {f: k for k, f in enumerate(order)}
     out = []
-    for n in order:
-        node = store.nodes[n]
+    for f in order:
+        node = store.nodes[f >> 1]
         if node[0] in (_AND, _OR):
-            node = (node[0], tuple(place[c] for c in node[1]))
-        elif node[0] in (_NOT, _XOR):
-            node = (node[0], *(place[c] for c in node[1:]))
+            node = (node[0], tuple(2 * place[c & ~1] + (c & 1) for c in node[1]))
+        elif node[0] == _XOR:
+            node = (node[0], *(2 * place[c & ~1] + (c & 1) for c in node[1:]))
         out.append(node)
-    return out
+    return out, root & 1
 
 
 def _assert_expands_like_eager(problem):
     """expand builds what eager expansion builds, and no node beside it.
 
-    Node ids may differ: eager's rebuilds leave unreachable nodes that
+    References may differ: eager's rebuilds leave unreachable nodes that
     expand skips creating.  Everything reachable must match exactly."""
     blob = pickle.dumps(problem)
     ours, ref = pickle.loads(blob), pickle.loads(blob)
@@ -498,12 +499,12 @@ def _assert_expands_like_eager(problem):
     assert _cone(ours.store, root) == _cone(ref.store, ref_root)
     ours_cnf, ref_cnf = tseitin(ours.store, root, True), tseitin(ref.store, ref_root, True)
     assert (ours_cnf[0], ours_cnf[2]) == (ref_cnf[0], ref_cnf[2])
-    in_ref: list[int] = []  # our node id -> eager's id of the same node
+    in_ref: list[int] = []  # our node index -> eager's plain reference to the same node
     for node in ours.store.nodes:
         if node[0] in (_AND, _OR):
-            node = (node[0], tuple(in_ref[c] for c in node[1]))
-        elif node[0] in (_NOT, _XOR):
-            node = (node[0], *sorted(in_ref[c] for c in node[1:]))
+            node = (node[0], tuple(in_ref[c >> 1] ^ c & 1 for c in node[1]))
+        elif node[0] == _XOR:
+            node = (node[0], *sorted(in_ref[c >> 1] ^ c & 1 for c in node[1:]))
         assert node in ref.store._intern, f"expand made a node eager expansion lacks: {node}"
         in_ref.append(ref.store._intern[node])
 
@@ -600,8 +601,8 @@ def test_external_differential_against_internal():
         if p.matrix in (TRUE, FALSE):
             continue
         theirs = external_solve(p, STUB)
-        clauses_cnf, _, nv = tseitin(s, p.matrix)
-        ours = sat_solve(clauses_cnf, nv)
+        lines, _, nv = tseitin(s, p.matrix)
+        ours = sat_solve(clause_lists(lines), nv)
         assert theirs.status == ours.status
 
 
