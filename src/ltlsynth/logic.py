@@ -4,7 +4,10 @@ Formulas live in a Store: an append-only arena of hash-consed and, or and
 xor gates over variables.  A formula is a reference 2k + s to node k,
 negated when s is 1, so negation flips the low bit and builds no node:
 the convention of AIGER literals.  Node 0 is the constant, so FALSE is 0
-and TRUE is 1.  Children always precede parents, constants are folded at
+and TRUE is 1.  A variable's node is (tag, its number); every other node
+is (tag, a tuple of child references), empty for the constant and two
+ascending ones for a xor, so every walk reads node[1] as a node's
+children.  Children always precede parents, constants are folded at
 construction time, and syntactically equal builds return the same
 reference.  An and/or of two operands, and an implication, are folded
 and interned in one step, without the n-ary loop.  Variables are numbered
@@ -35,7 +38,7 @@ class Store:
     """Arena of hash-consed formula nodes plus the variable table."""
 
     def __init__(self):
-        self.nodes: list[tuple] = [(_CONST, False)]  # node k has references 2k and 2k + 1
+        self.nodes: list[tuple] = [(_CONST, ())]  # node k has references 2k and 2k + 1
         self._intern: dict[tuple, int] = {self.nodes[0]: FALSE}  # node -> its plain reference
         # f -> f ^ 1 for each negation taken, both ways: one shared int per
         # complement, where f ^ 1 makes a new one at every call
@@ -124,7 +127,7 @@ class Store:
             return TRUE
         if a > b:
             a, b = b, a
-        return self._mk((_XOR, a, b))
+        return self._mk((_XOR, (a, b)))
 
     def implies(self, a: int, b: int) -> int:
         """or_([not_(a), b]) in one step; b complements not a only when
@@ -158,7 +161,8 @@ class Store:
             elif tag == _OR:
                 v = any(value[c] for c in node[1])
             else:
-                v = value[node[1]] != value[node[2]]
+                a, b = node[1]
+                v = value[a] != value[b]
             value[f], value[f + 1] = v, not v
         return value[root]
 
@@ -184,7 +188,7 @@ class Store:
                 node = nodes[f >> 1]
                 tag = node[0]
                 stop = FALSE if tag == _AND else TRUE if tag == _OR else None
-                kids = iter(node[1] if stop is not None else node[1:])
+                kids = iter(node[1])
                 parts: list[int] = []
             elif r != stop:  # resume f; an r equal to stop is its node's rebuild
                 parts.append(r)
@@ -202,7 +206,7 @@ class Store:
                         break
                     parts.append(r)
                 else:
-                    r = self.xor2(parts[0], parts[1]) if tag == _XOR else self._gate(tag, parts)
+                    r = self.xor2(*parts) if tag == _XOR else self._gate(tag, parts)
                 if r is None:
                     frames.append((f, tag, stop, kids, parts))
                     f = c
@@ -232,12 +236,8 @@ class Store:
             seen[n] = 1
             stack.append(~(f & ~1))
             node = nodes[n]
-            tag = node[0]
-            if tag in (_AND, _OR):
+            if node[0] != _VAR:
                 stack.extend(node[1])
-            elif tag == _XOR:
-                stack.append(node[1])
-                stack.append(node[2])
         return order
 
     def variables_in(self, root: int) -> set[int]:
@@ -370,7 +370,8 @@ class QuantifiedProblem:
         Index i sets universal j to bit m-1-j of i, so i counts in
         itertools.product order; a copy is made at the first i showing its
         key.  The rebuild of node n at i depends only on i & mask[n], the
-        bits of the universals in n's cone, so it is made once per such
+        bits of the universals in n's cone (an existential contributes its
+        dependencies' bits; see `_cone_masks`), so it is made once per such
         projection.  A node's memo is cleared when the bits above its
         highest universal outside the cone change: its projections never
         recur.  A node that the Kleene tables of `_block_tables` decide at
@@ -389,7 +390,6 @@ class QuantifiedProblem:
         emask = {e: sum(bit[u] for u in ds) for e, ds in deps.items() if ds}
         nodes = store.nodes
         # by reference, where a node's two references share one entry
-        mask = [0] * (2 * len(nodes))
         memo: list = [None] * (2 * len(nodes))
         # resets[h]: the memos to clear at each i whose lowest set bit is h-1
         resets: list[list[dict]] = [[] for _ in range(m + 1)]
@@ -400,22 +400,18 @@ class QuantifiedProblem:
             for key in product((False, True), repeat=len(deps[e])):
                 first.setdefault(sum(bit[u] for u, b in zip(deps[e], key) if b), []).append((e, key))
         order = store.reachable(root)
+        mask = _cone_masks(nodes, order, {**emask, **bit})
         for f in order:
             node = nodes[f >> 1]
             if node[0] == _VAR:
                 v = node[1]
-                mask[f] = mask[f + 1] = bit.get(v, emask.get(v, 0))
                 if v not in emask:
                     memo[f] = memo[f + 1] = {0: store.var(v)} if v not in bit else {0: FALSE, bit[v]: TRUE}
             elif node[0] == _CONST:
                 memo[f] = memo[f + 1] = {0: FALSE}
             else:
-                b = 0
-                for c in node[1] if node[0] != _XOR else node[1:]:
-                    b |= mask[c]
-                mask[f] = mask[f + 1] = b
                 memo[f] = memo[f + 1] = {}
-                shift = ((1 << m) - 1 & ~b).bit_length()
+                shift = ((1 << m) - 1 & ~mask[f]).bit_length()
                 for h in range(shift + 1, m + 1):
                     resets[h].append(memo[f])
 
@@ -449,6 +445,24 @@ class QuantifiedProblem:
 _TABLE_BITS = 10
 
 
+def _cone_masks(nodes: list[tuple], order, var_mask: dict[int, int]) -> list[int]:
+    """By reference, the OR of var_mask over the variables in each node's
+    cone, for the plain references in order, which lists a cone children
+    first.  A node's two references share its entry; a variable missing
+    from var_mask, and a node outside order, contribute 0."""
+    mask = [0] * (2 * len(nodes))
+    for r in order:
+        node = nodes[r >> 1]
+        if node[0] == _VAR:
+            b = var_mask.get(node[1], 0)
+        else:
+            b = 0
+            for c in node[1]:
+                b |= mask[c]
+        mask[r] = mask[r + 1] = b
+    return mask
+
+
 def _block_tables(nodes: list[tuple], order: list[int], bit: dict[int, int], m: int):
     """Three-valued (Kleene) truth tables of the nodes in order, by block.
 
@@ -460,22 +474,14 @@ def _block_tables(nodes: list[tuple], order: list[int], bit: dict[int, int], m: 
     of T[f] (of F[f]) is set when f is TRUE (FALSE) at index block + j
     whatever the existentials are, so a negation swaps its node's T and F.
     The lists are updated in place between blocks, and only for the nodes
-    with a universal among the bits that changed.  Existentials are
-    unknown, and a node's tables stay 0 when its cone has no universal.
+    with a universal among the bits that changed, which `_cone_masks`
+    finds.  Existentials are unknown, and a node's tables stay 0 when its
+    cone has no universal.
     """
     w = min(m, _TABLE_BITS)
     low, full = (1 << w) - 1, (1 << (1 << w)) - 1
     T, F = [0] * (2 * len(nodes)), [0] * (2 * len(nodes))
-    umask = [0] * (2 * len(nodes))  # bits of the universals in each node's cone, by reference
-    for r in order:
-        node = nodes[r >> 1]
-        b = 0
-        if node[0] == _VAR:
-            b = bit.get(node[1], 0)
-        elif node[0] != _CONST:
-            for c in node[1] if node[0] != _XOR else node[1:]:
-                b |= umask[c]
-        umask[r] = umask[r + 1] = b
+    umask = _cone_masks(nodes, order, bit)
     todo = live = [r for r in order if umask[r]]
     redo: dict[int, list[int]] = {}  # lowest set bit of a block -> the nodes to recompute
     block = 0
@@ -491,7 +497,7 @@ def _block_tables(nodes: list[tuple], order: list[int], bit: dict[int, int], m: 
                     t = full if block & b else 0
                 f = full ^ t
             elif tag == _XOR:
-                a, b = node[1], node[2]
+                a, b = node[1]
                 t = T[a] & F[b] | F[a] & T[b]
                 f = T[a] & T[b] | F[a] & F[b]
             else:  # an or is an and with T and F swapped
@@ -576,7 +582,7 @@ def tseitin(store: Store, root: int, one_sided: bool = False) -> tuple[list, dic
         p = pos[r] = neg[r + 1] = str(v)
         m = neg[r] = pos[r + 1] = "-" + p
         if tag == _XOR:
-            a, b = node[1], node[2]
+            a, b = node[1]
             lines += (f"{m} {pos[a]} {pos[b]} 0\n", f"{m} {neg[a]} {neg[b]} 0\n",
                       f"{p} {pos[a]} {neg[b]} 0\n", f"{p} {neg[a]} {pos[b]} 0\n")
         elif tag != _VAR:  # an or is an and with the texts swapped
@@ -624,11 +630,8 @@ class _ClauseForm:
         stack = [root >> 1]
         while stack:
             node = nodes[stack.pop()]
-            if node[0] == _XOR:
-                weight, kids = 2, node[1:]
-            else:
-                weight, kids = 1, node[1]
-            for c in kids:
+            weight = 2 if node[0] == _XOR else 1
+            for c in node[1]:
                 c >>= 1
                 if nodes[c][0] != _VAR:
                     k = parents[c]
@@ -673,7 +676,7 @@ class _ClauseForm:
         node = nodes[g >> 1]
         tag = node[0]
         if tag == _XOR:
-            a, b = self._operand(node[1]), self._operand(node[2])
+            a, b = map(self._operand, node[1])
             if g & 1:
                 b = -b
             self.clauses.append(context + [a, b])
@@ -712,31 +715,6 @@ class _ClauseForm:
                 return
             clause.append(self._named(inline))
         self.clauses.append(clause)
-
-
-def _tseitin_var_deps(
-    store: Store, lit: dict[int, int], var_deps: dict[int, frozenset[int]]
-) -> dict[int, frozenset[int]]:
-    """Dependency sets for Tseitin variables: union over the node's cone.
-
-    lit is the map of a full `tseitin` call, which lists the cone children
-    first."""
-    cone: dict[int, frozenset[int]] = {}
-    out: dict[int, frozenset[int]] = {}
-    for r in lit:
-        node = store.nodes[r >> 1]
-        tag = node[0]
-        if tag == _CONST:
-            cone[r] = frozenset()
-        elif tag == _VAR:
-            cone[r] = var_deps.get(node[1], frozenset())
-        else:
-            acc: frozenset[int] = frozenset()
-            for c in node[1] if tag != _XOR else node[1:]:
-                acc |= cone[c & ~1]
-            cone[r] = acc
-            out[lit[r]] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -782,19 +760,28 @@ def emit_qdimacs(problem: QuantifiedProblem) -> str:
 def emit_dqdimacs(problem: QuantifiedProblem) -> str:
     """QDIMACS extended with explicit `d` dependency lines per existential.
 
-    The clause lines come from one `tseitin` walk, and the
-    `d` lines of its definition variables from that walk's literal map,
-    without walking the cone again."""
+    The clause lines come from one `tseitin` walk.  A definition variable
+    depends on the universals in its gate's cone and on the dependencies
+    of the existentials there: `_cone_masks` folds them, one bit per
+    universal, over the walk's literal map, which lists the cone children
+    first."""
     if problem.deps is None:
         raise ValueError("problem has no dependency annotations; use emit_qdimacs")
-    lines, lit, num_vars = tseitin(problem.store, problem.matrix)
-
+    store = problem.store
+    lines, lit, num_vars = tseitin(store, problem.matrix)
     universals = problem.universals()
-    deps = dict(problem.deps)
-    uni_deps = {u: frozenset([u]) for u in universals}
-    deps.update(_tseitin_var_deps(problem.store, lit, {**deps, **uni_deps}))
+    ascending = sorted(universals)
+    bit = {u: 1 << j for j, u in enumerate(ascending)}
+    var_mask = {e: sum(bit[u] for u in ds) for e, ds in problem.deps.items()}
+    # a constant matrix maps TRUE, which is no plain reference
+    cone = _cone_masks(store.nodes, [r & ~1 for r in lit], {**var_mask, **bit})
+    # the walk numbers the definition variables in ascending order, after the store's
+    masks = [(e, var_mask[e]) for e in sorted(var_mask)]
+    masks += [(t, cone[r]) for r, t in lit.items() if t > store.num_vars]
+    # one list per distinct mask: many gates share one
+    named = {b: [u for u in ascending if b & bit[u]] for b in {b for _, b in masks}}
     blocks = [("a", universals)] if universals else []
-    return _dimacs(num_vars, lines, blocks, ((v, sorted(deps[v])) for v in sorted(deps)))
+    return _dimacs(num_vars, lines, blocks, ((v, named[b]) for v, b in masks))
 
 
 @dataclass

@@ -352,7 +352,7 @@ def _substitute(store, root, mapping):
             elif tag == _VAR:
                 r = mapping.get(node[1], store.var(node[1]))
             elif tag == _XOR:
-                r = store.xor2(go(node[1]), go(node[2]))
+                r = store.xor2(*map(go, node[1]))
             else:
                 r = FALSE if tag == _AND else TRUE  # the absorbing value
                 parts = []

@@ -97,7 +97,7 @@ def _rebuilt(problem: QuantifiedProblem) -> tuple[QuantifiedProblem, dict[int, i
         if node[0] == "v":
             new[f] = store.var(node[1])
         elif node[0] == "x":
-            new[f] = store.xor2(ref(node[1]), ref(node[2]))
+            new[f] = store.xor2(*map(ref, node[1]))
         elif node[0] in gate:
             new[f] = gate[node[0]]([ref(c) for c in node[1]])
     return QuantifiedProblem(store, ref(problem.matrix), problem.prefix, problem.deps), new

@@ -22,7 +22,7 @@ from ltlsynth.encode import (
     extract,
 )
 from ltlsynth.driver import RunConfig, build_problem, make_sides
-from ltlsynth.logic import _AND, _OR, _XOR, FALSE, Store
+from ltlsynth.logic import _AND, _OR, _VAR, FALSE, Store
 from ltlsynth.ltl import load_spec, parse_ltl
 from ltlsynth.solve import solve_internal
 from ltlsynth.verify import build_run_graph, check_annotation, model_check
@@ -132,7 +132,7 @@ def _depth(store, root):
     depth = {}
     for f in store.reachable(root):
         node = store.nodes[f >> 1]
-        kids = node[1] if node[0] in (_AND, _OR) else node[1:] if node[0] == _XOR else ()
+        kids = node[1] if node[0] != _VAR else ()
         depth[f] = 1 + max((depth[c & ~1] for c in kids), default=0)
     return depth[root & ~1]
 

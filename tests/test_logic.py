@@ -10,7 +10,10 @@ from ltlsynth.ltl import load_spec
 from ltlsynth.logic import (
     _TABLE_BITS,
     _AND,
+    _CONST,
     _OR,
+    _VAR,
+    _XOR,
     FALSE,
     TRUE,
     QuantifiedProblem,
@@ -74,6 +77,46 @@ def _rand_formula(s, rng, var_nodes, depth):
     # if-then-else from three draws: (c and t) or (not c and e)
     c, t, e = (_rand_formula(s, rng, var_nodes, depth - 1) for _ in range(3))
     return s.or_([s.and_([c, t]), s.and_([s.not_(c), e])])
+
+
+def _assert_node_shapes(store):
+    """Every node but a variable is (tag, tuple of child references), each
+    child's node precedes its parent, and a xor's two children ascend."""
+    for k, node in enumerate(store.nodes):
+        tag, kids = node
+        if tag == _VAR:
+            assert type(kids) is int
+            continue
+        assert type(kids) is tuple and all(c >> 1 < k for c in kids), node
+        if tag == _CONST:
+            assert (k, kids) == (0, ())
+        elif tag == _XOR:
+            a, b = kids
+            assert a < b, node
+        else:
+            assert tag in (_AND, _OR) and len(kids) >= 2, node
+
+
+def test_nodes_have_one_shape_children_first():
+    """On random formulas, and on the 3-client arbiter's `state` and
+    `full` stores at n = 3, which hold xor nodes, before and after
+    universal expansion."""
+    rng = random.Random(23)
+    s = Store()
+    pool = [s.var(s.new_var()) for _ in range(5)]
+    roots = [_rand_formula(s, rng, pool, 4) for _ in range(200)]
+    assert any(node[0] == _XOR for node in s.nodes) and len(set(roots)) > 50
+    _assert_node_shapes(s)
+    spec = load_spec(json.dumps(arbiter_doc(3)))
+    [side] = make_sides(spec, RunConfig(counter_strategy="off"))
+    for encoding in ("state", "full"):
+        problem, _ = build_problem(side, 3, RunConfig(encoding=encoding))
+        assert any(node[0] == _XOR for node in problem.store.nodes)
+        _assert_node_shapes(problem.store)
+        before = len(problem.store.nodes)
+        problem.expand()
+        assert len(problem.store.nodes) > before
+        _assert_node_shapes(problem.store)
 
 
 def test_tseitin_equisatisfiable_and_witnessed():
@@ -531,31 +574,57 @@ def test_emit_fragment_mismatch():
 
 
 def test_dqdimacs_tseitin_deps_are_cone_unions():
+    """Each definition variable's `d` line names the universals in its
+    gate's cone and the dependencies of the existentials there, ascending.
+    The gate is read off the full `tseitin` map, and the union is taken
+    over `variables_in`, on random matrices whose universals and
+    existentials are numbered in shuffled order, one existential with no
+    dependencies, and on the constant, a variable and its negation.  Xor
+    gates, negated children and shared gates must all occur."""
+    rng = random.Random(41)
+    seen = {"xor": 0, "negated child": 0, "shared gate": 0, "empty deps in cone": 0}
+    for trial in range(120):
+        s = Store()
+        vids = [s.new_var() for _ in range(rng.randrange(2, 7))]
+        rng.shuffle(vids)
+        k = rng.randrange(1, len(vids))
+        universals, existentials = vids[:k], vids[k:]
+        deps = {e: frozenset(u for u in universals if rng.random() < 0.5) for e in existentials}
+        deps[existentials[0]] = frozenset()
+        x = s.var(existentials[-1])
+        roots = [_rand_formula(s, rng, [s.var(v) for v in vids], 4)]
+        if trial == 0:
+            roots += [TRUE, FALSE, x, s.not_(x)]
+        for root in roots:
+            problem = QuantifiedProblem(s, root, [("a", universals), ("e", existentials)], deps=deps)
+            text = emit_dqdimacs(problem)
+            doc = read_dimacs(text)
+            _, lit, _ = tseitin(s, root)
+            want = {e: sorted(ds) for e, ds in deps.items()}
+            parents: dict[int, int] = {}
+            for r, t in lit.items():
+                if t <= s.num_vars:
+                    continue
+                cone = set()
+                variables = s.variables_in(r)
+                for v in variables:
+                    cone |= {v} if v in universals else deps[v]
+                want[t] = sorted(cone)
+                node = s.nodes[r >> 1]
+                seen["xor"] += node[0] == _XOR
+                seen["negated child"] += any(c & 1 for c in node[1])
+                seen["empty deps in cone"] += existentials[0] in variables
+                for c in node[1]:
+                    if s.nodes[c >> 1][0] != _VAR:
+                        parents[c >> 1] = parents.get(c >> 1, 0) + 1
+            seen["shared gate"] += any(n > 1 for n in parents.values())
+            assert doc.dep_lines == sorted(want.items())
+            assert doc.render() == text
+    assert all(seen.values()), seen
     s = Store()
-    u1, u2 = s.new_var(), s.new_var()
-    e1, e2 = s.new_var(), s.new_var()
-    matrix = s.and_([
-        s.or_([s.var(e1), s.var(u1)]),
-        s.or_([s.var(e2), s.var(u2)]),
-    ])
-    p = QuantifiedProblem(
-        s,
-        matrix,
-        [("a", [u1, u2]), ("e", [e1, e2])],
-        deps={e1: frozenset([u1]), e2: frozenset([u1, u2])},
-    )
-    text = emit_dqdimacs(p)
-    doc = read_dimacs(text)
-    deps = {v: set(ds) for v, ds in doc.dep_lines}
-    assert deps[e1] == {u1}
-    assert deps[e2] == {u1, u2}
-    # or-gate over {e1,u1} depends on u1 only; the top and-gate on both
-    tseitin_deps = [ds for v, ds in doc.dep_lines if v > 4]
-    assert {frozenset(d) for d in tseitin_deps} == {
-        frozenset([u1]),
-        frozenset([u1, u2]),
-    }
-    assert doc.render() == text
+    u, e = s.new_var(), s.new_var()
+    problem = QuantifiedProblem(s, TRUE, [("a", [u]), ("e", [e])], deps={e: frozenset([u])})
+    assert emit_dqdimacs(problem) == "p cnf 2 0\na 1 0\nd 2 1 0\n"
 
 
 def test_round_trip_byte_identical():

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from ltlsynth.driver import RunConfig, build_problem, make_sides
-from ltlsynth.logic import _AND, _OR, _XOR, FALSE, TRUE, QuantifiedProblem, Store, tseitin
+from ltlsynth.logic import _VAR, _XOR, FALSE, TRUE, QuantifiedProblem, Store, tseitin
 from ltlsynth.ltl import load_spec
 from ltlsynth.solve import ExpansionLimitError, external_solve, sat_solve, solve_internal
 from oracles import clause_lists, dpll, eager_expand, eval_qbf_naive
@@ -478,10 +478,8 @@ def _cone(store, root):
     out = []
     for f in order:
         node = store.nodes[f >> 1]
-        if node[0] in (_AND, _OR):
+        if node[0] != _VAR:
             node = (node[0], tuple(2 * place[c & ~1] + (c & 1) for c in node[1]))
-        elif node[0] == _XOR:
-            node = (node[0], *(2 * place[c & ~1] + (c & 1) for c in node[1:]))
         out.append(node)
     return out, root & 1
 
@@ -501,10 +499,9 @@ def _assert_expands_like_eager(problem):
     assert (ours_cnf[0], ours_cnf[2]) == (ref_cnf[0], ref_cnf[2])
     in_ref: list[int] = []  # our node index -> eager's plain reference to the same node
     for node in ours.store.nodes:
-        if node[0] in (_AND, _OR):
-            node = (node[0], tuple(in_ref[c >> 1] ^ c & 1 for c in node[1]))
-        elif node[0] == _XOR:
-            node = (node[0], *sorted(in_ref[c >> 1] ^ c & 1 for c in node[1:]))
+        if node[0] != _VAR:
+            kids = [in_ref[c >> 1] ^ c & 1 for c in node[1]]
+            node = (node[0], tuple(sorted(kids) if node[0] == _XOR else kids))
         assert node in ref.store._intern, f"expand made a node eager expansion lacks: {node}"
         in_ref.append(ref.store._intern[node])
 
