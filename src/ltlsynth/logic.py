@@ -13,9 +13,8 @@ reference.  An and/or of two operands, and an implication, are folded
 and interned in one step, without the n-ary loop.  Variables are numbered
 densely from 1 in allocation order, which doubles as the DIMACS numbering.
 Cones are walked, and expanded, with explicit stacks, so no formula is too
-deep to evaluate, expand, convert or emit.  The emitted files carry the
-full definitions of `tseitin`, written as text by the walk that numbers
-the gates; the internal solver gets its clause form.
+deep to evaluate, expand, convert or emit.  `tseitin` has one CNF, a
+clause form, which the internal solver reads and the emitted files carry.
 """
 
 from __future__ import annotations
@@ -526,76 +525,31 @@ def _block_tables(nodes: list[tuple], order: list[int], bit: dict[int, int], m: 
 _INLINE_LIMIT = 8
 
 
-def tseitin(store: Store, root: int, one_sided: bool = False) -> tuple[list, dict[int, int], int]:
-    """Equisatisfiable CNF: full definitions as DIMACS lines, or a clause form.
+def tseitin(store: Store, root: int) -> tuple[list[list[int]], dict[int, int], int]:
+    """Equisatisfiable CNF of root in clause form (Plaisted and Greenbaum,
+    1986; Jackson and Sheridan, 2004), as lists of ints.
 
     Returns (clauses, reference->literal map, total variable count).
     Original variables keep their numbers; definition variables are
-    numbered above them.  A constant root yields the trivial or the empty
-    clause.
+    numbered above them.  A constant root yields no clause or the empty
+    clause, and an empty map.
 
-    By default every internal and/or/xor node gets a variable t and the
-    full biconditional t <-> node, as the emitted files carry it, and the
-    map covers the plain reference of every node of root's cone, children
-    first.  One walk numbers the gates and writes each gate's definition
-    clauses as DIMACS lines ("-3 1 0\n") from the literal texts of its
-    children, kept in lists by reference (an or is an and with the texts
-    swapped).
-
-    With one_sided, the result is a clause form (Plaisted and Greenbaum,
-    1986; Jackson and Sheridan, 2004) as lists of ints.  A gate gets a
-    variable when it is shared (two parents in root's cone) or sits below
-    a xor, with only the halves of t <-> node that its uses need: t -> node
-    where it occurs positively, node -> t where negatively.  Every other
-    gate is written straight into its parent's clauses, unless that would
-    multiply two conjunctions out or copy a clause of `_INLINE_LIMIT`
-    literals; such a gate is named too (see `_ClauseForm`).  The map covers
-    the named gates, whose variables are numbered in the order the walk
-    meets them, and a model of the clauses, restricted to the store's
-    variables, satisfies root.
+    A gate gets a variable when it is shared (two parents in root's cone)
+    or sits below a xor, with only the halves of t <-> node that its uses
+    need: t -> node where it occurs positively, node -> t where negatively.
+    Every other gate is written straight into its parent's clauses, unless
+    that would multiply two conjunctions out or copy a clause of
+    `_INLINE_LIMIT` literals; such a gate is named too (see `_ClauseForm`).
+    The map covers the plain references of the named gates, whose
+    variables are numbered in the order the walk meets them, and a model
+    of the clauses, restricted to the store's variables, satisfies root.
     """
     if root == TRUE:
-        return [], {root: 0}, store.num_vars
+        return [], {}, store.num_vars
     if root == FALSE:
-        return [[] if one_sided else " 0\n"], {root: 0}, store.num_vars
-    if one_sided:
-        form = _ClauseForm(store, root)
-        return form.clauses, {2 * k: t for k, t in form.lit.items()}, form.num_vars
-
-    nodes = store.nodes
-    lit: dict[int, int] = {}
-    pos: list = [None] * (2 * len(nodes))  # each reference's literal as text
-    neg: list = [None] * (2 * len(nodes))  # and its negation
-    lines: list[str] = []
-    t = store.num_vars
-    for r in store.reachable(root):
-        node = nodes[r >> 1]
-        tag = node[0]
-        if tag == _VAR:
-            v = node[1]
-        elif tag == _CONST:
-            raise AssertionError("constants fold away below the root")
-        else:
-            t += 1
-            v = t
-        lit[r] = v
-        p = pos[r] = neg[r + 1] = str(v)
-        m = neg[r] = pos[r + 1] = "-" + p
-        if tag == _XOR:
-            a, b = node[1]
-            lines += (f"{m} {pos[a]} {pos[b]} 0\n", f"{m} {neg[a]} {neg[b]} 0\n",
-                      f"{p} {pos[a]} {neg[b]} 0\n", f"{p} {neg[a]} {pos[b]} 0\n")
-        elif tag != _VAR:  # an or is an and with the texts swapped
-            kids = node[1]
-            p, m, P, N = (p, m, pos, neg) if tag == _AND else (m, p, neg, pos)
-            if len(kids) == 2:
-                a, b = kids
-                lines += (f"{m} {P[a]} 0\n", f"{m} {P[b]} 0\n", f"{p} {N[a]} {N[b]} 0\n")
-            else:
-                lines += [f"{m} {P[c]} 0\n" for c in kids]
-                lines.append(f"{p} {' '.join([N[c] for c in kids])} 0\n")
-    lines.append(f"{pos[root]} 0\n")
-    return lines, lit, t
+        return [[]], {}, store.num_vars
+    form = _ClauseForm(store, root)
+    return form.clauses, {2 * k: t for k, t in form.lit.items()}, form.num_vars
 
 
 class _ClauseForm:
@@ -721,67 +675,66 @@ class _ClauseForm:
 # File formats
 
 
-def _dimacs(num_vars: int, lines: list[str], blocks=(), deps=()) -> str:
+def _dimacs(num_vars: int, clauses: list[list[int]], blocks=(), deps=()) -> str:
     """The `p cnf` header, a quantifier line per (quantifier, variables)
-    block, a `d` line per (existential, dependencies) pair, then the clause
-    lines, in one join."""
+    block, a `d` line per (existential, dependencies) pair, then a line per
+    clause, in one join."""
     return "".join([
-        f"p cnf {num_vars} {len(lines)}\n",
+        f"p cnf {num_vars} {len(clauses)}\n",
         *(" ".join(map(str, [quant, *vs])) + " 0\n" for quant, vs in blocks),
         *(" ".join(map(str, ["d", v, *ds])) + " 0\n" for v, ds in deps),
-        *lines,
+        *("%d " * len(c) % tuple(c) + "0\n" for c in clauses),
     ])
 
 
 def emit_dimacs(problem: QuantifiedProblem) -> str:
-    """Plain CNF text for purely existential problems: the header, then
-    the clause lines of one `tseitin` walk."""
+    """Plain CNF text for purely existential problems: exactly the clauses
+    of `tseitin`, which `solve_internal` hands the SAT core."""
     if not problem.is_sat_fragment():
         raise ValueError("problem is not purely existential")
-    lines, _, num_vars = tseitin(problem.store, problem.matrix)
-    return _dimacs(num_vars, lines)
+    clauses, _, num_vars = tseitin(problem.store, problem.matrix)
+    return _dimacs(num_vars, clauses)
 
 
 def emit_qdimacs(problem: QuantifiedProblem) -> str:
-    """Prenex QBF text; Tseitin variables join the innermost existentials.
-
-    The clause lines come from one `tseitin` walk."""
+    """Prenex QBF text over the clauses of `tseitin`; its definition
+    variables join the innermost existentials."""
     if problem.deps is not None:
         raise ValueError("problem has dependency annotations; use emit_dqdimacs")
-    lines, _, num_vars = tseitin(problem.store, problem.matrix)
+    clauses, _, num_vars = tseitin(problem.store, problem.matrix)
     fresh = ("e", range(problem.store.num_vars + 1, num_vars + 1))
     # adjacent nonempty blocks of one quantifier merge into one line
     nonempty = [block for block in [*problem.prefix, fresh] if block[1]]
     blocks = [(quant, [v for _, vs in run for v in vs])
               for quant, run in groupby(nonempty, key=lambda block: block[0])]
-    return _dimacs(num_vars, lines, blocks)
+    return _dimacs(num_vars, clauses, blocks)
 
 
 def emit_dqdimacs(problem: QuantifiedProblem) -> str:
     """QDIMACS extended with explicit `d` dependency lines per existential.
 
-    The clause lines come from one `tseitin` walk.  A definition variable
-    depends on the universals in its gate's cone and on the dependencies
-    of the existentials there: `_cone_masks` folds them, one bit per
-    universal, over the walk's literal map, which lists the cone children
-    first."""
+    The clauses come from `tseitin`.  A definition variable depends on the
+    universals in its gate's cone and on the dependencies of the
+    existentials there: `_cone_masks` folds them over the matrix's cone,
+    one bit per universal.  Setting the variable to its gate's value is a
+    Skolem function over exactly these, so the file keeps the problem's
+    truth."""
     if problem.deps is None:
         raise ValueError("problem has no dependency annotations; use emit_qdimacs")
     store = problem.store
-    lines, lit, num_vars = tseitin(store, problem.matrix)
+    clauses, lit, num_vars = tseitin(store, problem.matrix)
     universals = problem.universals()
     ascending = sorted(universals)
     bit = {u: 1 << j for j, u in enumerate(ascending)}
     var_mask = {e: sum(bit[u] for u in ds) for e, ds in problem.deps.items()}
-    # a constant matrix maps TRUE, which is no plain reference
-    cone = _cone_masks(store.nodes, [r & ~1 for r in lit], {**var_mask, **bit})
+    cone = _cone_masks(store.nodes, store.reachable(problem.matrix), {**var_mask, **bit})
     # the walk numbers the definition variables in ascending order, after the store's
     masks = [(e, var_mask[e]) for e in sorted(var_mask)]
-    masks += [(t, cone[r]) for r, t in lit.items() if t > store.num_vars]
+    masks += [(t, cone[r]) for r, t in lit.items()]
     # one list per distinct mask: many gates share one
     named = {b: [u for u in ascending if b & bit[u]] for b in {b for _, b in masks}}
     blocks = [("a", universals)] if universals else []
-    return _dimacs(num_vars, lines, blocks, ((v, named[b]) for v, b in masks))
+    return _dimacs(num_vars, clauses, blocks, ((v, named[b]) for v, b in masks))
 
 
 @dataclass
@@ -795,9 +748,8 @@ class DimacsFile:
     clauses: list[list[int]] = field(default_factory=list)
 
     def render(self) -> str:
-        lines = [" ".join(map(str, c)) + " 0\n" for c in self.clauses]
         comments = "".join(f"c {c}\n" for c in self.comments)
-        return comments + _dimacs(self.num_vars, lines, self.blocks, self.dep_lines)
+        return comments + _dimacs(self.num_vars, self.clauses, self.blocks, self.dep_lines)
 
 
 def read_dimacs(text: str) -> DimacsFile:

@@ -24,14 +24,14 @@ dependency set, and the conjunction of the matrix over all universal
 assignments goes to the SAT core in clause form: only shared gates get
 definition variables, each with the halves its polarities need, and
 every other gate is written straight into its parent's clauses
-(`tseitin(..., one_sided=True)`).  Each subterm
-is rebuilt once per assignment of the universals in its own cone, except
-where three-valued tables of the universals alone already show it
-constant, and the result is identical, node for node, to substituting
-every full assignment into the matrix.  A SAT problem is the case with
-no universals: its one copy is the matrix itself.  The model reads a
-dependent existential at a universal assignment from that assignment's
-copy (`Model.value_of`).
+(`tseitin`, whose clauses `emit_dimacs` writes for a SAT problem).
+Each subterm is rebuilt once per assignment of the universals in its own
+cone, except where three-valued tables of the universals alone already
+show it constant, and the result is identical, node for node, to
+substituting every full assignment into the matrix.  A SAT problem is
+the case with no universals: its one copy is the matrix itself.  The
+model reads a dependent existential at a universal assignment from that
+assignment's copy (`Model.value_of`).
 """
 
 from __future__ import annotations
@@ -383,7 +383,7 @@ def solve_internal(problem: QuantifiedProblem, cap: int = DEFAULT_EXPANSION_CAP)
     matrix, copies = problem.expand()
     if matrix == TRUE:  # every value False
         return SolveResult("sat", Model({}, copies, deps))
-    clauses, _, num_vars = tseitin(store, matrix, one_sided=True)
+    clauses, _, num_vars = tseitin(store, matrix)
     outcome = sat_solve(clauses, num_vars)
     if outcome.status == "sat":
         outcome.model = Model(outcome.model.assignment, copies, deps)

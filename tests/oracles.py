@@ -367,8 +367,3 @@ def _substitute(store, root, mapping):
         return store.not_(memo[n]) if f & 1 else memo[n]
 
     return go(root)
-
-
-def clause_lists(lines):
-    """The DIMACS clause lines of a full `tseitin` as lists of ints."""
-    return [[int(x) for x in line.split()[:-1]] for line in lines]

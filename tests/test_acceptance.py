@@ -25,7 +25,7 @@ from ltlsynth.ltl import parse_ltl
 from ltlsynth.solve import external_solve, sat_solve, solve_internal
 from ltlsynth.system import TransitionSystem, input_valuations, moore_system, run, to_aiger
 from ltlsynth.verify import RunGraph, check_annotation, model_check
-from oracles import clause_lists, eval_ltl_lasso, eval_qbf_naive, simulate_aag
+from oracles import eval_ltl_lasso, eval_qbf_naive, simulate_aag
 from suite import SUITE, by_name, encode, search
 
 STUB = f"{sys.executable} {os.path.join(os.path.dirname(__file__), 'external_stub.py')} {{file}}"
@@ -350,8 +350,7 @@ def test_criterion_8_format_fidelity():
         text = emit_dimacs(problem)
         assert read_dimacs(text).render() == text
 
-        lines, _, nv = tseitin(s, matrix)
-        cnf = clause_lists(lines)
+        cnf, _, nv = tseitin(s, matrix)
         internal = sat_solve(cnf, nv)
         external = external_solve(problem, EXTERNAL_SAT)
         assert external.status in ("sat", "unsat"), external.detail

@@ -585,7 +585,15 @@ codes = [driver.main([sys.argv[1], "--mode", "synthesis", "--encoding", encoding
          for encoding in driver.ENCODING_NAMES]
 sizes = tracer.sizes[None]
 keys = ("automaton.counted_states", "automaton.counter_bits", "encode.nodes")
-print(json.dumps([codes, [sizes[key] for key in keys], sorted({span[0] for span in tracer.spans})]))
+synthesis = [codes, [sizes[key] for key in keys], sorted({span[0] for span in tracer.spans})]
+emitted = []  # per format: exit code, clauses counted, spans opened
+for encoding, fmt in (("basic", "dimacs"), ("input", "qdimacs"), ("state", "dqdimacs")):
+    first, clauses = len(tracer.spans), sizes["logic.cnf_clauses"]
+    code = driver.main([sys.argv[1], "--emit", fmt, "--encoding", encoding, "--max-bound", "2",
+                        "--output", sys.argv[3]])
+    emitted.append([code, sizes["logic.cnf_clauses"] - clauses,
+                    sorted({span[0] for span in tracer.spans[first:]})])
+print(json.dumps([*synthesis, emitted]))
 """
 
 
@@ -593,21 +601,26 @@ def test_benchmark_tracer_wraps_the_driver(tmp_path):
     """perfbench/tracing.py wraps driver functions by name and reads the
     SccInfo and the encoders' results: arbiter k=2 synthesis on every
     encoding, both sides, runs under it, records nonzero sizes and opens a
-    span for every layer it times."""
+    span for every layer it times.  Then `--emit` in each format opens a
+    `logic.emit` and a `logic.tseitin` span and counts the clauses, so a
+    renamed `tseitin` or emitter, or a reshaped result, fails here."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, write_spec(tmp_path, ARBITER_DOC),
-         str(tmp_path / "out.aag")],
+         str(tmp_path / "out.aag"), str(tmp_path / "out.cnf")],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    codes, sizes, spans = json.loads(proc.stdout.splitlines()[-1])  # after the verdict lines
+    codes, sizes, spans, emitted = json.loads(proc.stdout.splitlines()[-1])  # after the verdict lines
     assert codes == [10] * len(driver.ENCODING_NAMES)
     assert all(sizes), sizes
     layers = {"ltl.load", "automaton.ucw", "automaton.scc", "automaton.symbolic", "encode",
               "logic.tseitin", "solve.expand", "solve.cdcl", "extract", "verify", "system.aiger"}
     assert layers <= set(spans), sorted(layers - set(spans))
+    for fmt, (code, clauses, emit_spans) in zip(("dimacs", "qdimacs", "dqdimacs"), emitted):
+        assert code == 0 and clauses > 0, (fmt, code, clauses)
+        assert {"logic.emit", "logic.tseitin"} <= set(emit_spans), (fmt, emit_spans)
 
 
 @pytest.mark.parametrize("name, options, tried", [

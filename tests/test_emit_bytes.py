@@ -9,9 +9,9 @@ and the suite specs again without the counter reduction
 3-client arbiter's environment side at bound 7 pins the explicit
 encodings on a component with 8 rejecting states, whose 56 ranks keep
 binary counters.
-The digests pin the output of full biconditional Tseitin definitions, so a
-change to node construction, encoding or Tseitin that moves a byte fails
-here, naming the case.  Regenerate the file only for an intended change:
+The digests pin the clause form of `tseitin`, which names only shared gates
+and gates below a xor, so a change to node construction, encoding or
+Tseitin that moves a byte fails here, naming the case.  Regenerate the file only for an intended change:
 
     PYTHONPATH=src:tests python tests/test_emit_bytes.py > tests/emit_digests.json
 """

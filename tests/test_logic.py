@@ -31,7 +31,7 @@ from ltlsynth.logic import (
     tseitin,
 )
 from ltlsynth.solve import sat_solve, solve_internal
-from oracles import _substitute, clause_lists, dpll
+from oracles import _substitute, dpll
 from suite import SUITE, arbiter_doc
 
 
@@ -119,46 +119,24 @@ def test_nodes_have_one_shape_children_first():
         _assert_node_shapes(problem.store)
 
 
-def test_tseitin_equisatisfiable_and_witnessed():
-    rng = random.Random(5)
-    for _ in range(120):
-        s = Store()
-        vids = [s.new_var() for j in range(rng.randrange(1, 6))]
-        nodes = [s.var(v) for v in vids]
-        root = _rand_formula(s, rng, nodes, 3)
-        clauses = clause_lists(tseitin(s, root)[0])
-
-        truth = False
-        for bits in itertools.product([False, True], repeat=len(vids)):
-            if s.evaluate(root, dict(zip(vids, bits))):
-                truth = True
-                break
-        model = dpll(clauses)
-        assert (model is not None) == truth
-        if model is not None and root not in (TRUE, FALSE):
-            # the CNF witness restricted to the original vars satisfies root
-            assignment = {v: model.get(v, False) for v in vids}
-            assert s.evaluate(root, assignment)
-
-
 def test_tseitin_trivial_cases():
     s = Store()
     v = s.new_var()
-    lines, _, n = tseitin(s, s.var(v))
-    assert lines == ["1 0\n"] and n == 1
+    assert tseitin(s, s.var(v)) == ([[1]], {}, 1)
+    assert tseitin(s, s.not_(s.var(v))) == ([[-1]], {}, 1)
+    # a constant names no node: no clause, or the empty clause
+    assert tseitin(s, TRUE) == ([], {}, 1)
+    assert tseitin(s, FALSE) == ([[]], {}, 1)
 
     a, b = s.new_var(), s.new_var()
     root = s.and_([s.var(a), s.var(b)])
-    lines, lit, n = tseitin(s, root)
-    clauses = clause_lists(lines)
-    t = lit[root]
-    assert [t] in clauses
-    assert sorted(map(sorted, clauses)) == sorted(
-        map(sorted, [[-t, 2], [-t, 3], [t, -2, -3], [t]])
-    )
+    assert tseitin(s, root) == ([[2], [3]], {}, 3)
 
 
 def test_tseitin_evaluation_agreement_with_witness_extension():
+    """With each definition variable set to its gate's value, the clauses
+    hold exactly where root does: the Skolem function that the emitted
+    files' definition variables rely on."""
     rng = random.Random(9)
     for _ in range(60):
         s = Store()
@@ -167,27 +145,25 @@ def test_tseitin_evaluation_agreement_with_witness_extension():
         root = _rand_formula(s, rng, nodes, 3)
         if root in (TRUE, FALSE):
             continue
-        lines, lit, num_vars = tseitin(s, root)
-        clauses = clause_lists(lines)
-        defs = {n: l for n, l in lit.items() if l > len(vids)}
+        clauses, lit, num_vars = tseitin(s, root)
         for bits in itertools.product([False, True], repeat=3):
             assignment = dict(zip(vids, bits))
             full = {v: assignment.get(v, False) for v in range(1, num_vars + 1)}
-            for node, l in defs.items():
-                full[abs(l)] = s.evaluate(node, assignment) == (l > 0)
+            for node, t in lit.items():
+                full[t] = s.evaluate(node, assignment)
             ok = all(any((full[abs(x)]) == (x > 0) for x in c) for c in clauses)
             assert ok == s.evaluate(root, assignment)
 
 
-def test_one_sided_tseitin_equisatisfiable_and_witnessed():
+def test_tseitin_equisatisfiable_and_witnessed():
     rng = random.Random(13)
     for _ in range(1000):
         s = Store()
         vids = [s.new_var() for j in range(rng.randrange(1, 7))]
         root = _rand_formula(s, rng, [s.var(v) for v in vids], 4)
-        clauses, lit, num_vars = tseitin(s, root, one_sided=True)
+        clauses, lit, num_vars = tseitin(s, root)
         # definition variables only for named gates, numbered above the store's
-        assert num_vars == s.num_vars + len(lit) - (root in (TRUE, FALSE))
+        assert num_vars == s.num_vars + len(lit)
         assert all(abs(l) <= num_vars for c in clauses for l in c)
 
         truth = any(
@@ -207,7 +183,7 @@ def test_one_sided_tseitin_polarity_halves():
     a, b, c = (s.var(s.new_var()) for _ in "abc")
     conj = s.and_([a, b])
     root = s.or_([s.not_(conj), s.xor2(conj, c)])
-    clauses, lit, num_vars = tseitin(s, root, one_sided=True)
+    clauses, lit, num_vars = tseitin(s, root)
     # the and sits below the xor: named, with both halves; the xor and the
     # root have one parent each and are written into the root's clauses
     assert lit == {conj: 4} and num_vars == 4
@@ -224,7 +200,7 @@ def test_clause_form_inlines_nested_implications():
     s = Store()
     r, d, t, a, b = (s.var(s.new_var()) for _ in "rdtab")
     root = s.implies(r, s.implies(d, s.implies(t, s.and_([a, b]))))
-    clauses, lit, num_vars = tseitin(s, root, one_sided=True)
+    clauses, lit, num_vars = tseitin(s, root)
     assert clauses == [[-1, -2, -3, 4], [-1, -2, -3, 5]]
     assert lit == {} and num_vars == 5
 
@@ -234,7 +210,7 @@ def test_clause_form_shares_named_gates():
     a, b, c, d = (s.var(s.new_var()) for _ in "abcd")
     shared = s.and_([a, b])
     root = s.and_([s.or_([shared, c]), s.or_([s.not_(shared), d])])
-    clauses, lit, num_vars = tseitin(s, root, one_sided=True)
+    clauses, lit, num_vars = tseitin(s, root)
     # one variable for the gate with two parents, both halves; the ors and
     # the root are inlined
     assert lit == {shared: 5} and num_vars == 5
@@ -253,7 +229,7 @@ def test_clause_form_of_deep_chain_is_linear():
     f = xs[depth]
     for j in reversed(range(depth)):
         f = s.or_([xs[j], s.and_([ys[j], f])])
-    clauses, _, num_vars = tseitin(s, f, one_sided=True)
+    clauses, _, num_vars = tseitin(s, f)
     assert sum(map(len, clauses)) <= 10 * depth
     assert num_vars - s.num_vars <= depth // 2
     assert sat_solve(clauses, num_vars).status == "sat"
@@ -282,10 +258,8 @@ def test_deep_chain_evaluates_and_emits():
     assert s.evaluate(f, env)
 
     doc = read_dimacs(emit_dimacs(QuantifiedProblem(s, f, [("e", xs + ys)])))
-    full, _, num_vars = tseitin(s, f)
-    assert doc.num_vars == num_vars == s.num_vars + 2 * depth
-    assert doc.clauses == clause_lists(full)
-    clauses, _, num_vars = tseitin(s, f, one_sided=True)
+    clauses, _, num_vars = tseitin(s, f)
+    assert doc.num_vars == num_vars and doc.clauses == clauses
     result = sat_solve(clauses + [[-x] for x in xs[1:]], num_vars)
     assert result.status == "sat" and result.model.assignment[xs[0]]
 
@@ -316,14 +290,13 @@ def test_deep_matrix_expands_and_solves():
 
 
 def test_one_sided_tseitin_halves_arbiter_cnf():
-    """Moore 3-client arbiter, basic encoding, n=3: 7,941 clauses with full
-    definitions, 2,410 in clause form."""
+    """Moore 3-client arbiter, basic encoding, n=3: one full definition per
+    gate made 7,941 clauses; the clause form has 2,410."""
     spec = load_spec(json.dumps(arbiter_doc(3)))
     [side] = make_sides(spec, RunConfig(counter_strategy="off"))
     problem, _ = build_problem(side, 3, RunConfig(encoding="basic"))
-    full, _, _ = tseitin(problem.store, problem.matrix)
-    one, _, _ = tseitin(problem.store, problem.matrix, one_sided=True)
-    assert len(one) <= 0.6 * len(full)
+    clauses, _, _ = tseitin(problem.store, problem.matrix)
+    assert len(clauses) <= 0.6 * 7941
 
 
 def test_clause_form_shrinks_arbiter_cnf():
@@ -338,7 +311,7 @@ def test_clause_form_shrinks_arbiter_cnf():
     scc = analyze_sccs(a, n)
     ranks = sum(map(scc.rank_width, scc.counted))
     assert problem.store.num_vars == n * (a.n_states + ranks + (1 << len(a.inputs)) * n + len(a.outputs)) == 516
-    _, _, num_vars = tseitin(problem.store, problem.matrix, one_sided=True)
+    _, _, num_vars = tseitin(problem.store, problem.matrix)
     assert num_vars <= 11173 // 3
 
 
@@ -540,18 +513,21 @@ def test_emit_qdimacs_forall_exists():
 @pytest.mark.parametrize("prefix, text", [
     # an empty universal block between two existential ones: one existential block
     ([("e", [1]), ("a", []), ("e", [2])],
-     "p cnf 3 4\ne 1 2 3 0\n3 -1 0\n3 -2 0\n-3 1 2 0\n3 0\n"),
+     "p cnf 3 5\ne 1 2 3 0\n1 3 0\n-1 -3 0\n-3 1 2 0\n3 -1 0\n3 -2 0\n"),
     # a prefix ending in a universal block: the Tseitin variable opens an existential one
     ([("e", [1]), ("a", [2])],
-     "p cnf 3 4\ne 1 0\na 2 0\ne 3 0\n3 -1 0\n3 -2 0\n-3 1 2 0\n3 0\n"),
+     "p cnf 3 5\ne 1 0\na 2 0\ne 3 0\n1 3 0\n-1 -3 0\n-3 1 2 0\n3 -1 0\n3 -2 0\n"),
     # two adjacent existential blocks merge, and the Tseitin variable joins them
     ([("a", [1]), ("e", [2]), ("e", [3])],
-     "p cnf 4 5\na 1 0\ne 2 3 4 0\n4 -1 0\n4 -2 0\n4 -3 0\n-4 1 2 3 0\n4 0\n"),
+     "p cnf 4 6\na 1 0\ne 2 3 4 0\n1 4 0\n-1 -4 0\n-4 1 2 3 0\n4 -1 0\n4 -2 0\n4 -3 0\n"),
 ], ids=["empty-universal-block", "ends-universal", "adjacent-existential"])
 def test_emit_qdimacs_block_rules(prefix, text):
+    """The first variable xor the or of all: the or sits below the xor, so
+    it gets the one definition variable, with both halves."""
     s = Store()
     n_vars = sum(len(vs) for _, vs in prefix)
-    matrix = s.or_([s.var(s.new_var()) for j in range(n_vars)])
+    xs = [s.var(s.new_var()) for j in range(n_vars)]
+    matrix = s.xor2(xs[0], s.or_(xs))
     assert emit_qdimacs(QuantifiedProblem(s, matrix, prefix)) == text
 
 
@@ -576,11 +552,12 @@ def test_emit_fragment_mismatch():
 def test_dqdimacs_tseitin_deps_are_cone_unions():
     """Each definition variable's `d` line names the universals in its
     gate's cone and the dependencies of the existentials there, ascending.
-    The gate is read off the full `tseitin` map, and the union is taken
-    over `variables_in`, on random matrices whose universals and
-    existentials are numbered in shuffled order, one existential with no
-    dependencies, and on the constant, a variable and its negation.  Xor
-    gates, negated children and shared gates must all occur."""
+    The gate is read off the `tseitin` map, which covers the named gates,
+    and the union is taken over `variables_in`, on random matrices whose
+    universals and existentials are numbered in shuffled order, one
+    existential with no dependencies, and on the constant, a variable and
+    its negation.  Named xor gates, negated children and shared gates must
+    all occur."""
     rng = random.Random(41)
     seen = {"xor": 0, "negated child": 0, "shared gate": 0, "empty deps in cone": 0}
     for trial in range(120):
@@ -601,10 +578,13 @@ def test_dqdimacs_tseitin_deps_are_cone_unions():
             doc = read_dimacs(text)
             _, lit, _ = tseitin(s, root)
             want = {e: sorted(ds) for e, ds in deps.items()}
-            parents: dict[int, int] = {}
+            parents: dict[int, int] = {}  # plain reference -> its parents in root's cone
+            for f in s.reachable(root):
+                node = s.nodes[f >> 1]
+                if node[0] != _VAR:
+                    for c in node[1]:
+                        parents[c & ~1] = parents.get(c & ~1, 0) + 1
             for r, t in lit.items():
-                if t <= s.num_vars:
-                    continue
                 cone = set()
                 variables = s.variables_in(r)
                 for v in variables:
@@ -614,10 +594,7 @@ def test_dqdimacs_tseitin_deps_are_cone_unions():
                 seen["xor"] += node[0] == _XOR
                 seen["negated child"] += any(c & 1 for c in node[1])
                 seen["empty deps in cone"] += existentials[0] in variables
-                for c in node[1]:
-                    if s.nodes[c >> 1][0] != _VAR:
-                        parents[c >> 1] = parents.get(c >> 1, 0) + 1
-            seen["shared gate"] += any(n > 1 for n in parents.values())
+                seen["shared gate"] += parents.get(r, 0) > 1
             assert doc.dep_lines == sorted(want.items())
             assert doc.render() == text
     assert all(seen.values()), seen
@@ -644,15 +621,17 @@ def test_round_trip_byte_identical():
         assert read_dimacs(text2).render() == text2
 
 
-def _assert_text_matches_clauses(problem):
-    """The emitted file holds exactly the full definitions' clause lists."""
+def _emitter(problem):
     if problem.deps is not None:
-        emitter = emit_dqdimacs
-    else:
-        emitter = emit_dimacs if problem.is_sat_fragment() else emit_qdimacs
-    doc = read_dimacs(emitter(problem))
-    lines, _, num_vars = tseitin(problem.store, problem.matrix)
-    assert doc.clauses == clause_lists(lines)
+        return emit_dqdimacs
+    return emit_dimacs if problem.is_sat_fragment() else emit_qdimacs
+
+
+def _assert_text_matches_clauses(problem):
+    """The emitted file holds exactly the clauses of `tseitin`."""
+    doc = read_dimacs(_emitter(problem)(problem))
+    clauses, _, num_vars = tseitin(problem.store, problem.matrix)
+    assert doc.clauses == clauses
     assert doc.num_vars == num_vars
 
 
@@ -682,6 +661,46 @@ def test_emitted_clauses_match_tseitin_on_random_formulas():
         _assert_text_matches_clauses(QuantifiedProblem(s, root, [("a", u), ("e", e)]))
         deps = {e[0]: frozenset(u[:1]), e[1]: frozenset()}
         _assert_text_matches_clauses(QuantifiedProblem(s, root, [("a", u), ("e", e)], deps=deps))
+
+
+def _read_back(text):
+    """The problem a DIMACS, QDIMACS or DQDIMACS text states: an and of
+    ors over its clauses, quantified by its blocks, and with deps from its
+    `d` lines when it has any.  A plain DIMACS file's variables are all
+    existential."""
+    doc = read_dimacs(text)
+    s = Store()
+    for _ in range(doc.num_vars):
+        s.new_var()
+    matrix = s.and_([s.or_([s.var(l) if l > 0 else s.not_(s.var(-l)) for l in c])
+                     for c in doc.clauses])
+    if doc.dep_lines:
+        prefix = doc.blocks + [("e", [v for v, _ in doc.dep_lines])]
+        return QuantifiedProblem(s, matrix, prefix, {v: frozenset(ds) for v, ds in doc.dep_lines})
+    return QuantifiedProblem(s, matrix, doc.blocks or [("e", list(range(1, doc.num_vars + 1)))])
+
+
+def test_emitted_files_keep_the_verdict_on_suite():
+    """Every suite spec, both sides, all four encodings, n = 1, 2: the
+    problem read back from its emitted file has the verdict
+    `solve_internal` gives the problem itself.  No installed solver reads
+    the QDIMACS and DQDIMACS files, so this is what checks that their
+    clauses, blocks and `d` lines keep the problem's truth.  The arbiter's
+    environment side under `full` at n = 2 is left out: read back, its
+    expansion alone takes longer than all the other cases together."""
+    verdicts = set()
+    for bench in SUITE:
+        for side in make_sides(bench.spec, RunConfig()):
+            for encoding in ("basic", "input", "state", "full"):
+                for n in (1, 2):
+                    if (bench.name, side.role, encoding, n) == ("arbiter", "environment", "full", 2):
+                        continue
+                    problem, _ = build_problem(side, n, RunConfig(encoding=encoding))
+                    want = solve_internal(problem).status
+                    got = solve_internal(_read_back(_emitter(problem)(problem))).status
+                    assert got == want, (bench.name, side.role, encoding, n)
+                    verdicts.add((encoding, want))
+    assert verdicts == {(e, v) for e in ("basic", "input", "state", "full") for v in ("sat", "unsat")}
 
 
 def test_free_variable_check_with_and_without_shortcut():

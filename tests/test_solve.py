@@ -12,7 +12,7 @@ from ltlsynth.driver import RunConfig, build_problem, make_sides
 from ltlsynth.logic import _VAR, _XOR, FALSE, TRUE, QuantifiedProblem, Store, tseitin
 from ltlsynth.ltl import load_spec
 from ltlsynth.solve import ExpansionLimitError, external_solve, sat_solve, solve_internal
-from oracles import clause_lists, dpll, eager_expand, eval_qbf_naive
+from oracles import dpll, eager_expand, eval_qbf_naive
 from suite import arbiter_doc
 
 STUB = f"{sys.executable} {os.path.join(os.path.dirname(__file__), 'external_stub.py')} {{file}}"
@@ -247,26 +247,6 @@ def test_sat_restarts_and_refills_heap():
     assert all(any(model[abs(l)] == (l > 0) for l in c) for c in cnf)
 
 
-def test_sat_trajectory_pin_arbiter3():
-    """The exact search on the Moore 3-client arbiter, basic encoding, n=3.
-
-    A change that alters decisions, propagation order or learning moves
-    these counters; update them only on purpose."""
-    spec = load_spec(json.dumps(arbiter_doc(3)))
-    side = make_sides(spec, RunConfig(counter_strategy="off"))[0]
-    problem, _ = build_problem(side, 3, RunConfig(encoding="basic"))
-    lines, _, nv = tseitin(problem.store, problem.matrix)
-    result = sat_solve(clause_lists(lines), nv)
-    assert result.status == "sat"
-    assert result.stats == {
-        "conflicts": 31,
-        "decisions": 324,
-        "propagations": 17062,
-        "restarts": 0,
-        "learnt": 31,
-    }
-
-
 def test_sat_restart_schedule_pin_arbiter3_environment():
     """The exact search on the clause form of the 3-client arbiter's
     environment side, basic encoding, n=4, cut off after 1,600 conflicts:
@@ -277,7 +257,7 @@ def test_sat_restart_schedule_pin_arbiter3_environment():
     side = make_sides(spec, RunConfig())[1]
     assert side.role == "environment"
     problem, _ = build_problem(side, 4, RunConfig(encoding="basic"))
-    clauses, _, nv = tseitin(problem.store, problem.matrix, one_sided=True)
+    clauses, _, nv = tseitin(problem.store, problem.matrix)
     result = sat_solve(clauses, nv, max_conflicts=1600)
     assert result.status == "unknown"
     assert result.stats == {
@@ -293,11 +273,15 @@ def test_sat_restart_schedule_pin_arbiter3_environment():
     ("input", (28, 370, 3251, 0, 28)),
     ("state", (237, 7961, 36002, 1, 237)),
     ("full", (367, 13486, 80522, 2, 367)),
+    ("basic", (66, 558, 6338, 0, 66)),
 ])
 def test_sat_trajectory_pin_arbiter3_expanded(encoding, stats):
-    """The exact search on the Moore 3-client arbiter, system side, n=3,
-    along the universal-expansion routes: `input` is a QBF, `state` and
-    `full` are DQBFs.  Update the counters only on purpose."""
+    """The exact search on the Moore 3-client arbiter, system side, n=3:
+    `basic` is a SAT problem, solved on its clause form alone, and the
+    others take the universal-expansion routes: `input` is a QBF, `state`
+    and `full` are DQBFs.  A change that alters decisions, propagation
+    order or learning moves these counters; update them only on
+    purpose."""
     spec = load_spec(json.dumps(arbiter_doc(3)))
     side = make_sides(spec, RunConfig(counter_strategy="off"))[0]
     problem, _ = build_problem(side, 3, RunConfig(encoding=encoding))
@@ -312,7 +296,7 @@ def test_solve_internal_keeps_cdcl_stats():
     x, y = s.new_var(), s.new_var()
     matrix = s.and_([s.or_([s.var(x), s.var(y)]), s.or_([s.not_(s.var(x)), s.var(y)])])
     p = QuantifiedProblem(s, matrix, [("e", [x, y])])
-    clauses, _, nv = tseitin(s, matrix, one_sided=True)
+    clauses, _, nv = tseitin(s, matrix)
     direct = sat_solve(clauses, nv)
     assert direct.stats["decisions"] >= 1
     assert solve_internal(p).stats == direct.stats
@@ -495,7 +479,7 @@ def _assert_expands_like_eager(problem):
     assert copies == ref_copies
     assert ours.store.num_vars == ref.store.num_vars
     assert _cone(ours.store, root) == _cone(ref.store, ref_root)
-    ours_cnf, ref_cnf = tseitin(ours.store, root, True), tseitin(ref.store, ref_root, True)
+    ours_cnf, ref_cnf = tseitin(ours.store, root), tseitin(ref.store, ref_root)
     assert (ours_cnf[0], ours_cnf[2]) == (ref_cnf[0], ref_cnf[2])
     in_ref: list[int] = []  # our node index -> eager's plain reference to the same node
     for node in ours.store.nodes:
@@ -598,8 +582,8 @@ def test_external_differential_against_internal():
         if p.matrix in (TRUE, FALSE):
             continue
         theirs = external_solve(p, STUB)
-        lines, _, nv = tseitin(s, p.matrix)
-        ours = sat_solve(clause_lists(lines), nv)
+        clauses, _, nv = tseitin(s, p.matrix)
+        ours = sat_solve(clauses, nv)
         assert theirs.status == ours.status
 
 
