@@ -156,6 +156,30 @@ def test_tseitin_evaluation_agreement_with_witness_extension():
 
 
 def test_tseitin_equisatisfiable_and_witnessed():
+    """DPLL's own model of the clause form, restricted to the store's
+    variables, satisfies root."""
+    rng = random.Random(5)
+    for _ in range(120):
+        s = Store()
+        vids = [s.new_var() for j in range(rng.randrange(1, 6))]
+        nodes = [s.var(v) for v in vids]
+        root = _rand_formula(s, rng, nodes, 3)
+        clauses = tseitin(s, root)[0]
+
+        truth = False
+        for bits in itertools.product([False, True], repeat=len(vids)):
+            if s.evaluate(root, dict(zip(vids, bits))):
+                truth = True
+                break
+        model = dpll(clauses)
+        assert (model is not None) == truth
+        if model is not None and root not in (TRUE, FALSE):
+            # the CNF witness restricted to the original vars satisfies root
+            assignment = {v: model.get(v, False) for v in vids}
+            assert s.evaluate(root, assignment)
+
+
+def test_one_sided_tseitin_equisatisfiable_and_witnessed():
     rng = random.Random(13)
     for _ in range(1000):
         s = Store()
