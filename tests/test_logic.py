@@ -262,6 +262,61 @@ def test_clause_form_of_deep_chain_is_linear():
     assert sat_solve(refuted, num_vars).status == "unsat"
 
 
+def _walk_pin_root(case):
+    """A hand-built root reaching one branch of the clause-form walk, on
+    a fresh store with ten variables."""
+    s = Store()
+    v = [s.var(s.new_var()) for _ in range(10)]
+    a, b, c, d, e = v[:5]
+    if case == "variable":
+        return s, a
+    if case == "negated-variable":
+        return s, s.not_(a)
+    if case == "xor-of-gates":  # both halves of both operands queued
+        return s, s.xor2(s.and_([a, b]), s.or_([c, d]))
+    if case == "negated-xor":  # one variable operand, one gate
+        return s, s.not_(s.xor2(a, s.and_([b, c])))
+    if case == "shared-both-polarities":
+        g = s.and_([a, b])
+        return s, s.and_([s.or_([g, c]), s.or_([s.not_(g), d])])
+    if case == "flattened-or":
+        return s, s.and_([d, s.or_([a, s.or_([b, c])])])
+    if case == "second-conjunction-named":
+        return s, s.or_([e, s.and_([a, b]), s.and_([c, d])])
+    if case == "inline-below-limit":  # a clause of 7 literals inlines
+        return s, s.or_([*v[:7], s.and_(v[8:])])
+    if case == "inline-at-limit":  # a clause of 8 literals names
+        return s, s.or_([*v[:8], s.and_(v[8:])])
+    assert case == "negated-and"  # disjunction position, flattened
+    return s, s.or_([d, s.not_(s.and_([a, s.and_([b, c])]))])
+
+
+@pytest.mark.parametrize("case, clauses, named, num_vars", [
+    ("variable", [[1]], [], 10),
+    ("negated-variable", [[-1]], [], 10),
+    ("xor-of-gates",
+     [[11, 12], [-11, -12], [-12, 3, 4], [12, -3], [12, -4], [-11, 1], [-11, 2], [11, -1, -2]],
+     [(22, 11), (24, 12)], 12),
+    ("negated-xor", [[1, -11], [-1, 11], [-11, 2], [-11, 3], [11, -2, -3]], [(22, 11)], 11),
+    ("shared-both-polarities", [[-11, 4], [11, -1, -2], [11, 3], [-11, 1], [-11, 2]],
+     [(22, 11)], 11),
+    ("flattened-or", [[4], [1, 2, 3]], [], 10),
+    ("second-conjunction-named", [[5, 11, 1], [5, 11, 2], [-11, 3], [-11, 4]], [(24, 11)], 11),
+    ("inline-below-limit", [[1, 2, 3, 4, 5, 6, 7, 9], [1, 2, 3, 4, 5, 6, 7, 10]], [], 10),
+    ("inline-at-limit", [[1, 2, 3, 4, 5, 6, 7, 8, 11], [-11, 9], [-11, 10]], [(22, 11)], 11),
+    ("negated-and", [[4, -1, -2, -3]], [], 10),
+])
+def test_clause_form_walk_is_pinned(case, clauses, named, num_vars):
+    """The exact clauses, in order, the named gates in numbering order and
+    the variable count for each branch of the walk, including those the
+    encoders rarely reach."""
+    s, root = _walk_pin_root(case)
+    got_clauses, got_map, got_vars = tseitin(s, root)
+    assert got_clauses == clauses
+    assert list(got_map.items()) == named
+    assert got_vars == num_vars
+
+
 def test_deep_chain_evaluates_and_emits():
     """or(x, and(y, or(x, and(y, ...)))) 5,000 levels deep, past the
     recursion limit: evaluate, emit_dimacs and the clause form take it."""
