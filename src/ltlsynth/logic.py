@@ -20,7 +20,7 @@ clause form, which the internal solver reads and the emitted files carry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby, product
+from itertools import chain, groupby, product
 
 FALSE = 0
 TRUE = 1
@@ -539,113 +539,98 @@ def tseitin(store: Store, root: int) -> tuple[list[list[int]], dict[int, int], i
     need: t -> node where it occurs positively, node -> t where negatively.
     Every other gate is written straight into its parent's clauses, unless
     that would multiply two conjunctions out or copy a clause of
-    `_INLINE_LIMIT` literals; such a gate is named too (see `_ClauseForm`).
-    The map covers the plain references of the named gates, whose
-    variables are numbered in the order the walk meets them, and a model
-    of the clauses, restricted to the store's variables, satisfies root.
+    `_INLINE_LIMIT` literals; such a gate is named too.  The map covers the
+    plain references of the named gates, whose variables are numbered in
+    the order the walk meets them, and a model of the clauses, restricted
+    to the store's variables, satisfies root.
+
+    The walk keeps an explicit stack of work items (g, context), each
+    asking for the clauses of `context or g`, g a reference to a gate,
+    plain or negated, and context the literals already in the clause.  A
+    gate in conjunction position (a plain and, or a negated or) passes the
+    context to each child; one in disjunction position adds its children's
+    literals, flattens its private disjunction-position children into the
+    same clause, and inlines at most one private conjunction-position
+    child, naming the rest.  A negated gate's children are the negations
+    of the node's.  Naming a reference g queues the matching definition
+    half, the item (g, [not t]) for a plain g and (g, [t]) for a negated
+    one, so each gate is walked at most once per polarity.  Two tables by
+    reference make a child's literal one index: lit holds +-v for a
+    variable v, +-t for a gate named t and 0 for a private gate, and
+    queued marks the definition halves asked for, and every variable
+    reference from the start, as a variable has none.
     """
     if root == TRUE:
         return [], {}, store.num_vars
     if root == FALSE:
         return [[]], {}, store.num_vars
-    form = _ClauseForm(store, root)
-    return form.clauses, {2 * k: t for k, t in form.lit.items()}, form.num_vars
-
-
-class _ClauseForm:
-    """The clause form of one root, written by a walk with an explicit stack.
-
-    A work item (g, context) asks for the clauses of `context or g`, g a
-    reference to a gate, plain or negated, and context the literals already
-    in the clause.  A gate in conjunction position (a plain and, or a
-    negated or) passes the context to each child; one in disjunction
-    position adds its children's literals, flattens its private
-    disjunction-position children into the same clause, and inlines at
-    most one private conjunction-position child, naming the rest.  A
-    negated gate's children are the negations of the node's.  Naming a
-    reference g queues the matching definition half, the item (g, [not t])
-    for a plain g and (g, [t]) for a negated one.  Each gate is thus walked
-    at most once per polarity.
-    """
-
-    def __init__(self, store: Store, root: int):
-        nodes = self.nodes = store.nodes
-        self.num_vars = store.num_vars
-        self.lit: dict[int, int] = {}  # node index of a named gate -> its variable
-        self.queued: set[int] = set()  # definition halves asked for, by reference
-        self.clauses: list[list[int]] = []
-        node = nodes[root >> 1]
-        if node[0] == _VAR:
-            self.clauses.append([-node[1] if root & 1 else node[1]])
-            return
-        # parents per gate below root, a xor parent counting twice: below a
-        # xor both polarities occur, so the gate is named as a shared one is
-        parents = self.parents = bytearray(len(nodes))  # by node index, counted up to 2
-        stack = [root >> 1]
-        while stack:
-            node = nodes[stack.pop()]
-            weight = 2 if node[0] == _XOR else 1
-            for c in node[1]:
+    nodes, var_node, base = store.nodes, store.var_node, store.num_vars
+    lit = [0] * (2 * len(nodes))
+    queued = bytearray(2 * len(nodes))
+    for v in range(1, base + 1):
+        r = var_node[v]
+        lit[r], lit[r + 1] = v, -v
+        queued[r] = queued[r + 1] = 1
+    if lit[root]:
+        return [[lit[root]]], {}, base
+    # parents per gate below root, a xor parent counting twice: below a
+    # xor both polarities occur, so the gate is named as a shared one is
+    parents = bytearray(len(nodes))  # by node index, counted up to 2
+    stack = [root >> 1]
+    while stack:
+        node = nodes[stack.pop()]
+        weight = 2 if node[0] == _XOR else 1
+        for c in node[1]:
+            if not lit[c]:  # a gate
                 c >>= 1
-                if nodes[c][0] != _VAR:
-                    k = parents[c]
-                    if not k:
-                        stack.append(c)
-                    parents[c] = 2 if k else weight
+                k = parents[c]
+                if not k:
+                    stack.append(c)
+                parents[c] = 2 if k else weight
 
-        self.todo: list[tuple[int, list[int]]] = [(root, [])]
-        while self.todo:
-            self._write(*self.todo.pop())
+    named: list[int] = []  # plain references of the named gates, in numbering order
 
-    def _named(self, g: int) -> int:
-        """The literal of gate reference g; queues the definition half."""
-        t = self.lit.get(g >> 1)
-        if t is None:
-            self.num_vars += 1
-            t = self.lit[g >> 1] = self.num_vars
-        if g not in self.queued:
-            self.queued.add(g)
-            self.todo.append((g, [t] if g & 1 else [-t]))
-        return -t if g & 1 else t
+    def name(g: int) -> int:
+        """Number gate reference g's node; returns g's literal."""
+        p = g & ~1
+        named.append(p)
+        lit[p] = base + len(named)
+        lit[p + 1] = -lit[p]
+        return lit[g]
 
-    def _literal(self, c: int) -> int:
-        """The literal of a reference c to a variable or a named gate; 0
-        when c is a private gate."""
-        k = c >> 1
-        node = self.nodes[k]
-        if node[0] == _VAR:
-            return -node[1] if c & 1 else node[1]
-        if k in self.lit or self.parents[k] > 1:
-            return self._named(c)
-        return 0
-
-    def _operand(self, c: int) -> int:
-        """The literal of a xor operand, defined both ways if a gate."""
-        if self.nodes[c >> 1][0] != _VAR:
-            self._named(c ^ 1)
-        return self._literal(c)
-
-    def _write(self, g: int, context: list[int]):
-        nodes = self.nodes
+    clauses: list[list[int]] = []
+    todo: list[tuple[int, list[int]]] = [(root, [])]
+    while todo:
+        g, context = todo.pop()
         node = nodes[g >> 1]
         tag = node[0]
-        if tag == _XOR:
-            a, b = map(self._operand, node[1])
+        if tag == _XOR:  # each operand a variable or named, defined both ways
+            a, b = [lit[c] or name(c) for c in node[1]]
+            for c in node[1]:
+                for h in (c ^ 1, c):
+                    if not queued[h]:
+                        queued[h] = 1
+                        todo.append((h, [-lit[h]]))
             if g & 1:
                 b = -b
-            self.clauses.append(context + [a, b])
-            self.clauses.append(context + [-a, -b])
-            return
+            clauses.append(context + [a, b])
+            clauses.append(context + [-a, -b])
+            continue
         s = g & 1
         if (tag == _AND) != s:  # conjunction position
             for c in node[1]:
                 c ^= s
-                lit = self._literal(c)
-                if lit:
-                    self.clauses.append(context + [lit])
-                else:
-                    self.todo.append((c, context))
-            return
+                l = lit[c]
+                if not l:
+                    if parents[c >> 1] < 2:
+                        todo.append((c, context))
+                        continue
+                    l = name(c)
+                if not queued[c]:
+                    queued[c] = 1
+                    todo.append((c, [-l]))
+                clauses.append(context + [l])
+            continue
         clause = list(context)
         inline = None
         flat = [g]
@@ -654,21 +639,30 @@ class _ClauseForm:
             s = f & 1
             for c in nodes[f >> 1][1]:
                 c ^= s
-                lit = self._literal(c)
-                if lit:
-                    clause.append(lit)
-                elif nodes[c >> 1][0] != _XOR and (nodes[c >> 1][0] == _OR) != c & 1:
-                    flat.append(c)  # disjunction position: same clause
-                elif inline is None:
-                    inline = c
-                else:
-                    clause.append(self._named(c))
+                l = lit[c]
+                if not l:
+                    if parents[c >> 1] < 2:
+                        tag = nodes[c >> 1][0]
+                        if tag != _XOR and (tag == _OR) != c & 1:
+                            flat.append(c)  # disjunction position: same clause
+                            continue
+                        if inline is None:
+                            inline = c
+                            continue
+                    l = name(c)
+                if not queued[c]:
+                    queued[c] = 1
+                    todo.append((c, [-l]))
+                clause.append(l)
         if inline is not None:
             if len(clause) < _INLINE_LIMIT:
-                self.todo.append((inline, clause))
-                return
-            clause.append(self._named(inline))
-        self.clauses.append(clause)
+                todo.append((inline, clause))
+                continue
+            queued[inline] = 1
+            todo.append((inline, [-name(inline)]))
+            clause.append(lit[inline])
+        clauses.append(clause)
+    return clauses, {p: lit[p] for p in named}, base + len(named)
 
 
 # ---------------------------------------------------------------------------
@@ -678,12 +672,15 @@ class _ClauseForm:
 def _dimacs(num_vars: int, clauses: list[list[int]], blocks=(), deps=()) -> str:
     """The `p cnf` header, a quantifier line per (quantifier, variables)
     block, a `d` line per (existential, dependencies) pair, then a line per
-    clause, in one join."""
+    clause.  All clause lines are one format string, joined from a
+    `"%d " * k + "0\\n"` per clause of k literals, and filled by one `%`."""
+    lengths = list(map(len, clauses))
+    line = {k: "%d " * k + "0\n" for k in set(lengths)}
     return "".join([
         f"p cnf {num_vars} {len(clauses)}\n",
         *(" ".join(map(str, [quant, *vs])) + " 0\n" for quant, vs in blocks),
         *(" ".join(map(str, ["d", v, *ds])) + " 0\n" for v, ds in deps),
-        *("%d " * len(c) % tuple(c) + "0\n" for c in clauses),
+        "".join(map(line.__getitem__, lengths)) % tuple(chain.from_iterable(clauses)),
     ])
 
 

@@ -2,8 +2,8 @@
 
 The SAT core is a conflict-driven solver with two watched literals per
 clause, first-UIP learning, VSIDS-style activities with phase saving, and
-Luby restarts.  Values are kept per encoded literal (one bytearray
-entry for v and one for -v), so the watch loop reads a literal's value
+Luby restarts.  Values are kept per encoded literal (one list entry
+for v and one for -v), so the watch loop reads a literal's value
 with one index.  A binary clause, loaded or learnt, lives only in the
 watch lists: each of its two literals lists the other one (as in MiniSat
 2.2 and Glucose), so visiting it reads one value and loads no clause.
@@ -101,7 +101,7 @@ def sat_solve(clauses, num_vars: int | None = None, max_conflicts: int | None = 
     nv = num_vars or max((abs(l) for c in clauses for l in c), default=0)
 
     # encoded literals: 2v for v, 2v+1 for -v; val[el]: 0 unknown, 1 true, 2 false
-    val = bytearray(2 * nv + 2)
+    val = [0] * (2 * nv + 2)
     level = [0] * (nv + 1)
     # reason[v]: -1 for decisions and units, ci >= 0 for the long clause
     # db[ci], ~el for the binary clause (v's true literal, el)

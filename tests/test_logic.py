@@ -569,6 +569,31 @@ def test_emit_dimacs_trivial():
     assert emit_dimacs(p) == "p cnf 1 1\n1 0\n"
 
 
+@pytest.mark.parametrize("matrix, body", [(TRUE, ""), (FALSE, "0\n")], ids=["true", "false"])
+def test_emit_constant_matrix_bytes(matrix, body):
+    """A constant matrix: TRUE gives a header with 0 clauses and no clause
+    line, FALSE a single empty clause, under each of the three emitters."""
+    s = Store()
+    u, e = s.new_var(), s.new_var()
+    n = len(body) // 2
+    assert emit_dimacs(QuantifiedProblem(s, matrix, [("e", [u, e])])) == f"p cnf 2 {n}\n" + body
+    qbf = QuantifiedProblem(s, matrix, [("a", [u]), ("e", [e])])
+    assert emit_qdimacs(qbf) == f"p cnf 2 {n}\na 1 0\ne 2 0\n" + body
+    dqbf = QuantifiedProblem(s, matrix, [("a", [u]), ("e", [e])], deps={e: frozenset([u])})
+    assert emit_dqdimacs(dqbf) == f"p cnf 2 {n}\na 1 0\nd 2 1 0\n" + body
+
+
+def test_render_every_clause_length():
+    """Comments, an empty clause and clauses of every length from 1 to 9,
+    past `_INLINE_LIMIT`, re-render byte for byte."""
+    clauses = [[(-1) ** k * k for k in range(1, n + 1)] for n in range(9, 0, -1)]
+    text = "c comment one\nc two\np cnf 9 11\n0\n" + "".join(
+        " ".join(map(str, c)) + " 0\n" for c in [*clauses, [3, -3]])
+    doc = read_dimacs(text)
+    assert [len(c) for c in doc.clauses] == [0, *range(9, 0, -1), 2]
+    assert doc.render() == text
+
+
 def test_emit_qdimacs_forall_exists():
     s = Store()
     u = s.new_var()
